@@ -23,8 +23,8 @@ from .groups import (ElementSet, FiniteGroup, direct_product, from_cayley_table,
                      make_symmetric)
 from .modm import (ModMReport, ResidueCycle, cesaro_mod_m, extinction_fraction,
                    iterate_mod_m, regularity_mod_m, residue_cycle, series_group)
-from .predict import (LimitReport, cesaro_limit, empirical_cesaro, iterate_map,
-                      pure_power_report, regular_limit)
+from .predict import (LimitReport, analyze, cesaro_limit, empirical_cesaro,
+                      iterate_map, pure_power_report, regular_limit)
 from .series import (CoeffState, ProbPoly, cesaro_coeffs, compose,
                      composition_sum_check, default_truncation,
                      extinction_value, initial_state, iterate_coeffs,
@@ -37,7 +37,7 @@ __all__ = [
     "ConfigError", "DynamicsProfile", "ElementSet", "ExperimentConfig",
     "FiniteGroup", "InconclusiveError", "InternalConsistencyError",
     "LimitReport", "ModMReport", "ProbPoly", "PurePowerError", "ResidueCycle",
-    "SimplexPoint", "add", "cesaro_coeffs", "cesaro_limit",
+    "SimplexPoint", "add", "analyze", "cesaro_coeffs", "cesaro_limit",
     "cesaro_mod_m", "compose", "composition_sum_check", "default_truncation",
     "delta", "direct_product", "element_to_map", "empirical_cesaro",
     "empirical_limit_set", "extinction_fraction", "extinction_value",

@@ -17,6 +17,8 @@ import numpy as np
 from .groups import ElementSet, FiniteGroup
 
 DEFAULT_APPROX_SLACK = 1e-12
+# Slack granted per float iteration step on oracle traces.
+ITERATION_SLACK_RATE = 1e-12
 
 RationalLike = Fraction | int | str
 
@@ -162,11 +164,6 @@ def uniform_on(h: ElementSet) -> SimplexPoint:
     return SimplexPoint(h.group, tuple(coeffs))
 
 
-def weight(x: AlgebraElement) -> Fraction:
-    """Total coefficient mass L(x) = sum_g x_g."""
-    return sum(x.coeffs, Fraction(0))
-
-
 def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     _same_group(x.group, y.group, "add")
     return AlgebraElement(x.group, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
@@ -221,7 +218,7 @@ def evaluate_series_floats(group: FiniteGroup,
 
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
                  start: np.ndarray, n: int,
-                 slack_rate: float = 1e-12) -> list["ApproxElement"]:
+                 slack_rate: float = ITERATION_SLACK_RATE) -> list["ApproxElement"]:
     """Float orbit y_1 = p(start), y_{k+1} = p(y_k) for p given by terms.
 
     Each step renormalizes the total mass to 1.  The true orbit has mass

@@ -24,9 +24,8 @@ from .dynamics import (DEFAULT_BURN_IN, DEFAULT_HORIZON, empirical_limit_set,
                        limit_set, match_accumulation_sets, power_rank, profile,
                        reduce)
 from .errors import InconclusiveError, InternalConsistencyError, PurePowerError
-from .predict import (CESARO_HORIZON, REGULAR_HORIZON, LimitReport,
-                      cesaro_limit, empirical_cesaro, iterate_map,
-                      pure_power_report, regular_limit)
+from .predict import (CESARO_HORIZON, REGULAR_HORIZON, LimitReport, analyze,
+                      empirical_cesaro, iterate_map, pure_power_report)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -35,6 +34,8 @@ EXIT_VERIFY_FAILED = 3
 
 DEFAULT_MATCH_TOL = 1e-8
 DEFAULT_SCALAR_HORIZON = 200
+REGULAR_ORACLE_TOL = 1e-7
+CESARO_ORACLE_TOL = 1e-4
 
 
 def _decimal_map(x) -> dict:
@@ -93,6 +94,21 @@ def _emit_csv(args, header: list, rows: list) -> None:
     _emit(args, buf.getvalue())
 
 
+def _power_window(cfg: ExperimentConfig) -> tuple[int, int]:
+    """Horizon and burn-in of the power-trace oracle."""
+    horizon = cfg.horizon or DEFAULT_HORIZON
+    if cfg.burn_in is not None:
+        return horizon, cfg.burn_in
+    return horizon, min(DEFAULT_BURN_IN, horizon // 3)
+
+
+def _cesaro_burn_in(horizon: int, d: int) -> int:
+    """Burn-in that leaves the largest whole number of d-cycles within
+    the second half of the horizon (at least one cycle)."""
+    window = max(d, (horizon // 2 // d) * d)
+    return max(0, horizon - window)
+
+
 def cmd_profile(cfg: ExperimentConfig, args) -> int:
     prof = profile(cfg.require_element())
     _emit_json(args, _profile_record(prof))
@@ -102,10 +118,7 @@ def cmd_profile(cfg: ExperimentConfig, args) -> int:
 def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
     closed = limit_set(x)
-    horizon = args.horizon or cfg.horizon or DEFAULT_HORIZON
-    burn_in = cfg.burn_in if cfg.burn_in is not None else min(DEFAULT_BURN_IN,
-                                                              horizon // 3)
-    tol = args.tol or cfg.tol or DEFAULT_MATCH_TOL
+    horizon, burn_in = _power_window(cfg)
     payload = {"closed_form": [_point_record(pt) for pt in closed.points]}
     try:
         observed = empirical_limit_set(x, burn_in=burn_in, horizon=horizon)
@@ -114,7 +127,8 @@ def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
         payload["detail"] = str(exc)
         _emit_json(args, payload)
         return EXIT_INCONCLUSIVE
-    matched = match_accumulation_sets(closed, observed, tol=tol)
+    matched = match_accumulation_sets(closed, observed,
+                                      tol=cfg.tol or DEFAULT_MATCH_TOL)
     payload["empirical"] = [_point_record(pt) for pt in observed.points]
     payload["matched"] = matched
     payload["status"] = "ok" if matched else "mismatch"
@@ -133,8 +147,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
         rep = pure_power_report(r, x)
         _emit_json(args, {"kind": "pure-power", "report": _report_record(rep)})
         return EXIT_OK
-    regular = regular_limit(p, x)
-    cesaro = cesaro_limit(p, x)
+    regular, cesaro = analyze(p, x)
     _emit_json(args, {
         "kind": "series",
         "regular": _report_record(regular),
@@ -146,7 +159,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
 def cmd_iterate(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
     p = cfg.require_series()
-    horizon = args.horizon or cfg.horizon or REGULAR_HORIZON
+    horizon = cfg.horizon or REGULAR_HORIZON
     trace = iterate_map(p, x, horizon)
     labels = x.group.labels
     if args.format == "json":
@@ -172,14 +185,10 @@ def cmd_iterate(cfg: ExperimentConfig, args) -> int:
 def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
     p = cfg.require_series()
-    rep = cesaro_limit(p, x)
-    horizon = args.horizon or cfg.horizon or CESARO_HORIZON
-    if cfg.burn_in is not None:
-        burn_in = cfg.burn_in
-    else:
-        d = rep.diagnostics["cycle_d"]
-        window = max(d, (horizon // 2 // d) * d)
-        burn_in = max(0, horizon - window)
+    _, rep = analyze(p, x)
+    horizon = cfg.horizon or CESARO_HORIZON
+    burn_in = (cfg.burn_in if cfg.burn_in is not None
+               else _cesaro_burn_in(horizon, rep.diagnostics["cycle_d"]))
     avg = empirical_cesaro(p, x, horizon, burn_in=burn_in)
     _emit_json(args, {
         "report": _report_record(rep),
@@ -196,9 +205,8 @@ def cmd_scalar(cfg: ExperimentConfig, args) -> int:
     if p.is_pure_power:
         raise ConfigError("series: the scalar trace needs at least two terms; "
                           "pure powers keep all mass on one exponent")
-    horizon = args.horizon or cfg.horizon or DEFAULT_SCALAR_HORIZON
-    truncation = args.truncation or cfg.truncation
-    states = scalar.iterate_coeffs(p, horizon, truncation, mode="float")
+    horizon = cfg.horizon or DEFAULT_SCALAR_HORIZON
+    states = scalar.iterate_coeffs(p, horizon, cfg.truncation, mode="float")
     averages = scalar.cesaro_coeffs(states)
     header = ["n", "a0", "sup", "tail_mass", "avg_a0", "avg_sup", "avg_tail_mass"]
     rows = []
@@ -249,14 +257,12 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
     record("singleton-criterion", (len(closed) == 1) == inside,
            f"support inside group: {inside}")
 
-    horizon = args.horizon or cfg.horizon or DEFAULT_HORIZON
-    burn_in = cfg.burn_in if cfg.burn_in is not None else min(DEFAULT_BURN_IN,
-                                                              horizon // 3)
+    horizon, burn_in = _power_window(cfg)
     try:
         observed = empirical_limit_set(x, burn_in=burn_in, horizon=horizon)
         record("limit-set-oracle",
                match_accumulation_sets(closed, observed,
-                                       tol=args.tol or cfg.tol or DEFAULT_MATCH_TOL),
+                                       tol=cfg.tol or DEFAULT_MATCH_TOL),
                f"{len(observed)} empirical clusters")
     except InconclusiveError as exc:
         checks.append({"name": "limit-set-oracle", "status": "inconclusive",
@@ -273,7 +279,6 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
         vec = algebra.float_coeffs(x)
         steps = max(12, 3 * prof.period)
         hits = [False] * len(rep.accumulation)
-        ok = True
         for _ in range(steps):
             nxt = vec
             for _ in range(p.shift - 1):
@@ -282,24 +287,23 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
             approx = ApproxElement(x.group, vec, slack=1e-9)
             dists = [sup_distance(approx, pt) for pt in rep.accumulation.points]
             best = min(range(len(dists)), key=dists.__getitem__)
-            if dists[best] <= (args.tol or cfg.tol or DEFAULT_MATCH_TOL):
+            if dists[best] <= (cfg.tol or DEFAULT_MATCH_TOL):
                 hits[best] = True
-        ok = all(hits)
-        record("power-accumulation-oracle", ok,
+        record("power-accumulation-oracle", all(hits),
                f"{sum(hits)}/{len(hits)} predicted points visited")
         return checks
 
     critical = p.shift == 0 and p.mean_exponent == 1
-    reg = regular_limit(p, x)
+    reg, ces = analyze(p, x)
     if critical:
         checks.append({
             "name": "regular-oracle", "status": "inconclusive",
             "detail": "mean exponent is exactly 1; iterates approach the "
                       "limit at rate 1/n, beyond any fixed float horizon"})
     else:
-        reg_h = args.horizon or cfg.horizon or REGULAR_HORIZON
+        reg_h = cfg.horizon or REGULAR_HORIZON
         trace = iterate_map(p, x, reg_h)
-        tol = args.tol or cfg.tol or 1e-7
+        tol = cfg.tol or REGULAR_ORACLE_TOL
         if reg.exists:
             dev = sup_distance(trace[-1], reg.limit)
             record("regular-oracle", dev <= tol, f"sup deviation {dev:.2e}")
@@ -318,19 +322,17 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
             record("regular-oracle", ok,
                    f"{d} subsequence classes vs {len(reg.accumulation)} points")
 
-    ces = cesaro_limit(p, x)
     if critical:
         checks.append({
             "name": "cesaro-oracle", "status": "inconclusive",
             "detail": "averages of a 1/n-converging trace need horizons "
                       "beyond the float budget"})
     else:
-        ces_h = args.horizon or cfg.horizon or CESARO_HORIZON
-        d = ces.diagnostics["cycle_d"]
-        window = max(d, (ces_h // 2 // d) * d)
-        avg = empirical_cesaro(p, x, ces_h, burn_in=max(0, ces_h - window))
+        ces_h = cfg.horizon or CESARO_HORIZON
+        burn_in = _cesaro_burn_in(ces_h, ces.diagnostics["cycle_d"])
+        avg = empirical_cesaro(p, x, ces_h, burn_in=burn_in)
         dev = sup_distance(avg, ces.cesaro)
-        record("cesaro-oracle", dev <= 1e-4, f"sup deviation {dev:.2e}")
+        record("cesaro-oracle", dev <= CESARO_ORACLE_TOL, f"sup deviation {dev:.2e}")
 
     exact_states = scalar.iterate_coeffs(
         p, 3, max(p.degree, min(scalar.default_truncation(p), 64)), mode="exact")

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import ApproxElement, SimplexPoint, multiply, support, to_approx, uniform_on
+from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint, multiply,
+                      support, uniform_on)
 from .errors import InconclusiveError, InternalConsistencyError
 from .groups import ElementSet, FiniteGroup, generated_subgroup
 
 DEFAULT_BURN_IN = 200
 DEFAULT_HORIZON = 600
 DEFAULT_MERGE_TOL = 1e-9
-ITERATION_SLACK_RATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ def empirical_limit_set(x: SimplexPoint,
     Iterates x^k in floating point for burn_in < k <= horizon and merges
     iterates within merge_tol (greedy, deterministic).  If the window is
     too short to show each cluster at least three times in a periodic
-    pattern, raises InconclusiveError rather than returning a guess.
+    pattern, or holds no step at all, raises InconclusiveError rather
+    than returning a guess.
     """
     if burn_in < 0 or horizon <= burn_in:
         raise ValueError(f"need 0 <= burn_in < horizon, got {burn_in}, {horizon}")
@@ -149,7 +150,7 @@ def empirical_limit_set(x: SimplexPoint,
     d = len(reps)
     window = len(labels)
     periodic = all(labels[i + d] == labels[i] for i in range(window - d))
-    if window < 3 * d or not periodic:
+    if not reps or window < 3 * d or not periodic:
         raise InconclusiveError(
             f"power trace did not stabilize into clusters by step {horizon} "
             f"({d} clusters over a window of {window})",

@@ -19,10 +19,9 @@ from . import algebra
 from .algebra import ApproxElement, SimplexPoint
 from .dynamics import AccumulationSet
 from .errors import InternalConsistencyError, PurePowerError
-from .groups import ElementSet, FiniteGroup, generated_subgroup, make_cyclic
+from .groups import ElementSet, generated_subgroup, make_cyclic
 from .series import ProbPoly, extinction_value
 
-ITERATION_SLACK_RATE = 1e-12
 EXTINCTION_SNAP_DENOMINATOR = 10 ** 6
 
 
@@ -110,7 +109,8 @@ def series_group(p: ProbPoly, m: int) -> ElementSet:
 
 @dataclass(frozen=True)
 class ModMReport:
-    """Limit data of p^[n] on R[Z_m]: existence, limit, accumulation, Cesaro."""
+    """Limit data of p^[n] on R[Z_m]: existence, limit, accumulation, Cesaro,
+    and the exact extinction value a that every closed form carries."""
 
     m: int
     series_group: ElementSet
@@ -119,7 +119,7 @@ class ModMReport:
     limit: SimplexPoint | None
     accumulation: AccumulationSet
     cesaro: SimplexPoint
-    a: float
+    a: Fraction
 
     def __post_init__(self) -> None:
         if self.exists != (self.limit is not None):
@@ -130,24 +130,21 @@ class ModMReport:
             raise ValueError("a convergent trace has a single accumulation point")
 
 
-def _coset_point(group: FiniteGroup, subgroup_members: tuple[int, ...],
-                 shift: int, a: Fraction) -> SimplexPoint:
-    """The point delta_{t^shift} * c_G + (delta_e - c_G) * a, exactly.
+def extinction_correction(coeffs: list[Fraction], identity: int,
+                          members: tuple[int, ...], a: Fraction) -> list[Fraction]:
+    """Add (delta_e - c_H) * a to coeffs in place, c_H uniform on members.
 
-    a > 0 only happens when the minimal exponent is 0, in which case
-    shift = 0 and the subtracted mass a/|G| stays below the coset mass,
-    so the result is a genuine simplex point.
+    Every closed form carries this term, on the quotient Z_m (H the
+    series group) and on the group (H the support group of the
+    stabilized point).  a > 0 only happens when the minimal exponent is
+    0, and then the mass already sitting on H is at least a, so the
+    subtracted a/|H| per member never drives a coefficient negative.
     """
-    m = group.order
-    size = len(subgroup_members)
-    coeffs = [Fraction(0)] * m
-    for g in subgroup_members:
-        coeffs[(shift + g) % m] += Fraction(1, size)
     if a:
-        coeffs[group.identity] += a
-        for g in subgroup_members:
-            coeffs[g] -= a / size
-    return SimplexPoint(group=group, coeffs=tuple(coeffs))
+        coeffs[identity] += a
+        for g in members:
+            coeffs[g] -= a / len(members)
+    return coeffs
 
 
 def extinction_fraction(p: ProbPoly) -> Fraction:
@@ -182,6 +179,7 @@ def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:
     The limit exists iff all cosets residues[i] + G coincide; it is then
     delta_{t^(m_0)} * c_G + (delta_e - c_G) * a.  Otherwise the distinct
     coset points form the accumulation set, one per subsequence class.
+    The Cesaro point is the mean of the d class points.
     """
     if p.is_pure_power:
         raise PurePowerError("pure powers follow the support rotation only; "
@@ -193,50 +191,33 @@ def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:
     base = cycle.residues[0]
     exists = all((res - base) % m in members for res in cycle.residues)
     a = extinction_fraction(p)
-    points = [_coset_point(group, sub.members, res, a) for res in cycle.residues]
+    size = len(sub.members)
+    points = []
+    for res in cycle.residues:
+        coeffs = [Fraction(0)] * m
+        for g in sub.members:
+            coeffs[(res + g) % m] += Fraction(1, size)
+        extinction_correction(coeffs, group.identity, sub.members, a)
+        points.append(SimplexPoint(group=group, coeffs=tuple(coeffs)))
     distinct: list[SimplexPoint] = []
     for pt in points:
         if all(pt.coeffs != q.coeffs for q in distinct):
             distinct.append(pt)
     accumulation = AccumulationSet(points=tuple(distinct), source="closed_form")
-    limit = points[0] if exists else None
-    cesaro = _cesaro_point(group, sub.members, cycle, a)
-    return ModMReport(m=m, series_group=sub, cycle=cycle, exists=exists,
-                      limit=limit, accumulation=accumulation, cesaro=cesaro,
-                      a=float(a))
-
-
-def _cesaro_point(group: FiniteGroup, subgroup_members: tuple[int, ...],
-                  cycle: ResidueCycle, a: Fraction) -> SimplexPoint:
-    """(1/d) sum_i delta_{t^(m_i)} * c_G + a * (delta_e - c_G), exactly.
-
-    Repeated cosets keep their multiplicity: the average weights each
-    subsequence class equally, not each distinct limit point.
-    """
-    m = group.order
-    size = len(subgroup_members)
+    # Repeated cosets keep their multiplicity: the average weights each
+    # subsequence class equally, not each distinct limit point.
     d = cycle.d
-    coeffs = [Fraction(0)] * m
-    for res in cycle.residues:
-        for g in subgroup_members:
-            coeffs[(res + g) % m] += Fraction(1, size * d)
-    if a:
-        coeffs[group.identity] += a
-        for g in subgroup_members:
-            coeffs[g] -= a / size
-    return SimplexPoint(group=group, coeffs=tuple(coeffs))
+    cesaro = SimplexPoint(group=group, coeffs=tuple(
+        sum(col) / d for col in zip(*(pt.coeffs for pt in points))))
+    return ModMReport(m=m, series_group=sub, cycle=cycle, exists=exists,
+                      limit=points[0] if exists else None,
+                      accumulation=accumulation, cesaro=cesaro, a=a)
 
 
 def cesaro_mod_m(p: ProbPoly, m: int) -> SimplexPoint:
     """Cesaro limit of p^[n](t mod t^m - 1); defined whether or not the
     plain limit exists."""
-    if p.is_pure_power:
-        raise PurePowerError("pure powers follow the support rotation only; "
-                             "use the pure-power prediction path")
-    group = make_cyclic(m)
-    sub = series_group(p, m)
-    cycle = residue_cycle(p.shift, m)
-    return _cesaro_point(group, sub.members, cycle, extinction_fraction(p))
+    return regularity_mod_m(p, m).cesaro
 
 
 def iterate_mod_m(p: ProbPoly, m: int, n: int) -> list[ApproxElement]:
@@ -244,28 +225,5 @@ def iterate_mod_m(p: ProbPoly, m: int, n: int) -> list[ApproxElement]:
     group = make_cyclic(m)
     terms = [(e, float(c)) for e, c in p.terms]
     start = algebra.float_coeffs(algebra.delta(group, 1 % m))
-    return algebra.series_trace(group, terms, start, n,
-                                slack_rate=ITERATION_SLACK_RATE)
+    return algebra.series_trace(group, terms, start, n)
 
-
-def report_record(report: ModMReport) -> dict:
-    """Flat, JSON-ready summary of a ModMReport."""
-
-    def point_map(point: SimplexPoint | None):
-        if point is None:
-            return None
-        return {label: repr(float(c))
-                for label, c in zip(point.group.labels, point.coeffs) if c}
-
-    return {
-        "m": report.m,
-        "r": report.cycle.base,
-        "preperiod": report.cycle.preperiod,
-        "d": report.cycle.d,
-        "residues": list(report.cycle.residues),
-        "group": list(report.series_group.members),
-        "exists": report.exists,
-        "a": report.a,
-        "limit": point_map(report.limit),
-        "cesaro": point_map(report.cesaro),
-    }

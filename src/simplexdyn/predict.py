@@ -1,18 +1,22 @@
 """Closed-form limit prediction for series iteration on a group simplex.
 
-The pipeline for a series p and a starting point x:
+analyze(p, x) makes one pass for a series p and a starting point x:
 
 1. reduce x along x -> x * c_x until the return time is stable; call the
-   stabilized point y and let m be its period.
-2. solve the same series on the cyclic quotient Z_m, where the limit
-   coefficient at residue r is exactly the scalar limit
-   L_r = lim_n sum_k a^[n]_{k m + r}.
-3. pull the quotient answer back to the group:
-   c_y * sum_r y^r L_r + (e - c_y) * a.
+   stabilized point y, profile it once and let m be its period.
+2. solve the same series once on the cyclic quotient Z_m, where the
+   limit coefficient at residue r is exactly the scalar limit
+   L_r = lim_n sum_k a^[n]_{k m + r}; the same solve yields the exact
+   extinction value a, every accumulation point and the Cesaro point
+   (the mean of the d subsequence-class points).
+3. pull every quotient answer back to the group in one walk of the
+   chain c_y * y^r, r < m, adding each step into a running sum per
+   answer: c_y * sum_r y^r L_r + (e - c_y) * a.
 
 The last term vanishes identically when c_y is the point mass at the
-identity, so one formula covers both branches.  Divergence is decided by
-the exact coset criterion on the quotient, never by failed numerics; a
+identity, so one formula covers both branches.  The limit, when it
+exists, is the single accumulation point.  Divergence is decided by the
+exact coset criterion on the quotient, never by failed numerics; a
 float-iteration oracle is provided separately for cross-checking.
 """
 
@@ -24,14 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra
-from .algebra import ApproxElement, SimplexPoint, element_to_map
+from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint,
+                      element_to_map)
 from .dynamics import AccumulationSet, DynamicsProfile, profile, reduce_to_stable
 from .errors import InternalConsistencyError, PurePowerError
-from .modm import (ModMReport, extinction_fraction, regularity_mod_m,
+from .modm import (ModMReport, extinction_correction, regularity_mod_m,
                    residue_cycle)
 from .series import ProbPoly
 
-ITERATION_SLACK_RATE = 1e-12
 REGULAR_HORIZON = 500
 CESARO_HORIZON = 2000
 SCALAR_SUM_TOL = 1e-10
@@ -74,54 +78,34 @@ def _digest(series_label: str, x: SimplexPoint) -> dict:
     }
 
 
-def _series_label(p: ProbPoly) -> str:
-    return str(p)
-
-
 def _synthesize(y: SimplexPoint, prof: DynamicsProfile,
-                quotient_coeffs, a: Fraction) -> SimplexPoint:
-    """c_y * sum_r y^r * L_r + (e - c_y) * a with exact arithmetic.
+                quotients: list[tuple[Fraction, ...]],
+                a: Fraction) -> list[SimplexPoint]:
+    """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients, exactly.
 
-    quotient_coeffs lists L_0 .. L_{m-1}; the subtracted mass a / |G_y|
-    stays below the r = 0 contribution because a > 0 forces the quotient
-    point to carry at least mass a at residue 0.
+    One walk of the chain c_y * y^r, r < m, adds each step into the
+    running sum of every quotient point that weights it, so no chain
+    point outlives its step.
     """
     group = y.group
-    m = prof.period
-    if len(quotient_coeffs) != m:
-        raise InternalConsistencyError(
-            f"quotient point has {len(quotient_coeffs)} coefficients, expected {m}")
-    coeffs = [Fraction(0)] * group.order
+    sums = [[Fraction(0)] * group.order for _ in quotients]
     cur = prof.idempotent
-    for r in range(m):
-        L = Fraction(quotient_coeffs[r])
-        if L:
-            for g, c in enumerate(cur.coeffs):
-                if c:
-                    coeffs[g] += L * c
-        if r + 1 < m:
+    for r in range(prof.period):
+        if r:
             cur = algebra.multiply(cur, y)
-    if a:
-        size = len(prof.support_group)
-        coeffs[group.identity] += a
-        for g in prof.support_group.members:
-            coeffs[g] -= a / size
+        terms = [(g, c) for g, c in enumerate(cur.coeffs) if c]
+        for L, acc in zip(quotients, sums):
+            if L[r]:
+                for g, c in terms:
+                    acc[g] += L[r] * c
+    members = prof.support_group.members
     try:
-        return SimplexPoint(group=group, coeffs=tuple(coeffs))
+        return [SimplexPoint(group=group, coeffs=tuple(
+                    extinction_correction(acc, group.identity, members, a)))
+                for acc in sums]
     except ValueError as exc:
         raise InternalConsistencyError(
             f"synthesized limit left the simplex: {exc}") from exc
-
-
-def _stabilized(p: ProbPoly, x: SimplexPoint):
-    if p.is_pure_power:
-        raise PurePowerError(
-            "pure powers t^r follow the support rotation alone; "
-            "use pure_power_report")
-    y, steps = reduce_to_stable(x)
-    prof = profile(y)
-    rep = regularity_mod_m(p, prof.period)
-    return y, steps, prof, rep
 
 
 def _diagnostics(rep: ModMReport, horizon: int) -> dict:
@@ -130,61 +114,64 @@ def _diagnostics(rep: ModMReport, horizon: int) -> dict:
         "cycle_preperiod": rep.cycle.preperiod,
         "cycle_d": rep.cycle.d,
         "cycle_residues": list(rep.cycle.residues),
-        "extinction_value": rep.a,
+        "extinction_value": float(rep.a),
         "oracle_horizon": horizon,
     }
 
 
-def regular_limit(p: ProbPoly, x: SimplexPoint) -> LimitReport:
-    """Decide lim_n p^[n](x) and produce its closed form when it exists.
+def analyze(p: ProbPoly, x: SimplexPoint) -> tuple[LimitReport, LimitReport]:
+    """The regular and the Cesaro report of lim p^[n](x), from one pass.
 
-    The verdict comes from the exact coset criterion on the cyclic
-    quotient of the stabilized point; the accumulation set lists the
-    distinct subsequential limits either way.
+    The regular verdict comes from the exact coset criterion on the
+    cyclic quotient of the stabilized point; its accumulation set lists
+    the distinct subsequential limits either way.  The Cesaro limit
+    exists for every series and every x.
     """
-    y, steps, prof, rep = _stabilized(p, x)
-    a = extinction_fraction(p)
-    points = tuple(_synthesize(y, prof, pt.coeffs, a)
-                   for pt in rep.accumulation.points)
+    if p.is_pure_power:
+        raise PurePowerError(
+            "pure powers t^r follow the support rotation alone; "
+            "use pure_power_report")
+    y, steps = reduce_to_stable(x)
+    prof = profile(y)
+    rep = regularity_mod_m(p, prof.period)
+    *points, cesaro = _synthesize(
+        y, prof, [pt.coeffs for pt in rep.accumulation.points] + [rep.cesaro.coeffs],
+        rep.a)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if points[i].coeffs == points[j].coeffs:
                 raise InternalConsistencyError(
                     "distinct quotient limits collapsed under synthesis")
-    limit = _synthesize(y, prof, rep.limit.coeffs, a) if rep.exists else None
-    cesaro = _synthesize(y, prof, rep.cesaro.coeffs, a)
-    scalar = tuple(float(c) for c in rep.limit.coeffs) if rep.exists else None
-    return LimitReport(
-        digest=_digest(_series_label(p), x),
-        profile=prof,
-        reduction_steps=steps,
+    shared = {"digest": _digest(str(p), x), "profile": prof,
+              "reduction_steps": steps, "cesaro": cesaro, "a": float(rep.a)}
+    regular = LimitReport(
+        **shared,
         exists=rep.exists,
-        limit=limit,
-        accumulation=AccumulationSet(points=points, source="closed_form"),
-        cesaro=cesaro,
-        a=rep.a,
-        scalar_limits=scalar,
+        limit=points[0] if rep.exists else None,
+        accumulation=AccumulationSet(points=tuple(points), source="closed_form"),
+        scalar_limits=(tuple(float(c) for c in rep.limit.coeffs)
+                       if rep.exists else None),
         diagnostics=_diagnostics(rep, REGULAR_HORIZON),
     )
+    ces = LimitReport(
+        **shared,
+        exists=True,
+        limit=cesaro,
+        accumulation=AccumulationSet(points=(cesaro,), source="closed_form"),
+        scalar_limits=tuple(float(c) for c in rep.cesaro.coeffs),
+        diagnostics=_diagnostics(rep, CESARO_HORIZON),
+    )
+    return regular, ces
+
+
+def regular_limit(p: ProbPoly, x: SimplexPoint) -> LimitReport:
+    """Decide lim_n p^[n](x) and produce its closed form when it exists."""
+    return analyze(p, x)[0]
 
 
 def cesaro_limit(p: ProbPoly, x: SimplexPoint) -> LimitReport:
     """Cesaro limit of p^[n](x); exists for every series and every x."""
-    y, steps, prof, rep = _stabilized(p, x)
-    a = extinction_fraction(p)
-    cesaro = _synthesize(y, prof, rep.cesaro.coeffs, a)
-    return LimitReport(
-        digest=_digest(_series_label(p), x),
-        profile=prof,
-        reduction_steps=steps,
-        exists=True,
-        limit=cesaro,
-        accumulation=AccumulationSet(points=(cesaro,), source="closed_form"),
-        cesaro=cesaro,
-        a=rep.a,
-        scalar_limits=tuple(float(c) for c in rep.cesaro.coeffs),
-        diagnostics=_diagnostics(rep, CESARO_HORIZON),
-    )
+    return analyze(p, x)[1]
 
 
 def pure_power_report(r: int, x: SimplexPoint) -> LimitReport:
@@ -244,8 +231,7 @@ def pure_power_report(r: int, x: SimplexPoint) -> LimitReport:
 def iterate_map(p: ProbPoly, x: SimplexPoint, n: int) -> list[ApproxElement]:
     """Float oracle trace p^[1](x) .. p^[n](x); accepts pure powers too."""
     terms = [(e, float(c)) for e, c in p.terms]
-    return algebra.series_trace(x.group, terms, algebra.float_coeffs(x), n,
-                                slack_rate=ITERATION_SLACK_RATE)
+    return algebra.series_trace(x.group, terms, algebra.float_coeffs(x), n)
 
 
 def empirical_cesaro(p: ProbPoly, x: SimplexPoint, n: int,

@@ -174,15 +174,6 @@ class CoeffState:
             return max(self.coeffs[1:], default=Fraction(0))
         return float(self.coeffs[1:].max()) if self.truncation else 0.0
 
-    def kept_mass(self):
-        if self.mode == "exact":
-            return sum(self.coeffs, Fraction(0))
-        return float(self.coeffs.sum())
-
-
-class CesaroState(CoeffState):
-    """Running average (1/n) sum of the first n iterate states; same shape."""
-
 
 def initial_state(p: ProbPoly, truncation: int | None = None,
                   mode: str = "float") -> CoeffState:
@@ -349,22 +340,23 @@ def extinction_value(p: ProbPoly, tol: float = EXTINCTION_TOL,
         best=cur, delta=abs(p.evaluate_float(cur) - cur), iterations=max_iter)
 
 
-def cesaro_coeffs(states: Sequence[CoeffState]) -> list[CesaroState]:
-    """Running averages q^(n)_i = (1/n) sum over m <= n of a^[m]_i."""
+def cesaro_coeffs(states: Sequence[CoeffState]) -> list[CoeffState]:
+    """Running averages q^(n)_i = (1/n) sum over m <= n of a^[m]_i, one
+    state of the same shape per n."""
     if not states:
         raise ValueError("cesaro_coeffs needs at least one state")
     K = states[0].truncation
     mode = states[0].mode
     if any(s.truncation != K or s.mode != mode for s in states):
         raise ValueError("states must share truncation and mode")
-    out: list[CesaroState] = []
+    out: list[CoeffState] = []
     if mode == "exact":
         acc = [Fraction(0)] * (K + 1)
         tail_acc = Fraction(0)
         for idx, st in enumerate(states, start=1):
             acc = [a + c for a, c in zip(acc, st.coeffs)]
             tail_acc += st.tail_mass
-            out.append(CesaroState(
+            out.append(CoeffState(
                 n=idx, coeffs=tuple(a / idx for a in acc), truncation=K,
                 tail_mass=tail_acc / idx, mode="exact"))
     else:
@@ -373,7 +365,7 @@ def cesaro_coeffs(states: Sequence[CoeffState]) -> list[CesaroState]:
         for idx, st in enumerate(states, start=1):
             acc = acc + st.coeffs
             tail_acc += float(st.tail_mass)
-            out.append(CesaroState(
+            out.append(CoeffState(
                 n=idx, coeffs=acc / idx, truncation=K,
                 tail_mass=tail_acc / idx, mode="float"))
     return out

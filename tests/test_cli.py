@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
-from simplexdyn import parse_rational
+from simplexdyn import modm, parse_rational
 from simplexdyn.cli import main
 
 EXAMPLE_12 = {
@@ -97,6 +98,47 @@ def test_limit_set_short_window_is_inconclusive(tmp_path, capsys):
     code, out, _ = run(capsys, "limit-set", "--config", cfg, "--horizon", "12")
     assert code == 2
     assert json.loads(out)["status"] == "inconclusive"
+
+
+def test_limit_set_empty_window_is_inconclusive(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "group": {"kind": "cyclic", "n": 12},
+        "element": {"t^1": "1/2", "t^3": "1/2"},
+    })
+    code, out, _ = run(capsys, "limit-set", "--config", cfg, "--horizon", "1")
+    assert code == 2
+    assert json.loads(out)["status"] == "inconclusive"
+
+
+def count_calls(monkeypatch, *names) -> dict:
+    """Count calls of modm functions wherever a simplexdyn module holds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(modm, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if (modname.split(".")[0] == "simplexdyn"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_series_commands_solve_the_quotient_once(command, tmp_path, capsys,
+                                                 monkeypatch):
+    cfg = write_config(tmp_path, {
+        "group": {"kind": "cyclic", "n": 6},
+        "element": "point-mass:t^1",
+        "series": {"0": "1/6", "1": "1/3", "2": "1/2"},
+    })
+    counts = count_calls(monkeypatch, "regularity_mod_m", "extinction_fraction")
+    code, _, _ = run(capsys, command, "--config", cfg)
+    assert code == 0
+    assert counts == {"regularity_mod_m": 1, "extinction_fraction": 1}
 
 
 def test_iterate_csv_shape(tmp_path, capsys):

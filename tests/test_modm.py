@@ -1,6 +1,5 @@
 """Cyclic-quotient analysis: residue cycles, existence, Cesaro averages."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from simplexdyn import (ProbPoly, PurePowerError, cesaro_mod_m, delta,
                         extinction_fraction, iterate_mod_m, make_cyclic,
                         multiply, power, regularity_mod_m, residue_cycle,
                         scale, add, series_group, sup_distance)
-from simplexdyn.modm import report_record
 
 HALF = Fraction(1, 2)
 EXAMPLE_SERIES = ProbPoly(((3, HALF), (7, HALF)))
@@ -131,12 +129,3 @@ def test_oracle_confirms_mod_10_limit():
     trace = iterate_mod_m(EXAMPLE_SERIES, 10, 500)
     assert sup_distance(trace[-1], rep.limit) < 1e-8
 
-
-def test_report_record_serializes():
-    rep = regularity_mod_m(EXAMPLE_SERIES, 12)
-    record = report_record(rep)
-    text = json.dumps(record, sort_keys=True)
-    parsed = json.loads(text)
-    assert parsed["m"] == 12
-    assert parsed["exists"] is False
-    assert parsed["d"] == 2
