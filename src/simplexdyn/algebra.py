@@ -117,15 +117,14 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact."""
     _same_group(x.group, y.group, "multiply")
     g = x.group
-    cay = g.cayley
+    hs = [h for h, xh in enumerate(x.coeffs) if xh]
+    ks = [k for k, yk in enumerate(y.coeffs) if yk]
+    ys = [y.coeffs[k] for k in ks]
     out = [Fraction(0)] * g.order
-    for h, xh in enumerate(x.coeffs):
-        if not xh:
-            continue
-        row = cay[h]
-        for k, yk in enumerate(y.coeffs):
-            if yk:
-                out[row[k]] += xh * yk
+    for h, row in zip(hs, g.table[np.ix_(hs, ks)].tolist()):
+        xh = x.coeffs[h]
+        for yk, hk in zip(ys, row):
+            out[hk] += xh * yk
     cls = SimplexPoint if isinstance(x, SimplexPoint) and isinstance(y, SimplexPoint) \
         else AlgebraElement
     return cls(g, tuple(out))

@@ -64,14 +64,13 @@ def _support_powers(x: SimplexPoint) -> list[frozenset[int]]:
     product from the support.
     """
     g = x.group
-    cay = g.cayley
-    base = frozenset(support(x).members)
-    powers = [base]
-    cur = base
+    base = support(x).members
+    cur = frozenset(base)
+    powers = [cur]
     for _ in range(g.order):
         if g.identity in cur:
             return powers
-        cur = frozenset(cay[a][b] for a in cur for b in base)
+        cur = frozenset(g.table[np.ix_(list(cur), base)].ravel().tolist())
         powers.append(cur)
     raise InternalConsistencyError(
         f"no power up to {g.order} has the identity in its support")

@@ -1,7 +1,9 @@
-"""CLI output pinned byte for byte: predict, cesaro and verify on fixed configs.
+"""CLI output pinned byte for byte: profile, predict, cesaro and verify on fixed configs.
 
 Each tests/golden/<name>.json config has one <name>.<command>.out file
-per command that succeeds on it (a pure power has no Cesaro command).
+per command pinned on it.  The six small configs pin predict, verify and
+cesaro where it succeeds (a pure power has no Cesaro command); the S6
+and C20xC20 configs, groups of order above 64, pin profile and predict.
 The files hold the exact stdout; refresh one by rerunning the command
 and reviewing the diff.
 """
@@ -19,7 +21,7 @@ CASES = sorted(path.name.removesuffix(".out") for path in GOLDEN.glob("*.out"))
 def test_every_config_has_outputs():
     configs = {path.stem for path in GOLDEN.glob("*.json")}
     assert configs == {case.rsplit(".", 1)[0] for case in CASES}
-    assert len(configs) == 6
+    assert len(configs) == 8
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,5 +1,7 @@
 """Group construction, validation, and subgroup generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,46 @@ def test_from_cayley_table_validates():
     not_latin = [[0, 1, 2], [1, 1, 0], [2, 0, 2]]
     with pytest.raises(ValueError):
         from_cayley_table(not_latin, labels=("e", "a", "b"))
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1.5, 0]],     # int(1.5) would truncate to a valid Z_2 table
+    [[0, 1], [1]],
+    [[0, 1], [1, 0, 1]],
+], ids=["non-integer", "short-row", "long-row"])
+def test_from_cayley_table_rejects_malformed_entries(table):
+    with pytest.raises(ValueError):
+        from_cayley_table(table)
+
+
+def test_from_cayley_table_rejects_nonassociative_order_128():
+    # Z_128 with one intercalate moved off the identity row, column and
+    # entries: still a Latin square with identity and two-sided inverses.
+    n, i, k = 128, 1, 2
+    table = [[(r + c) % n for c in range(n)] for r in range(n)]
+    for r, c in [(i, k), (i, k + 64), (i + 64, k), (i + 64, k + 64)]:
+        table[r][c] = (table[r][c] + 64) % n
+    assert all(sorted(row) == list(range(n)) for row in table)
+    assert all(sorted(col) == list(range(n)) for col in zip(*table))
+    assert table[0] == list(range(n)) and [row[0] for row in table] == list(range(n))
+    assert all(table[r][(n - r) % n] == 0 == table[(n - r) % n][r] for r in range(n))
+    with pytest.raises(ValueError, match="associativity"):
+        from_cayley_table(table)
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda: make_cyclic(2000), 2000),
+    (lambda: direct_product(make_cyclic(30), make_cyclic(40)), 1200),
+], ids=["C2000", "C30xC40"])
+def test_construction_memory_is_bounded(build, n):
+    # validation must stay within a few n x n int64 tables
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n * 8
 
 
 def test_read_cayley_csv(tmp_path):
