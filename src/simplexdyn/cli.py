@@ -20,9 +20,9 @@ import sys
 from . import algebra, dynamics, series as scalar
 from .algebra import ApproxElement, element_to_map, multiply, sup_distance
 from .config import ConfigError, ExperimentConfig
-from .dynamics import (DEFAULT_BURN_IN, DEFAULT_HORIZON, empirical_limit_set,
-                       limit_set, match_accumulation_sets, power_rank, profile,
-                       reduce)
+from .dynamics import (DEFAULT_BURN_IN, DEFAULT_HORIZON, AccumulationSet,
+                       cycle_points, empirical_limit_set, limit_set,
+                       match_accumulation_sets, power_rank, profile)
 from .errors import InconclusiveError, InternalConsistencyError, PurePowerError
 from .predict import (CESARO_HORIZON, REGULAR_HORIZON, LimitReport, analyze,
                       empirical_cesaro, iterate_map, pure_power_report)
@@ -189,7 +189,7 @@ def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
     horizon = cfg.horizon or CESARO_HORIZON
     burn_in = (cfg.burn_in if cfg.burn_in is not None
                else _cesaro_burn_in(horizon, rep.diagnostics["cycle_d"]))
-    avg = empirical_cesaro(p, x, horizon, burn_in=burn_in)
+    avg = empirical_cesaro(iterate_map(p, x, horizon), burn_in)
     _emit_json(args, {
         "report": _report_record(rep),
         "empirical": _decimal_map(avg),
@@ -235,18 +235,18 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
 
     prof = profile(x)
     c = prof.idempotent
+    y = multiply(x, c)
     record("profile-consistency",
            prof.return_time % prof.period == 0
            and multiply(c, c) == c
-           and multiply(c, x) == multiply(x, c),
+           and multiply(c, x) == y,
            f"return_time={prof.return_time} period={prof.period}")
     record("power-independence", power_rank(x) == prof.return_time,
            f"rank of {prof.return_time} power vectors")
-    closed = limit_set(x)
+    closed = AccumulationSet(points=tuple(cycle_points(prof)), source="closed_form")
     wrapped = multiply(closed.points[-1], x)
     record("limit-cycle-wraps", wrapped == closed.points[0],
            f"{len(closed)} points on the cycle")
-    y = reduce(x)
     prof_y = profile(y)
     ok4 = prof_y.return_time <= prof.period <= prof.return_time
     if prof_y.return_time == prof.return_time:
@@ -276,15 +276,8 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
             raise ConfigError(
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
         rep = pure_power_report(p.shift, x)
-        vec = algebra.float_coeffs(x)
-        steps = max(12, 3 * prof.period)
         hits = [False] * len(rep.accumulation)
-        for _ in range(steps):
-            nxt = vec
-            for _ in range(p.shift - 1):
-                nxt = algebra.convolve_floats(x.group, nxt, vec)
-            vec = nxt
-            approx = ApproxElement(x.group, vec, slack=1e-9)
+        for approx in iterate_map(p, x, max(12, 3 * prof.period)):
             dists = [sup_distance(approx, pt) for pt in rep.accumulation.points]
             best = min(range(len(dists)), key=dists.__getitem__)
             if dists[best] <= (cfg.tol or DEFAULT_MATCH_TOL):
@@ -300,12 +293,17 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
             "name": "regular-oracle", "status": "inconclusive",
             "detail": "mean exponent is exactly 1; iterates approach the "
                       "limit at rate 1/n, beyond any fixed float horizon"})
+        checks.append({
+            "name": "cesaro-oracle", "status": "inconclusive",
+            "detail": "averages of a 1/n-converging trace need horizons "
+                      "beyond the float budget"})
     else:
         reg_h = cfg.horizon or REGULAR_HORIZON
-        trace = iterate_map(p, x, reg_h)
+        ces_h = cfg.horizon or CESARO_HORIZON
+        trace = iterate_map(p, x, max(reg_h, ces_h))
         tol = cfg.tol or REGULAR_ORACLE_TOL
         if reg.exists:
-            dev = sup_distance(trace[-1], reg.limit)
+            dev = sup_distance(trace[reg_h - 1], reg.limit)
             record("regular-oracle", dev <= tol, f"sup deviation {dev:.2e}")
         else:
             d = reg.diagnostics["cycle_d"]
@@ -321,24 +319,15 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
                     ok = False
             record("regular-oracle", ok,
                    f"{d} subsequence classes vs {len(reg.accumulation)} points")
-
-    if critical:
-        checks.append({
-            "name": "cesaro-oracle", "status": "inconclusive",
-            "detail": "averages of a 1/n-converging trace need horizons "
-                      "beyond the float budget"})
-    else:
-        ces_h = cfg.horizon or CESARO_HORIZON
         burn_in = _cesaro_burn_in(ces_h, ces.diagnostics["cycle_d"])
-        avg = empirical_cesaro(p, x, ces_h, burn_in=burn_in)
+        avg = empirical_cesaro(trace[:ces_h], burn_in)
         dev = sup_distance(avg, ces.cesaro)
         record("cesaro-oracle", dev <= CESARO_ORACLE_TOL, f"sup deviation {dev:.2e}")
 
     exact_states = scalar.iterate_coeffs(
         p, 3, max(p.degree, min(scalar.default_truncation(p), 64)), mode="exact")
     ok = True
-    for st in exact_states[:-1]:
-        nxt = scalar.compose(p, st)
+    for st, nxt in zip(exact_states, exact_states[1:]):
         for k in range(min(8, st.truncation) + 1):
             if scalar.recursion_coeffs(p, st, k) != nxt.coeffs[k]:
                 ok = False

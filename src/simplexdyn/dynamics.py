@@ -10,14 +10,17 @@ integers and one idempotent computed here describe that cycle exactly:
                  always divides return_time
   idempotent     uniform distribution on support_group; commutes with x
 
-The accumulation set of the powers is {idempotent * x^r : 0 <= r < period},
-which limit_set returns exactly and empirical_limit_set recovers from a
-float trace for cross-checking.
+The accumulation set of the powers is {idempotent * x^r : 0 <= r < period}.
+cycle_points is the one walker of that chain: limit_set, the synthesis
+in predict and the pure-power report all read it from there, and
+empirical_limit_set recovers the set from a float trace for
+cross-checking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +41,7 @@ class DynamicsProfile:
     period: int
     support_group: ElementSet
     idempotent: SimplexPoint
+    point: SimplexPoint = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.return_time % self.period:
@@ -47,10 +51,24 @@ class DynamicsProfile:
 
 @dataclass(frozen=True)
 class AccumulationSet:
-    """Limit points of an iteration, exact (closed_form) or float (empirical)."""
+    """Limit points of an iteration, exact (closed_form) or float (empirical).
+
+    Closed-form points are pairwise distinct, checked by hashing their
+    exact coefficients.
+    """
 
     points: tuple
     source: str  # "closed_form" | "empirical"
+
+    def __post_init__(self) -> None:
+        if self.source != "closed_form":
+            return
+        first: dict[tuple, int] = {}
+        for j, pt in enumerate(self.points):
+            i = first.setdefault(pt.coeffs, j)
+            if i != j:
+                raise InternalConsistencyError(
+                    f"accumulation points {i} and {j} coincide")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -89,7 +107,18 @@ def profile(x: SimplexPoint) -> DynamicsProfile:
         period=period,
         support_group=subgroup,
         idempotent=uniform_on(subgroup),
+        point=x,
     )
+
+
+def cycle_points(prof: DynamicsProfile) -> Iterator[SimplexPoint]:
+    """Yield idempotent * x^r for r = 0 .. period-1, one multiply per step,
+    where x is the point prof describes."""
+    cur = prof.idempotent
+    for r in range(prof.period):
+        if r:
+            cur = multiply(cur, prof.point)
+        yield cur
 
 
 def limit_set(x: SimplexPoint) -> AccumulationSet:
@@ -102,15 +131,7 @@ def limit_set(x: SimplexPoint) -> AccumulationSet:
     c = prof.idempotent
     if multiply(c, x) != multiply(x, c):
         raise InternalConsistencyError("idempotent fails to commute with x")
-    points = [c]
-    for _ in range(1, prof.period):
-        points.append(multiply(points[-1], x))
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i] == points[j]:
-                raise InternalConsistencyError(
-                    f"accumulation points {i} and {j} coincide")
-    return AccumulationSet(points=tuple(points), source="closed_form")
+    return AccumulationSet(points=tuple(cycle_points(prof)), source="closed_form")
 
 
 def empirical_limit_set(x: SimplexPoint,
@@ -209,9 +230,10 @@ def power_rank(x: SimplexPoint) -> int:
     prof = profile(x)
     rows = []
     cur = algebra.delta(x.group, x.group.identity)
-    for _ in range(prof.return_time):
+    for k in range(prof.return_time):
+        if k:
+            cur = multiply(cur, x)
         rows.append(list(cur.coeffs))
-        cur = multiply(cur, x)
     return exact_rank(rows)
 
 

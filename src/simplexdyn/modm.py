@@ -199,11 +199,9 @@ def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:
             coeffs[(res + g) % m] += Fraction(1, size)
         extinction_correction(coeffs, group.identity, sub.members, a)
         points.append(SimplexPoint(group=group, coeffs=tuple(coeffs)))
-    distinct: list[SimplexPoint] = []
-    for pt in points:
-        if all(pt.coeffs != q.coeffs for q in distinct):
-            distinct.append(pt)
-    accumulation = AccumulationSet(points=tuple(distinct), source="closed_form")
+    distinct = {pt.coeffs: pt for pt in points}
+    accumulation = AccumulationSet(points=tuple(distinct.values()),
+                                   source="closed_form")
     # Repeated cosets keep their multiplicity: the average weights each
     # subsequence class equally, not each distinct limit point.
     d = cycle.d

@@ -13,6 +13,9 @@ analyze(p, x) makes one pass for a series p and a starting point x:
    chain c_y * y^r, r < m, adding each step into a running sum per
    answer: c_y * sum_r y^r L_r + (e - c_y) * a.
 
+dynamics.cycle_points is the one walker of that chain; the pure-power
+report indexes the same walk by cycle residue.
+
 The last term vanishes identically when c_y is the point mass at the
 identity, so one formula covers both branches.  The limit, when it
 exists, is the single accumulation point.  Divergence is decided by the
@@ -30,7 +33,8 @@ import numpy as np
 from . import algebra
 from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint,
                       element_to_map)
-from .dynamics import AccumulationSet, DynamicsProfile, profile, reduce_to_stable
+from .dynamics import (AccumulationSet, DynamicsProfile, cycle_points, profile,
+                       reduce_to_stable)
 from .errors import InternalConsistencyError, PurePowerError
 from .modm import (ModMReport, extinction_correction, regularity_mod_m,
                    residue_cycle)
@@ -78,21 +82,19 @@ def _digest(series_label: str, x: SimplexPoint) -> dict:
     }
 
 
-def _synthesize(y: SimplexPoint, prof: DynamicsProfile,
+def _synthesize(prof: DynamicsProfile,
                 quotients: list[tuple[Fraction, ...]],
                 a: Fraction) -> list[SimplexPoint]:
-    """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients, exactly.
+    """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients,
+    exactly, where y is the point prof describes.
 
     One walk of the chain c_y * y^r, r < m, adds each step into the
     running sum of every quotient point that weights it, so no chain
     point outlives its step.
     """
-    group = y.group
+    group = prof.point.group
     sums = [[Fraction(0)] * group.order for _ in quotients]
-    cur = prof.idempotent
-    for r in range(prof.period):
-        if r:
-            cur = algebra.multiply(cur, y)
+    for r, cur in enumerate(cycle_points(prof)):
         terms = [(g, c) for g, c in enumerate(cur.coeffs) if c]
         for L, acc in zip(quotients, sums):
             if L[r]:
@@ -135,13 +137,8 @@ def analyze(p: ProbPoly, x: SimplexPoint) -> tuple[LimitReport, LimitReport]:
     prof = profile(y)
     rep = regularity_mod_m(p, prof.period)
     *points, cesaro = _synthesize(
-        y, prof, [pt.coeffs for pt in rep.accumulation.points] + [rep.cesaro.coeffs],
+        prof, [pt.coeffs for pt in rep.accumulation.points] + [rep.cesaro.coeffs],
         rep.a)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i].coeffs == points[j].coeffs:
-                raise InternalConsistencyError(
-                    "distinct quotient limits collapsed under synthesis")
     shared = {"digest": _digest(str(p), x), "profile": prof,
               "reduction_steps": steps, "cesaro": cesaro, "a": float(rep.a)}
     regular = LimitReport(
@@ -186,19 +183,8 @@ def pure_power_report(r: int, x: SimplexPoint) -> LimitReport:
     prof = profile(x)
     m = prof.period
     cycle = residue_cycle(r, m)
-    xpow = [None] * m
-    cur = algebra.delta(x.group, x.group.identity)
-    for k in range(m):
-        xpow[k] = cur
-        if k + 1 < m:
-            cur = algebra.multiply(cur, x)
-    points = tuple(algebra.multiply(prof.idempotent, xpow[res])
-                   for res in cycle.residues)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i].coeffs == points[j].coeffs:
-                raise InternalConsistencyError(
-                    "powers at distinct cycle residues must stay distinct")
+    chain = list(cycle_points(prof))
+    points = tuple(chain[res] for res in cycle.residues)
     divisible = any(r ** k * (r - 1) % m == 0 for k in range(m + 1))
     if divisible != (cycle.d == 1):
         raise InternalConsistencyError(
@@ -234,18 +220,17 @@ def iterate_map(p: ProbPoly, x: SimplexPoint, n: int) -> list[ApproxElement]:
     return algebra.series_trace(x.group, terms, algebra.float_coeffs(x), n)
 
 
-def empirical_cesaro(p: ProbPoly, x: SimplexPoint, n: int,
-                     burn_in: int = 0) -> ApproxElement:
-    """Average of the oracle trace over steps burn_in+1 .. n.
+def empirical_cesaro(trace: list[ApproxElement], burn_in: int) -> ApproxElement:
+    """Average of an oracle trace of n steps over steps burn_in+1 .. n.
 
     A burn-in window discards the transient; choosing the window length
     as a multiple of the cycle length d balances the subsequence classes
     exactly, which the plain from-the-start average cannot do at any
     horizon reachable in tests.
     """
+    n = len(trace)
     if not 0 <= burn_in < n:
         raise ValueError(f"need 0 <= burn_in < n, got {burn_in}, {n}")
-    trace = iterate_map(p, x, n)
     window = np.mean([t.coeffs for t in trace[burn_in:]], axis=0)
-    return ApproxElement(group=x.group, coeffs=window,
+    return ApproxElement(group=trace[0].group, coeffs=window,
                          slack=ITERATION_SLACK_RATE * n)

@@ -193,7 +193,7 @@ def test_cesaro_always_converges(announce):
                 divergent += 1
             d = ces.diagnostics["cycle_d"]
             window = max(d, (1000 // d) * d)
-            avg = empirical_cesaro(p, x, 2000, burn_in=2000 - window)
+            avg = empirical_cesaro(iterate_map(p, x, 2000), burn_in=2000 - window)
             assert sup_distance(avg, ces.cesaro) < 1e-4, (str(p), x)
         assert divergent >= 10
         assert time.perf_counter() - start < 60.0

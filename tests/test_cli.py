@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from simplexdyn import modm, parse_rational
+import importlib
+
+from simplexdyn import parse_rational
 from simplexdyn.cli import main
 
 EXAMPLE_12 = {
@@ -111,19 +113,21 @@ def test_limit_set_empty_window_is_inconclusive(tmp_path, capsys):
 
 
 def count_calls(monkeypatch, *names) -> dict:
-    """Count calls of modm functions wherever a simplexdyn module holds them."""
+    """Count calls of simplexdyn functions, named "module.function", wherever
+    a simplexdyn module holds them."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(modm, name)
+        modname, attr = name.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"simplexdyn.{modname}"), attr)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for modname, module in list(sys.modules.items()):
-            if (modname.split(".")[0] == "simplexdyn"
-                    and getattr(module, name, None) is original):
-                monkeypatch.setattr(module, name, counted)
+        for holder_name, module in list(sys.modules.items()):
+            if (holder_name.split(".")[0] == "simplexdyn"
+                    and getattr(module, attr, None) is original):
+                monkeypatch.setattr(module, attr, counted)
     return counts
 
 
@@ -135,10 +139,26 @@ def test_series_commands_solve_the_quotient_once(command, tmp_path, capsys,
         "element": "point-mass:t^1",
         "series": {"0": "1/6", "1": "1/3", "2": "1/2"},
     })
-    counts = count_calls(monkeypatch, "regularity_mod_m", "extinction_fraction")
+    counts = count_calls(monkeypatch, "modm.regularity_mod_m",
+                         "modm.extinction_fraction")
     code, _, _ = run(capsys, command, "--config", cfg)
     assert code == 0
-    assert counts == {"regularity_mod_m": 1, "extinction_fraction": 1}
+    assert counts == {"modm.regularity_mod_m": 1, "modm.extinction_fraction": 1}
+
+
+def test_verify_builds_each_object_once(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {
+        "group": {"kind": "symmetric", "n": 4},
+        "element": "interior-random:3",
+        "series": {"0": "1/6", "1": "1/3", "2": "1/2"},
+    })
+    counts = count_calls(monkeypatch, "predict.iterate_map", "series.compose",
+                         "algebra.multiply")
+    code, out, _ = run(capsys, "verify", "--config", cfg)
+    assert code == 0, out
+    assert counts["predict.iterate_map"] == 1
+    assert counts["series.compose"] == 2
+    assert counts["algebra.multiply"] <= 6
 
 
 def test_iterate_csv_shape(tmp_path, capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from simplexdyn import (InconclusiveError, delta, empirical_limit_set,
+from simplexdyn import (InconclusiveError, InternalConsistencyError, delta,
+                        empirical_limit_set,
                         limit_set, make_cyclic, make_dihedral, make_symmetric,
                         match_accumulation_sets, multiply, power, power_rank,
                         profile, reduce, reduce_to_stable, simplex_from_map,
@@ -80,6 +81,14 @@ def test_match_rejects_perturbed_sets():
     assert not match_accumulation_sets(closed, shifted, tol=1e-8)
     dropped = AccumulationSet(points=closed.points[:-1], source="empirical")
     assert not match_accumulation_sets(closed, dropped, tol=1e-8)
+
+
+def test_closed_form_points_must_be_distinct():
+    g = make_cyclic(3)
+    a, b = delta(g, 0), delta(g, 1)
+    with pytest.raises(InternalConsistencyError, match="points 0 and 2 coincide"):
+        AccumulationSet(points=(a, b, a), source="closed_form")
+    assert len(AccumulationSet(points=(a, b, a), source="empirical")) == 3
 
 
 def test_empirical_limit_set_inconclusive_window():

@@ -53,7 +53,7 @@ def test_cesaro_example_cyclic_12():
     assert rep.exists
     assert rep.cesaro.coeffs == tuple(Fraction(1, 6) if i % 2 else Fraction(0)
                                       for i in range(12))
-    avg = empirical_cesaro(EXAMPLE_SERIES, x, 2000, burn_in=1000)
+    avg = empirical_cesaro(iterate_map(EXAMPLE_SERIES, x, 2000), burn_in=1000)
     assert sup_distance(avg, rep.cesaro) < 1e-5
 
 
@@ -177,11 +177,11 @@ def test_iterate_map_matches_exact_composition():
 
 
 def test_empirical_cesaro_validates_burn_in():
-    g = make_cyclic(4)
+    trace = iterate_map(EXAMPLE_SERIES, delta(make_cyclic(4), 1), 100)
     with pytest.raises(ValueError):
-        empirical_cesaro(EXAMPLE_SERIES, delta(g, 1), 100, burn_in=100)
+        empirical_cesaro(trace, burn_in=100)
     with pytest.raises(ValueError):
-        empirical_cesaro(EXAMPLE_SERIES, delta(g, 1), 100, burn_in=-1)
+        empirical_cesaro(trace, burn_in=-1)
 
 
 def test_report_digest_identifies_instance():
