@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .groups import ElementSet, FiniteGroup
+from .series import _power_sum
 
 DEFAULT_APPROX_SLACK = 1e-12
 # Slack granted per float iteration step on oracle traces.
@@ -48,7 +49,8 @@ class AlgebraElement:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c)
+                       for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.group.order:
             raise ValueError(
@@ -68,9 +70,10 @@ class SimplexPoint(AlgebraElement):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if any(c < 0 for c in self.coeffs):
+        nonzero = [c for c in self.coeffs if c]
+        if any(c < 0 for c in nonzero):
             raise ValueError("simplex point has a negative coefficient")
-        total = sum(self.coeffs)
+        total = sum(nonzero)
         if total != 1:
             raise ValueError(f"simplex point coefficients sum to {total}, not 1")
 
@@ -200,19 +203,13 @@ def evaluate_series_floats(group: FiniteGroup,
                            xv: np.ndarray) -> np.ndarray:
     """Evaluate sum of c * x^k over (k, c) term pairs, in floats.
 
-    Powers are built incrementally, so terms must be sorted by exponent.
+    Terms must be sorted by exponent.  x is gathered into its right
+    multiplication matrix once; each power is one matrix product.
     """
-    n = group.order
-    out = np.zeros(n)
-    pw = np.zeros(n)
-    pw[group.identity] = 1.0
-    cur = 0
-    for exponent, coeff in terms:
-        while cur < exponent:
-            pw = convolve_floats(group, pw, xv)
-            cur += 1
-        out += coeff * pw
-    return out
+    one = np.zeros(group.order)
+    one[group.identity] = 1.0
+    right = xv[group.conv_index]
+    return _power_sum(terms, one, lambda pw: pw @ right)
 
 
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],

@@ -159,26 +159,17 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
 def cmd_iterate(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
     p = cfg.require_series()
-    horizon = cfg.horizon or REGULAR_HORIZON
-    trace = iterate_map(p, x, horizon)
-    labels = x.group.labels
+    trace = iterate_map(p, x, cfg.horizon or REGULAR_HORIZON)
+    rows = [(k, t, sup_distance(t, prev))
+            for k, (t, prev) in enumerate(zip(trace, [x, *trace]), start=1)]
     if args.format == "json":
-        rows = []
-        prev = x
-        for k, t in enumerate(trace, start=1):
-            rows.append({"step": k, "coeffs": _decimal_map(t),
-                         "sup_delta": sup_distance(t, prev)})
-            prev = t
-        _emit_json(args, {"trace": rows})
-        return EXIT_OK
-    header = ["step", *labels, "sup_delta"]
-    rows = []
-    prev = x
-    for k, t in enumerate(trace, start=1):
-        rows.append([k, *[repr(float(v)) for v in t.coeffs],
-                     repr(sup_distance(t, prev))])
-        prev = t
-    _emit_csv(args, header, rows)
+        _emit_json(args, {"trace": [
+            {"step": k, "coeffs": _decimal_map(t), "sup_delta": delta}
+            for k, t, delta in rows]})
+    else:
+        _emit_csv(args, ["step", *x.group.labels, "sup_delta"],
+                  [[k, *map(repr, t.coeffs.tolist()), repr(delta)]
+                   for k, t, delta in rows])
     return EXIT_OK
 
 
@@ -207,21 +198,16 @@ def cmd_scalar(cfg: ExperimentConfig, args) -> int:
                           "pure powers keep all mass on one exponent")
     horizon = cfg.horizon or DEFAULT_SCALAR_HORIZON
     states = scalar.iterate_coeffs(p, horizon, cfg.truncation, mode="float")
-    averages = scalar.cesaro_coeffs(states)
-    header = ["n", "a0", "sup", "tail_mass", "avg_a0", "avg_sup", "avg_tail_mass"]
-    rows = []
-    for st, av in zip(states, averages):
-        rows.append([st.n, repr(float(st.a0)), repr(st.sup_nonconstant()),
-                     repr(float(st.tail_mass)), repr(float(av.a0)),
-                     repr(av.sup_nonconstant()), repr(float(av.tail_mass))])
-    if args.format == "json":
-        _emit_json(args, {"trace": [
-            {"n": st.n, "a0": float(st.a0), "sup": st.sup_nonconstant(),
+    rows = [{"n": st.n, "a0": float(st.a0), "sup": float(st.sup_nonconstant()),
              "tail_mass": float(st.tail_mass), "avg_a0": float(av.a0),
-             "avg_sup": av.sup_nonconstant(), "avg_tail_mass": float(av.tail_mass)}
-            for st, av in zip(states, averages)]})
+             "avg_sup": float(av.sup_nonconstant()),
+             "avg_tail_mass": float(av.tail_mass)}
+            for st, av in zip(states, scalar.cesaro_coeffs(states))]
+    if args.format == "json":
+        _emit_json(args, {"trace": rows})
     else:
-        _emit_csv(args, header, rows)
+        _emit_csv(args, list(rows[0]),
+                  [[repr(v) for v in row.values()] for row in rows])
     return EXIT_OK
 
 

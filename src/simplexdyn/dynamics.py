@@ -150,12 +150,13 @@ def empirical_limit_set(x: SimplexPoint,
         raise ValueError(f"need 0 <= burn_in < horizon, got {burn_in}, {horizon}")
     g = x.group
     xv = algebra.float_coeffs(x)
+    right = xv[g.conv_index]
     vec = xv.copy()
     reps: list[np.ndarray] = []
     rep_steps: list[int] = []
     labels: list[int] = []
     for k in range(2, horizon + 1):
-        vec = algebra.convolve_floats(g, vec, xv)
+        vec = vec @ right
         if k <= burn_in:
             continue
         for idx, rep in enumerate(reps):

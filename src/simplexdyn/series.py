@@ -11,6 +11,17 @@ has moved beyond K: every kept coefficient of a composed state is the
 exact coefficient of the untruncated series, because a product
 coefficient of degree <= K depends only on input coefficients of degree
 <= K.  tail_mass records the discarded remainder exactly (in exact mode).
+
+A CoeffState holds its coefficients in one read-only ndarray: Fractions
+(dtype object) in exact mode, float64 in float mode.  The mode is read
+off the dtype, so the same code composes, averages and checks both; the
+modes differ only in their slack, which is zero when exact.
+
+p(x) = sum c x^e is evaluated by one loop, _power_sum, for the scalar
+shadow here and for float vectors of R[G] in algebra.  Its callers
+supply the product by x: an exact truncated product that skips zero
+coefficients, a truncated np.convolve, or right multiplication by the
+convolution matrix of x.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -132,77 +143,114 @@ def default_truncation(p: ProbPoly) -> int:
     return max(1, min(p.degree * TRUNCATION_FACTOR, TRUNCATION_CAP))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffState:
-    """Coefficients a^[n]_0 .. a^[n]_K of the n-th iterate, plus tail mass."""
+    """Coefficients a^[n]_0 .. a^[n]_K of the n-th iterate, plus tail mass.
+
+    coeffs is one read-only ndarray of K + 1 entries: Fractions (dtype
+    object) in exact mode, float64 otherwise; tail_mass, the mass beyond
+    degree K, is stored in the same dtype.  mode and truncation are read
+    off the array.
+    """
 
     n: int
-    coeffs: tuple
-    truncation: int
+    coeffs: np.ndarray
     tail_mass: object
-    mode: str
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"mode must be exact or float, got {self.mode!r}")
-        if self.truncation < 1:
+        vec = np.asarray(self.coeffs)
+        if vec.dtype != object:
+            vec = vec.astype(np.float64, copy=False)
+        if vec.ndim != 1 or vec.size < 2:
             raise ValueError("truncation must hold at least degree 1")
-        if len(self.coeffs) != self.truncation + 1:
-            raise ValueError(
-                f"expected {self.truncation + 1} coefficients, got {len(self.coeffs)}")
+        vec.setflags(write=False)
+        object.__setattr__(self, "coeffs", vec)
+        object.__setattr__(self, "tail_mass", vec.dtype.type(self.tail_mass))
+        coeff_slack, tail_slack, _ = self.slack
+        if vec.min() < -coeff_slack:
+            raise ValueError(f"negative coefficient {vec.min()} in state")
+        if self.tail_mass < -tail_slack:
+            raise ValueError(f"negative tail mass {self.tail_mass}")
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.coeffs.dtype == object else "float"
+
+    @property
+    def slack(self) -> tuple:
+        """Tolerated (negative coefficient, negative tail mass, drift of a0
+        from p(a0)); all zero in exact mode."""
         if self.mode == "exact":
-            if any(c < 0 for c in self.coeffs):
-                raise ValueError("negative coefficient in exact state")
-            if self.tail_mass < 0:
-                raise ValueError(f"negative tail mass {self.tail_mass}")
-        else:
-            vec = np.asarray(self.coeffs, dtype=np.float64)
-            vec.setflags(write=False)
-            object.__setattr__(self, "coeffs", vec)
-            if vec.size and float(vec.min()) < -FLOAT_COEFF_SLACK:
-                raise ValueError("negative coefficient in float state")
-            if float(self.tail_mass) < -FLOAT_TAIL_SLACK:
-                raise ValueError(f"negative tail mass {self.tail_mass}")
+            return 0, 0, 0
+        return FLOAT_COEFF_SLACK, FLOAT_TAIL_SLACK, FLOAT_A0_CHECK
+
+    @property
+    def truncation(self) -> int:
+        return self.coeffs.size - 1
 
     @property
     def a0(self):
-        return self.coeffs[0]
+        """The constant term as a Python Fraction or float."""
+        return self.coeffs.item(0)
 
     def sup_nonconstant(self):
         """Largest kept coefficient of positive degree, sup over 1 <= k <= K."""
-        if self.mode == "exact":
-            return max(self.coeffs[1:], default=Fraction(0))
-        return float(self.coeffs[1:].max()) if self.truncation else 0.0
+        return self.coeffs[1:].max()
 
 
 def initial_state(p: ProbPoly, truncation: int | None = None,
                   mode: str = "float") -> CoeffState:
     """The n = 1 state: p itself, densified up to the truncation degree."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be exact or float, got {mode!r}")
     K = default_truncation(p) if truncation is None else int(truncation)
     if K < p.degree:
         raise ValueError(
             f"truncation {K} cannot hold the series of degree {p.degree}")
-    dense = [Fraction(0)] * (K + 1)
+    dense = np.full(K + 1, Fraction(0), dtype=object)
     for e, c in p.terms:
         dense[e] = c
-    if mode == "exact":
-        return CoeffState(n=1, coeffs=tuple(dense), truncation=K,
-                          tail_mass=Fraction(0), mode="exact")
-    return CoeffState(n=1, coeffs=np.array([float(c) for c in dense]),
-                      truncation=K, tail_mass=0.0, mode="float")
+    return CoeffState(n=1, tail_mass=Fraction(0),
+                      coeffs=dense if mode == "exact" else dense.astype(np.float64))
 
 
-def _trunc_mul_exact(a: Sequence[Fraction], b: Sequence[Fraction],
-                     K: int) -> list[Fraction]:
+def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
+               times_x: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """sum of c * x^e over terms sorted by exponent, where x^0 = one and
+    times_x maps a power x^k to x^(k+1).
+
+    Each coefficient is cast to the dtype of one, and only the nonzero
+    entries of a power are scaled and added.  Once a power vanishes every
+    higher one does too, so the sum is returned at the first that does.
+    """
+    out = np.full_like(one, Fraction(0))
+    cast = one.dtype.type
+    pw = one
+    cur = 0
+    for e, c in terms:
+        for _ in range(e - cur):
+            pw = times_x(pw)
+            if not np.count_nonzero(pw):
+                return out
+        cur = e
+        nz = pw.nonzero()
+        out[nz] += cast(c) * pw[nz]
+    return out
+
+
+def _trunc_mul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b truncated at their common degree, over nonzero pairs only."""
+    K = a.size - 1
+    bs = [(j, bj) for j, bj in enumerate(b.tolist()) if bj]
     out = [Fraction(0)] * (K + 1)
-    for i, ai in enumerate(a):
+    for i, ai in enumerate(a.tolist()):
         if not ai:
             continue
-        for j in range(K - i + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+        for j, bj in bs:
+            if i + j > K:
+                break
+            out[i + j] += ai * bj
+    return np.array(out, dtype=object)
 
 
 def compose(p: ProbPoly, state: CoeffState) -> CoeffState:
@@ -211,43 +259,17 @@ def compose(p: ProbPoly, state: CoeffState) -> CoeffState:
     Exact below K: output coefficients of degree <= K depend only on the
     kept input coefficients, so no truncation loss occurs below K.
     """
-    K = state.truncation
+    s = state.coeffs
     if state.mode == "exact":
-        s = list(state.coeffs)
-        out = [Fraction(0)] * (K + 1)
-        pw: list[Fraction] = [Fraction(1)] + [Fraction(0)] * K
-        cur = 0
-        for e, c in p.terms:
-            for _ in range(e - cur):
-                pw = _trunc_mul_exact(pw, s, K)
-            cur = e
-            if not any(pw):
-                # s^e vanished below K; higher powers stay zero there too.
-                break
-            for idx, v in enumerate(pw):
-                if v:
-                    out[idx] += c * v
-        tail = 1 - sum(out, Fraction(0))
-        return CoeffState(n=state.n + 1, coeffs=tuple(out), truncation=K,
-                          tail_mass=tail, mode="exact")
-
-    s = np.asarray(state.coeffs)
-    out = np.zeros(K + 1)
-    pw = np.zeros(K + 1)
-    pw[0] = 1.0
-    cur = 0
-    for e, c in p.terms:
-        for _ in range(e - cur):
-            pw = np.convolve(pw, s)[:K + 1]
-            if not pw.any():
-                break
-        cur = e
-        if not pw.any():
-            break
-        out += float(c) * pw
-    tail = 1.0 - float(out.sum())
-    return CoeffState(n=state.n + 1, coeffs=out, truncation=K,
-                      tail_mass=tail, mode="float")
+        def times_s(pw):
+            return _trunc_mul_exact(pw, s)
+    else:
+        def times_s(pw):
+            return np.convolve(pw, s)[:s.size]
+    one = np.full_like(s, Fraction(0))
+    one[0] = Fraction(1)
+    out = _power_sum(p.terms, one, times_s)
+    return CoeffState(n=state.n + 1, coeffs=out, tail_mass=1 - out.sum())
 
 
 def iterate_coeffs(p: ProbPoly, n: int, truncation: int | None = None,
@@ -267,11 +289,8 @@ def iterate_coeffs(p: ProbPoly, n: int, truncation: int | None = None,
     for _ in range(n - 1):
         prev = states[-1]
         nxt = compose(p, prev)
-        if prev.mode == "exact":
-            if nxt.a0 != p.evaluate(prev.a0):
-                raise InternalConsistencyError(
-                    "composed constant term disagrees with p(a0)")
-        elif abs(float(nxt.a0) - p.evaluate_float(float(prev.a0))) > FLOAT_A0_CHECK:
+        _, _, a0_slack = prev.slack
+        if abs(nxt.a0 - p.evaluate(prev.a0)) > a0_slack:
             raise InternalConsistencyError(
                 "composed constant term drifted from p(a0) beyond tolerance")
         states.append(nxt)
@@ -300,11 +319,10 @@ def recursion_coeffs(p: ProbPoly, state: CoeffState, k: int):
         raise ValueError(f"degree {k} beyond truncation {state.truncation}")
     a0 = state.a0
     if k == 0:
-        return p.evaluate(a0) if state.mode == "exact" else p.evaluate_float(float(a0))
-    zero = Fraction(0) if state.mode == "exact" else 0.0
-    total = zero
+        return p.evaluate(a0)
+    total = zero = a0 * 0
     for i in range(1, min(k, p.degree) + 1):
-        factor = p.taylor_coefficient(i, a0 if state.mode == "exact" else float(a0))
+        factor = p.taylor_coefficient(i, a0)
         if not factor:
             continue
         inner = zero
@@ -345,30 +363,12 @@ def cesaro_coeffs(states: Sequence[CoeffState]) -> list[CoeffState]:
     state of the same shape per n."""
     if not states:
         raise ValueError("cesaro_coeffs needs at least one state")
-    K = states[0].truncation
-    mode = states[0].mode
-    if any(s.truncation != K or s.mode != mode for s in states):
-        raise ValueError("states must share truncation and mode")
-    out: list[CoeffState] = []
-    if mode == "exact":
-        acc = [Fraction(0)] * (K + 1)
-        tail_acc = Fraction(0)
-        for idx, st in enumerate(states, start=1):
-            acc = [a + c for a, c in zip(acc, st.coeffs)]
-            tail_acc += st.tail_mass
-            out.append(CoeffState(
-                n=idx, coeffs=tuple(a / idx for a in acc), truncation=K,
-                tail_mass=tail_acc / idx, mode="exact"))
-    else:
-        acc = np.zeros(K + 1)
-        tail_acc = 0.0
-        for idx, st in enumerate(states, start=1):
-            acc = acc + st.coeffs
-            tail_acc += float(st.tail_mass)
-            out.append(CoeffState(
-                n=idx, coeffs=acc / idx, truncation=K,
-                tail_mass=tail_acc / idx, mode="float"))
-    return out
+    if len({(s.coeffs.dtype, s.truncation) for s in states}) > 1:
+        raise ValueError("states must share truncation and dtype")
+    sums = itertools.accumulate(s.coeffs for s in states)
+    tails = itertools.accumulate(s.tail_mass for s in states)
+    return [CoeffState(n=n, coeffs=acc / n, tail_mass=tail / n)
+            for n, (acc, tail) in enumerate(zip(sums, tails), start=1)]
 
 
 def composition_sum_check(a: Sequence[Fraction | int | str], k: int,

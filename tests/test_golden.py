@@ -1,11 +1,14 @@
-"""CLI output pinned byte for byte: profile, predict, cesaro and verify on fixed configs.
+"""CLI output pinned byte for byte on fixed configs.
 
 Each tests/golden/<name>.json config has one <name>.<command>.out file
 per command pinned on it.  The six small configs pin predict, verify and
 cesaro where it succeeds (a pure power has no Cesaro command); the S6
 and C20xC20 configs, groups of order above 64, pin profile and predict.
-The files hold the exact stdout; refresh one by rerunning the command
-and reviewing the diff.
+The scalar shadow (CSV) is pinned on c6-irrational, c12-divergent (a
+shifted series whose powers vanish below the truncation degree),
+s4-supercritical and c20xc20-shifted, and the float oracle trace
+(iterate, CSV) on c6-irrational.  The files hold the exact stdout;
+refresh one by rerunning the command and reviewing the diff.
 """
 
 from pathlib import Path

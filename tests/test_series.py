@@ -3,13 +3,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexdyn import (InconclusiveError, ProbPoly, PurePowerError,
                         cesaro_coeffs, compose, composition_sum_check,
                         default_truncation, extinction_value, initial_state,
                         iterate_coeffs, recursion_coeffs)
-from simplexdyn.series import CoeffState
+from simplexdyn.series import CoeffState, _power_sum
 
 from conftest import random_prob_poly
 
@@ -97,7 +99,7 @@ def test_truncation_keeps_low_coefficients_exact():
     wide = iterate_coeffs(p, 5, truncation=40, mode="exact")
     narrow = iterate_coeffs(p, 5, truncation=6, mode="exact")
     for w, n in zip(wide, narrow):
-        assert w.coeffs[:7] == n.coeffs
+        assert list(w.coeffs[:7]) == list(n.coeffs)
         assert n.tail_mass == 1 - sum(n.coeffs, Fraction(0))
 
 
@@ -110,6 +112,47 @@ def test_float_mode_tracks_exact():
         for e, a in zip(exact, approx):
             for c_exact, c_float in zip(e.coeffs, a.coeffs):
                 assert abs(float(c_exact) - float(c_float)) < 1e-13
+
+
+@st.composite
+def prob_polys(draw):
+    """Series with 2 to 4 terms, shifted by t^0 .. t^2."""
+    exponents = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4,
+                              unique=True))
+    shift = draw(st.integers(0, 2))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(exponents),
+                            max_size=len(exponents)))
+    total = sum(weights)
+    return ProbPoly(tuple((e + shift, Fraction(w, total))
+                          for e, w in zip(exponents, weights)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(prob_polys(), st.integers(0, 12), st.integers(1, 5))
+def test_exact_and_float_modes_agree(p, extra, n):
+    exact = iterate_coeffs(p, n, truncation=p.degree + extra, mode="exact")
+    approx = iterate_coeffs(p, n, truncation=p.degree + extra, mode="float")
+    exact += cesaro_coeffs(exact)
+    approx += cesaro_coeffs(approx)
+    for e, a in zip(exact, approx):
+        assert (e.mode, a.mode, e.n) == ("exact", "float", a.n)
+        assert all(isinstance(c, Fraction) for c in e.coeffs)
+        assert e.tail_mass == 1 - sum(e.coeffs, Fraction(0))
+        assert np.max(np.abs(e.coeffs.astype(np.float64) - a.coeffs)) <= 1e-12
+        assert abs(float(e.tail_mass) - a.tail_mass) <= 1e-12
+
+
+def test_power_sum_stops_at_the_first_vanished_power():
+    calls = []
+
+    def times_t2(pw):  # x = t^2, truncated at degree 4
+        calls.append(pw)
+        return np.concatenate([[0.0, 0.0], pw[:-2]])
+
+    one = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    out = _power_sum([(1, 0.5), (2, 0.25), (9, 0.25)], one, times_t2)
+    assert out.tolist() == [0.0, 0.0, 0.5, 0.0, 0.25]
+    assert len(calls) == 3
 
 
 def test_shifted_series_has_no_extinction_mass():
