@@ -1,7 +1,9 @@
 """Arithmetic in the group algebra R[G] and its probability simplex.
 
 Exact rationals are the canonical representation; every invariant that
-feeds a support computation is threshold-free.  Floats appear only in
+feeds a support computation is threshold-free.  The exact product runs
+on integer numerators over a common denominator (series._exact_product)
+and rebuilds Fractions only for its result.  Floats appear only in
 ApproxElement, the carrier for long oracle iteration runs, which tracks
 an explicit slack bound instead of pretending to be exact.
 """
@@ -15,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .groups import ElementSet, FiniteGroup
-from .series import _power_sum
+from .series import _exact_product, _power_sum
 
 DEFAULT_APPROX_SLACK = 1e-12
 # Slack granted per float iteration step on oracle traces.
@@ -117,20 +119,22 @@ def delta(group: FiniteGroup, i: int) -> SimplexPoint:
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact."""
+    """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact.
+
+    On integer numerators u, v: (xy)_g is proportional to the sum over h
+    in Supp(x) of u_h * v[h^-1 g], one matrix product over those rows of
+    the gather table.
+    """
     _same_group(x.group, y.group, "multiply")
     g = x.group
-    hs = [h for h, xh in enumerate(x.coeffs) if xh]
-    ks = [k for k, yk in enumerate(y.coeffs) if yk]
-    ys = [y.coeffs[k] for k in ks]
-    out = [Fraction(0)] * g.order
-    for h, row in zip(hs, g.table[np.ix_(hs, ks)].tolist()):
-        xh = x.coeffs[h]
-        for yk, hk in zip(ys, row):
-            out[hk] += xh * yk
+
+    def product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        hs = np.flatnonzero(u)
+        return u[hs] @ v[g.conv_index[hs]]
+
     cls = SimplexPoint if isinstance(x, SimplexPoint) and isinstance(y, SimplexPoint) \
         else AlgebraElement
-    return cls(g, tuple(out))
+    return cls(g, tuple(_exact_product(x.coeffs, y.coeffs, product)))
 
 
 def power(x: AlgebraElement, k: int) -> AlgebraElement:

@@ -261,7 +261,7 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
         if p.shift < 2:
             raise ConfigError(
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
-        rep = pure_power_report(p.shift, x)
+        rep = pure_power_report(p.shift, x, prof, closed.points)
         hits = [False] * len(rep.accumulation)
         for approx in iterate_map(p, x, max(12, 3 * prof.period)):
             dists = [sup_distance(approx, pt) for pt in rep.accumulation.points]

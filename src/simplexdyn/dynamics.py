@@ -151,7 +151,7 @@ def empirical_limit_set(x: SimplexPoint,
     g = x.group
     xv = algebra.float_coeffs(x)
     right = xv[g.conv_index]
-    vec = xv.copy()
+    vec = xv
     reps: list[np.ndarray] = []
     rep_steps: list[int] = []
     labels: list[int] = []
@@ -160,11 +160,11 @@ def empirical_limit_set(x: SimplexPoint,
         if k <= burn_in:
             continue
         for idx, rep in enumerate(reps):
-            if float(np.max(np.abs(rep - vec))) <= merge_tol:
+            if np.abs(rep - vec).max() <= merge_tol:
                 labels.append(idx)
                 break
         else:
-            reps.append(vec.copy())
+            reps.append(vec)
             rep_steps.append(k)
             labels.append(len(reps) - 1)
 

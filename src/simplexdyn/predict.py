@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -171,19 +172,25 @@ def cesaro_limit(p: ProbPoly, x: SimplexPoint) -> LimitReport:
     return analyze(p, x)[1]
 
 
-def pure_power_report(r: int, x: SimplexPoint) -> LimitReport:
+def pure_power_report(r: int, x: SimplexPoint,
+                      prof: DynamicsProfile | None = None,
+                      chain: Sequence[SimplexPoint] | None = None) -> LimitReport:
     """Accumulation set of x^(r^n): {c_x * x^(m_i)} over the cycle of
     r^n mod m_x, with the divisibility test for it being a singleton.
 
-    The singleton criterion (m_x divides r^k (r - 1) for some k <= m_x)
-    is evaluated independently and must agree with d = 1.
+    prof, the profile of x, and chain, its cycle_points, are computed
+    here unless a caller that already holds them passes them in.  The
+    singleton criterion (m_x divides r^k (r - 1) for some k <= m_x) is
+    evaluated independently and must agree with d = 1.
     """
     if r < 2:
         raise ValueError(f"pure-power exponent must be >= 2, got {r}")
-    prof = profile(x)
+    if prof is None:
+        prof = profile(x)
+    if chain is None:
+        chain = list(cycle_points(prof))
     m = prof.period
     cycle = residue_cycle(r, m)
-    chain = list(cycle_points(prof))
     points = tuple(chain[res] for res in cycle.residues)
     divisible = any(r ** k * (r - 1) % m == 0 for k in range(m + 1))
     if divisible != (cycle.d == 1):

@@ -19,9 +19,14 @@ modes differ only in their slack, which is zero when exact.
 
 p(x) = sum c x^e is evaluated by one loop, _power_sum, for the scalar
 shadow here and for float vectors of R[G] in algebra.  Its callers
-supply the product by x: an exact truncated product that skips zero
-coefficients, a truncated np.convolve, or right multiplication by the
-convolution matrix of x.
+supply the product by x: an exact truncated product, a truncated
+np.convolve, or right multiplication by the convolution matrix of x.
+
+Exact products, the truncated one here and the group product in
+algebra, share one kernel, _exact_product: it scales both operands to
+integer numerators over their common denominators, multiplies those in
+int64 when no sum can overflow and as Python ints otherwise, and builds
+Fractions only for the result.
 """
 
 from __future__ import annotations
@@ -219,12 +224,14 @@ def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
     """sum of c * x^e over terms sorted by exponent, where x^0 = one and
     times_x maps a power x^k to x^(k+1).
 
-    Each coefficient is cast to the dtype of one, and only the nonzero
-    entries of a power are scaled and added.  Once a power vanishes every
+    Each coefficient is cast to the dtype of one.  Float powers are added
+    whole; Fraction powers only at their nonzero entries, since a Fraction
+    product costs far more than the test.  Once a power vanishes every
     higher one does too, so the sum is returned at the first that does.
     """
-    out = np.full_like(one, Fraction(0))
+    out = 0 * one
     cast = one.dtype.type
+    dense = one.dtype != object
     pw = one
     cur = 0
     for e, c in terms:
@@ -233,24 +240,49 @@ def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
             if not np.count_nonzero(pw):
                 return out
         cur = e
-        nz = pw.nonzero()
-        out[nz] += cast(c) * pw[nz]
+        if dense:
+            out += cast(c) * pw
+        else:
+            nz = pw.nonzero()
+            out[nz] += cast(c) * pw[nz]
     return out
 
 
+def _numerators(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(u, D) with coeffs = u / D entrywise; D is the lcm of the nonzero
+    denominators and u a list of Python ints."""
+    coeffs = list(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs if c))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _exact_product(a: Iterable[Fraction], b: Iterable[Fraction],
+                   product: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                   ) -> list[Fraction]:
+    """A bilinear product of two Fraction vectors, computed on integers.
+
+    With a = u / Du and b = v / Dv, returns product(u, v) / (Du * Dv) as
+    Fractions.  product must sum, per output entry, at most one term
+    u_i * v_j for each nonzero u_i.  u and v are int64 arrays when no such
+    sum can reach 2^63 and object arrays of Python ints otherwise: int64
+    wraps silently on overflow, so the guard keeps the result exact.
+    """
+    u, du = _numerators(a)
+    v, dv = _numerators(b)
+    mu = max(map(abs, u), default=0)
+    mv = max(map(abs, v), default=0)
+    terms = sum(1 for n in u if n)
+    dtype = np.int64 if max(mu, mv, mu * mv * terms) < 2 ** 63 else object
+    out = product(np.array(u, dtype=dtype), np.array(v, dtype=dtype))
+    den = du * dv
+    zero = Fraction(0)
+    return [Fraction(n, den) if n else zero for n in out.tolist()]
+
+
 def _trunc_mul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b truncated at their common degree, over nonzero pairs only."""
-    K = a.size - 1
-    bs = [(j, bj) for j, bj in enumerate(b.tolist()) if bj]
-    out = [Fraction(0)] * (K + 1)
-    for i, ai in enumerate(a.tolist()):
-        if not ai:
-            continue
-        for j, bj in bs:
-            if i + j > K:
-                break
-            out[i + j] += ai * bj
-    return np.array(out, dtype=object)
+    """a * b truncated at their common degree, on integer numerators."""
+    return np.array(_exact_product(
+        a, b, lambda u, v: np.convolve(u, v)[:a.size]), dtype=object)
 
 
 def compose(p: ProbPoly, state: CoeffState) -> CoeffState:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the group zoo and seeded random generators.
+"""Shared fixtures: the group zoo, seeded random generators and Hypothesis
+coefficient strategies.
 
 Random draws use integer weights 1..20 normalized to exact rationals, so
 every generated element and series lives in exact arithmetic and every
@@ -9,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from simplexdyn import (FiniteGroup, ProbPoly, SimplexPoint, direct_product,
                         make_cyclic, make_dihedral, make_symmetric)
@@ -66,3 +68,19 @@ def random_prob_poly(rng: random.Random, max_degree: int = 8,
 def random_group(zoo: dict, rng: random.Random) -> FiniteGroup:
     name = rng.choice(sorted(zoo))
     return zoo[name]
+
+
+# Denominators dividing 360, whose integer products fit int64, and
+# denominators up to 2^200, which force Python ints.
+SMALL_COEFFS = st.builds(Fraction, st.integers(-40, 40),
+                         st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 360]))
+HUGE_COEFFS = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                        st.integers(1, 2 ** 200))
+
+
+@st.composite
+def signed_coeff_lists(draw, size: int) -> list:
+    """size signed Fractions, some zero, all small or all possibly huge."""
+    coeffs = draw(st.sampled_from([SMALL_COEFFS, HUGE_COEFFS]))
+    entry = st.one_of(st.just(Fraction(0)), coeffs)
+    return draw(st.lists(entry, min_size=size, max_size=size))

@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from simplexdyn import (add, delta, make_cyclic, make_dihedral, make_symmetric,
-                        multiply, parse_rational, format_rational, power, scale,
-                        simplex_from_map, sup_distance, support, to_approx,
-                        uniform_on, element_to_map)
-from simplexdyn.algebra import (ApproxElement, convolve_floats,
-                                evaluate_series_floats, float_coeffs,
-                                series_trace)
+from simplexdyn import (add, delta, direct_product, make_cyclic, make_dihedral,
+                        make_symmetric, multiply, parse_rational,
+                        format_rational, power, scale, simplex_from_map,
+                        sup_distance, support, to_approx, uniform_on,
+                        element_to_map)
+from simplexdyn.algebra import (AlgebraElement, ApproxElement, SimplexPoint,
+                                convolve_floats, evaluate_series_floats,
+                                float_coeffs, series_trace)
 from simplexdyn.groups import generated_subgroup
 
-from conftest import random_simplex_point
+from conftest import random_simplex_point, signed_coeff_lists
 
 
 def test_parse_and_format_rational():
@@ -161,3 +163,57 @@ def test_approx_element_validation():
         ApproxElement(g, np.array([1.5, -0.5, 0.0]), slack=1e-12)
     ok = ApproxElement(g, np.array([0.5, 0.25, 0.25]), slack=1e-12)
     assert ok.coeffs.flags.writeable is False
+
+
+# Cyclic, dihedral and symmetric groups up to S5, and products of them.
+KERNEL_GROUPS = (
+    [make_cyclic(n) for n in (1, 2, 5, 12)]
+    + [make_dihedral(n) for n in (2, 3, 6)]
+    + [make_symmetric(n) for n in (3, 4, 5)]
+    + [direct_product(make_cyclic(2), make_cyclic(6)),
+       direct_product(make_symmetric(3), make_cyclic(4)),
+       direct_product(make_dihedral(4), make_symmetric(3))])
+
+
+def definition_product(x, y) -> tuple:
+    """(xy)_g = sum over h*k = g of x_h * y_k, pair by pair in Fractions."""
+    g = x.group
+    out = [Fraction(0)] * g.order
+    for h, xh in enumerate(x.coeffs):
+        for k, yk in enumerate(y.coeffs):
+            out[g.mul(h, k)] += xh * yk
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multiply_matches_the_definition(data):
+    g = data.draw(st.sampled_from(KERNEL_GROUPS))
+    x = AlgebraElement(g, tuple(data.draw(signed_coeff_lists(g.order))))
+    y = AlgebraElement(g, tuple(data.draw(signed_coeff_lists(g.order))))
+    got = multiply(x, y)
+    assert type(got) is AlgebraElement
+    assert got.coeffs == definition_product(x, y)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KERNEL_GROUPS), st.integers(0, 2 ** 32))
+def test_multiply_of_simplex_points_matches_the_definition(g, seed):
+    rng = random.Random(seed)
+    x = random_simplex_point(g, rng)
+    y = random_simplex_point(g, rng)
+    got = multiply(x, y)
+    assert isinstance(got, SimplexPoint)
+    assert got.coeffs == definition_product(x, y)
+
+
+@pytest.mark.parametrize("b", [2 ** 30 - 1, 2 ** 30])
+def test_multiply_at_the_int64_boundary(b):
+    # Every entry of the product is 4ab: 2^63 - 2^33 fits int64, 2^63 does not.
+    g = make_cyclic(4)
+    a = 2 ** 31
+    x = AlgebraElement(g, (Fraction(-a),) * 4)
+    y = AlgebraElement(g, (Fraction(-b),) * 4)
+    assert multiply(x, y).coeffs == (Fraction(4 * a * b),) * 4
+    assert multiply(y, x).coeffs == (Fraction(4 * a * b),) * 4

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ EXAMPLE_10 = {
     "element": "point-mass:t^1",
     "series": {"3": "1/2", "7": "1/2"},
 }
+GOLDEN = Path(__file__).parent / "golden"
 TRIVIAL = {
     "group": {"kind": "cyclic", "n": 1},
     "element": "point-mass:t^0",
@@ -159,6 +161,17 @@ def test_verify_builds_each_object_once(tmp_path, capsys, monkeypatch):
     assert counts["predict.iterate_map"] == 1
     assert counts["series.compose"] == 2
     assert counts["algebra.multiply"] <= 6
+
+
+def test_pure_power_verify_walks_the_cycle_once(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, "algebra.multiply", "dynamics.profile",
+                         "dynamics.cycle_points")
+    code, out, _ = run(capsys, "verify", "--config",
+                       str(GOLDEN / "c12-pure-power.json"))
+    assert code == 0, out
+    assert counts["algebra.multiply"] <= 8
+    assert counts["dynamics.profile"] <= 3
+    assert counts["dynamics.cycle_points"] == 1
 
 
 def test_iterate_csv_shape(tmp_path, capsys):

@@ -11,9 +11,9 @@ from simplexdyn import (InconclusiveError, ProbPoly, PurePowerError,
                         cesaro_coeffs, compose, composition_sum_check,
                         default_truncation, extinction_value, initial_state,
                         iterate_coeffs, recursion_coeffs)
-from simplexdyn.series import CoeffState, _power_sum
+from simplexdyn.series import CoeffState, _power_sum, _trunc_mul_exact
 
-from conftest import random_prob_poly
+from conftest import random_prob_poly, signed_coeff_lists
 
 HALF = Fraction(1, 2)
 
@@ -153,6 +153,35 @@ def test_power_sum_stops_at_the_first_vanished_power():
     out = _power_sum([(1, 0.5), (2, 0.25), (9, 0.25)], one, times_t2)
     assert out.tolist() == [0.0, 0.0, 0.5, 0.0, 0.25]
     assert len(calls) == 3
+
+
+def cauchy_product(a, b) -> list:
+    """sum over i + j = k of a_i * b_j for k <= K, in Fractions."""
+    K = len(a) - 1
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(K + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 40))
+def test_truncated_product_matches_the_cauchy_product(data, K):
+    a = np.array(data.draw(signed_coeff_lists(K + 1)), dtype=object)
+    b = np.array(data.draw(signed_coeff_lists(K + 1)), dtype=object)
+    got = _trunc_mul_exact(a, b)
+    assert got.dtype == object
+    assert got.tolist() == cauchy_product(a, b)
+    assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("b", [2 ** 30 - 1, 2 ** 30])
+def test_truncated_product_at_the_int64_boundary(b):
+    # The degree-3 coefficient is 4ab: 2^63 - 2^33 fits int64, 2^63 does not.
+    a = 2 ** 31
+    u = np.array([Fraction(a)] * 4, dtype=object)
+    v = np.array([Fraction(b)] * 4, dtype=object)
+    expected = [Fraction((k + 1) * a * b) for k in range(4)]
+    assert _trunc_mul_exact(u, v).tolist() == expected
+    assert _trunc_mul_exact(v, u).tolist() == expected
 
 
 def test_shifted_series_has_no_extinction_mass():
