@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .groups import ElementSet, FiniteGroup
-from .series import _exact_product, _power_sum
+from .series import _exact_product, _numerators, _power_sum
 
 DEFAULT_APPROX_SLACK = 1e-12
 # Slack granted per float iteration step on oracle traces.
@@ -72,12 +72,12 @@ class SimplexPoint(AlgebraElement):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        nonzero = [c for c in self.coeffs if c]
-        if any(c < 0 for c in nonzero):
+        u, den = _numerators(c for c in self.coeffs if c)
+        if any(n < 0 for n in u):
             raise ValueError("simplex point has a negative coefficient")
-        total = sum(nonzero)
-        if total != 1:
-            raise ValueError(f"simplex point coefficients sum to {total}, not 1")
+        if sum(u) != den:
+            raise ValueError(f"simplex point coefficients sum to "
+                             f"{Fraction(sum(u), den)}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,13 +207,14 @@ def evaluate_series_floats(group: FiniteGroup,
                            xv: np.ndarray) -> np.ndarray:
     """Evaluate sum of c * x^k over (k, c) term pairs, in floats.
 
-    Terms must be sorted by exponent.  x is gathered into its right
-    multiplication matrix once; each power is one matrix product.
+    Terms must be sorted by exponent.  Powers come by square-and-multiply
+    (series._power_sum); each product gathers its right factor into its
+    right multiplication matrix, so it costs one n^2 gather and one
+    vector-matrix product.
     """
     one = np.zeros(group.order)
     one[group.identity] = 1.0
-    right = xv[group.conv_index]
-    return _power_sum(terms, one, lambda pw: pw @ right)
+    return _power_sum(terms, one, xv, lambda u, v: u @ v[group.conv_index])
 
 
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],

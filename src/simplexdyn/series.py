@@ -18,9 +18,11 @@ off the dtype, so the same code composes, averages and checks both; the
 modes differ only in their slack, which is zero when exact.
 
 p(x) = sum c x^e is evaluated by one loop, _power_sum, for the scalar
-shadow here and for float vectors of R[G] in algebra.  Its callers
-supply the product by x: an exact truncated product, a truncated
-np.convolve, or right multiplication by the convolution matrix of x.
+shadow here and for float vectors of R[G] in algebra.  It builds each
+x^e by square-and-multiply from one shared table of squares, so t^64
+costs six squarings, not 64 products.  Its callers supply the product:
+an exact truncated product, a truncated np.convolve, or the float
+convolution of R[G].
 
 Exact products, the truncated one here and the group product in
 algebra, share one kernel, _exact_product: it scales both operands to
@@ -220,26 +222,34 @@ def initial_state(p: ProbPoly, truncation: int | None = None,
 
 
 def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
-               times_x: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+               x: np.ndarray,
+               mul: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """sum of c * x^e over terms sorted by exponent, where x^0 = one and
-    times_x maps a power x^k to x^(k+1).
+    mul is a bilinear product under which the powers of x commute.
 
-    Each coefficient is cast to the dtype of one.  Float powers are added
-    whole; Fraction powers only at their nonzero entries, since a Fraction
-    product costs far more than the test.  Once a power vanishes every
-    higher one does too, so the sum is returned at the first that does.
+    Each x^e is built by square-and-multiply from one table of squares
+    x, x^2, x^4, ... shared by all terms, so a term t^e costs at most
+    2 log2(e) products instead of e.  Each coefficient is cast to the
+    dtype of one.  Float powers are added whole; Fraction powers only at
+    their nonzero entries, since a Fraction product costs far more than
+    the test.  Once a power vanishes every higher one does too, so the
+    sum is returned at the first square or product that does.
     """
     out = 0 * one
     cast = one.dtype.type
     dense = one.dtype != object
-    pw = one
-    cur = 0
+    squares = [x]
     for e, c in terms:
-        for _ in range(e - cur):
-            pw = times_x(pw)
-            if not np.count_nonzero(pw):
-                return out
-        cur = e
+        pw = one
+        for i in range(e.bit_length()):
+            if i == len(squares):
+                squares.append(mul(squares[-1], squares[-1]))
+                if not np.count_nonzero(squares[-1]):
+                    return out
+            if e >> i & 1:
+                pw = squares[i] if pw is one else mul(pw, squares[i])
+                if not np.count_nonzero(pw):
+                    return out
         if dense:
             out += cast(c) * pw
         else:
@@ -293,14 +303,13 @@ def compose(p: ProbPoly, state: CoeffState) -> CoeffState:
     """
     s = state.coeffs
     if state.mode == "exact":
-        def times_s(pw):
-            return _trunc_mul_exact(pw, s)
+        mul = _trunc_mul_exact
     else:
-        def times_s(pw):
-            return np.convolve(pw, s)[:s.size]
+        def mul(a, b):
+            return np.convolve(a, b)[:s.size]
     one = np.full_like(s, Fraction(0))
     one[0] = Fraction(1)
-    out = _power_sum(p.terms, one, times_s)
+    out = _power_sum(p.terms, one, s, mul)
     return CoeffState(n=state.n + 1, coeffs=out, tail_mass=1 - out.sum())
 
 

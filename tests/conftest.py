@@ -84,3 +84,17 @@ def signed_coeff_lists(draw, size: int) -> list:
     coeffs = draw(st.sampled_from([SMALL_COEFFS, HUGE_COEFFS]))
     entry = st.one_of(st.just(Fraction(0)), coeffs)
     return draw(st.lists(entry, min_size=size, max_size=size))
+
+
+@st.composite
+def prob_polys(draw, max_exponent: int = 4, max_shift: int = 2) -> ProbPoly:
+    """Series with 2 to 4 terms at exponents up to max_exponent, shifted
+    by t^0 .. t^max_shift, with integer weights 1..20."""
+    exponents = draw(st.lists(st.integers(0, max_exponent), min_size=2,
+                              max_size=4, unique=True))
+    shift = draw(st.integers(0, max_shift))
+    weights = draw(st.lists(st.integers(1, WEIGHT_MAX), min_size=len(exponents),
+                            max_size=len(exponents)))
+    total = sum(weights)
+    return ProbPoly(tuple((e + shift, Fraction(w, total))
+                          for e, w in zip(exponents, weights)))

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from simplexdyn import (add, delta, direct_product, make_cyclic, make_dihedral,
-                        make_symmetric, multiply, parse_rational,
+from simplexdyn import (ProbPoly, add, delta, direct_product, make_cyclic,
+                        make_dihedral, make_symmetric, multiply, parse_rational,
                         format_rational, power, scale, simplex_from_map,
                         sup_distance, support, to_approx, uniform_on,
                         element_to_map)
@@ -17,7 +17,8 @@ from simplexdyn.algebra import (AlgebraElement, ApproxElement, SimplexPoint,
                                 float_coeffs, series_trace)
 from simplexdyn.groups import generated_subgroup
 
-from conftest import random_simplex_point, signed_coeff_lists
+from conftest import (build_zoo, prob_polys, random_simplex_point,
+                      signed_coeff_lists)
 
 
 def test_parse_and_format_rational():
@@ -84,6 +85,20 @@ def test_simplex_from_map_validation():
         simplex_from_map(g, {"nope": "1"})
 
 
+def test_simplex_point_checks_sign_and_sum_exactly():
+    g = make_cyclic(3)
+    half, tiny = Fraction(1, 2), Fraction(1, 10 ** 30)
+    with pytest.raises(ValueError, match="negative coefficient"):
+        SimplexPoint(g, (Fraction(3, 2), -half, 0))
+    with pytest.raises(ValueError, match="sum to 1/3, not 1"):
+        SimplexPoint(g, (Fraction(1, 3), 0, 0))
+    with pytest.raises(ValueError, match="sum to 0, not 1"):
+        SimplexPoint(g, (0, 0, 0))
+    with pytest.raises(ValueError, match="not 1"):
+        SimplexPoint(g, (half, half + tiny, 0))
+    assert SimplexPoint(g, (half - tiny, half + tiny, 0)).coeffs[2] == 0
+
+
 def test_element_map_round_trip():
     g = make_symmetric(3)
     rng = random.Random(5)
@@ -119,16 +134,31 @@ def test_convolve_floats_matches_exact():
         assert np.max(np.abs(exact - approx)) < 1e-14
 
 
-def test_evaluate_series_floats_matches_exact():
-    g = make_cyclic(6)
-    rng = random.Random(9)
-    x = random_simplex_point(g, rng)
-    terms = [(0, 0.25), (2, 0.5), (3, 0.25)]
+ZOO_GROUPS = [g for _, g in sorted(build_zoo().items())]
+
+
+def series_by_definition(p, x) -> AlgebraElement:
+    """p(x) with x^e from e - 1 successive exact products."""
+    powers = [delta(x.group, x.group.identity), x]
+    while len(powers) <= p.degree:
+        powers.append(multiply(powers[-1], x))
+    total = scale(0, x)
+    for e, c in p.terms:
+        total = add(total, scale(c, powers[e]))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ZOO_GROUPS), prob_polys(max_exponent=130, max_shift=0),
+       st.integers(0, 2 ** 32))
+@example(make_cyclic(6),
+         ProbPoly.from_map({0: "1/4", 2: "1/2", 3: "1/4"}), 9)
+def test_evaluate_series_floats_matches_exact(g, p, seed):
+    x = random_simplex_point(g, random.Random(seed))
+    terms = [(e, float(c)) for e, c in p.terms]
     got = evaluate_series_floats(g, terms, float_coeffs(x))
-    exact = add(scale(Fraction(1, 4), power(x, 0)),
-                add(scale(Fraction(1, 2), power(x, 2)),
-                    scale(Fraction(1, 4), power(x, 3))))
-    assert np.max(np.abs(got - float_coeffs(exact))) < 1e-14
+    exact = float_coeffs(series_by_definition(p, x))
+    assert np.max(np.abs(got - exact)) < 1e-14
 
 
 def test_series_trace_stays_on_simplex():

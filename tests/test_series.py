@@ -13,7 +13,7 @@ from simplexdyn import (InconclusiveError, ProbPoly, PurePowerError,
                         iterate_coeffs, recursion_coeffs)
 from simplexdyn.series import CoeffState, _power_sum, _trunc_mul_exact
 
-from conftest import random_prob_poly, signed_coeff_lists
+from conftest import prob_polys, random_prob_poly, signed_coeff_lists
 
 HALF = Fraction(1, 2)
 
@@ -114,24 +114,32 @@ def test_float_mode_tracks_exact():
                 assert abs(float(c_exact) - float(c_float)) < 1e-13
 
 
-@st.composite
-def prob_polys(draw):
-    """Series with 2 to 4 terms, shifted by t^0 .. t^2."""
-    exponents = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4,
-                              unique=True))
-    shift = draw(st.integers(0, 2))
-    weights = draw(st.lists(st.integers(1, 20), min_size=len(exponents),
-                            max_size=len(exponents)))
-    total = sum(weights)
-    return ProbPoly(tuple((e + shift, Fraction(w, total))
-                          for e, w in zip(exponents, weights)))
+# Exponents below 7 over up to 5 steps, and 8-bit exponents (up to 130)
+# over one composition, where exact denominators stay small.
+SERIES_CASES = st.one_of(
+    st.tuples(prob_polys(), st.integers(0, 12), st.integers(1, 5)),
+    st.tuples(prob_polys(max_exponent=130, max_shift=0), st.integers(0, 12),
+              st.just(2)))
+
+
+def sequential_compose(p, s) -> list:
+    """p(s) by the definition: s^e from e - 1 successive truncated products."""
+    one = np.full_like(s, Fraction(0))
+    one[0] = Fraction(1)
+    powers = [one, s]
+    while len(powers) <= p.degree:
+        powers.append(_trunc_mul_exact(powers[-1], s))
+    return sum((c * powers[e] for e, c in p.terms), start=0 * s).tolist()
 
 
 @settings(max_examples=100, deadline=None)
-@given(prob_polys(), st.integers(0, 12), st.integers(1, 5))
-def test_exact_and_float_modes_agree(p, extra, n):
+@given(SERIES_CASES)
+def test_exact_and_float_modes_agree(case):
+    p, extra, n = case
     exact = iterate_coeffs(p, n, truncation=p.degree + extra, mode="exact")
     approx = iterate_coeffs(p, n, truncation=p.degree + extra, mode="float")
+    for prev, nxt in zip(exact, exact[1:]):
+        assert nxt.coeffs.tolist() == sequential_compose(p, prev.coeffs)
     exact += cesaro_coeffs(exact)
     approx += cesaro_coeffs(approx)
     for e, a in zip(exact, approx):
@@ -145,14 +153,30 @@ def test_exact_and_float_modes_agree(p, extra, n):
 def test_power_sum_stops_at_the_first_vanished_power():
     calls = []
 
-    def times_t2(pw):  # x = t^2, truncated at degree 4
-        calls.append(pw)
-        return np.concatenate([[0.0, 0.0], pw[:-2]])
+    def mul(a, b):  # truncated at degree 4
+        calls.append((a, b))
+        return np.convolve(a, b)[:5]
 
     one = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    out = _power_sum([(1, 0.5), (2, 0.25), (9, 0.25)], one, times_t2)
+    x = np.array([0.0, 0.0, 1.0, 0.0, 0.0])  # t^2
+    out = _power_sum([(1, 0.5), (2, 0.25), (9, 0.25)], one, x, mul)
     assert out.tolist() == [0.0, 0.0, 0.5, 0.0, 0.25]
-    assert len(calls) == 3
+    assert len(calls) == 2  # t^4, then t^8, which vanishes
+
+
+def test_power_sum_builds_powers_by_squaring(monkeypatch):
+    p = ProbPoly.from_map({0: "5/13", 1: "17/52", 64: "15/52"})
+    state = initial_state(p, truncation=4096)
+    calls = []
+    convolve = np.convolve
+
+    def counting_convolve(a, b):
+        calls.append(1)
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", counting_convolve)
+    compose(p, state)
+    assert len(calls) <= 7  # x^64 is six squarings
 
 
 def cauchy_product(a, b) -> list:
