@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -217,6 +217,34 @@ def evaluate_series_floats(group: FiniteGroup,
     return _power_sum(terms, one, xv, lambda u, v: u @ v[group.conv_index])
 
 
+def _float_orbit(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+                 n: int) -> tuple[list[np.ndarray], list[int]]:
+    """The first n states step(start), step(step(start)), .. of a
+    deterministic float map, evaluated only up to the first bitwise repeat.
+
+    Returns (states, at): the distinct states in order of appearance and,
+    for each step i = 0 .. n-1, the index at[i] of its state in states.
+    States are keyed by the hash of their bytes and matched on the bytes,
+    so -0.0 and 0.0 stay distinct.  When state i equals an earlier state
+    j bit for bit, step maps it to state j + 1 again, so the orbit replays
+    states j .. i-1 forever: state m >= j is states[j + (m - j) % (i - j)],
+    and nothing further is evaluated.
+    """
+    states: list[np.ndarray] = []
+    first: dict[int, int] = {}
+    vec = start
+    for i in range(n):
+        vec = step(vec)
+        data = vec.tobytes()
+        j = first.setdefault(hash(data), i)
+        if j != i and states[j].tobytes() == data:
+            period = i - j
+            return states, list(range(i)) + [j + (m - j) % period
+                                             for m in range(i, n)]
+        states.append(vec)
+    return states, list(range(n))
+
+
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
                  start: np.ndarray, n: int,
                  slack_rate: float = ITERATION_SLACK_RATE) -> list["ApproxElement"]:
@@ -227,17 +255,23 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
     multiplier p'(1) whenever the mean exponent exceeds 1, so rounding
     noise in the sum would grow exponentially; dividing it out projects
     back onto the invariant simplex without changing the dynamics.
+
+    The step is deterministic in float64, so p is evaluated only until
+    the first state that repeats an earlier one bit for bit; every later
+    y_k is read from the cycle that repeat closes (_float_orbit), which
+    is the value the evaluation would have produced.  Each step still
+    gets its own ApproxElement with slack slack_rate * k and its checks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    vec = np.asarray(start, dtype=np.float64)
-    out: list[ApproxElement] = []
-    for k in range(1, n + 1):
+
+    def step(vec: np.ndarray) -> np.ndarray:
         vec = evaluate_series_floats(group, terms, vec)
-        vec = vec / vec.sum()
-        out.append(ApproxElement(group=group, coeffs=vec,
-                                 slack=slack_rate * k))
-    return out
+        return vec / vec.sum()
+
+    states, at = _float_orbit(step, np.asarray(start, dtype=np.float64), n)
+    return [ApproxElement(group=group, coeffs=states[i], slack=slack_rate * k)
+            for k, i in enumerate(at, start=1)]
 
 
 def simplex_from_map(group: FiniteGroup,

@@ -10,6 +10,7 @@ domain objects, and every failure names the offending field.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,8 +162,8 @@ class ExperimentConfig:
                 tol = float(raw["tol"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError("tol: expected a number") from exc
-            if tol <= 0:
-                raise ConfigError(f"tol: must be positive, got {tol}")
+            if not 0 < tol < math.inf:
+                raise ConfigError(f"tol: must be positive and finite, got {tol}")
         return cls(group=group, element=element, series=series,
                    horizon=opt_int("horizon", 1), tol=tol,
                    truncation=opt_int("truncation", 1),

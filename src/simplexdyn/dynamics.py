@@ -145,28 +145,40 @@ def empirical_limit_set(x: SimplexPoint,
     too short to show each cluster at least three times in a periodic
     pattern, or holds no step at all, raises InconclusiveError rather
     than returning a guess.
+
+    Powers are multiplied out only until the first one that repeats an
+    earlier power bit for bit; later powers are read from the cycle that
+    repeat closes (algebra._float_orbit).  Each distinct power is
+    clustered once and its label reused at every later step that repeats
+    it.  That is exact: greedy first-match labelling only appends to the
+    representatives, so a repeat of a state would scan the same earlier
+    representatives, and match the same one, as its first occurrence did
+    (a new representative matches itself, since merge_tol >= 0).
     """
     if burn_in < 0 or horizon <= burn_in:
         raise ValueError(f"need 0 <= burn_in < horizon, got {burn_in}, {horizon}")
+    if not merge_tol >= 0:
+        raise ValueError(f"need merge_tol >= 0, got {merge_tol}")
     g = x.group
     xv = algebra.float_coeffs(x)
     right = xv[g.conv_index]
-    vec = xv
+    # at[k - 2] is the index in states of x^k, for k = 2 .. horizon.
+    states, at = algebra._float_orbit(lambda vec: vec @ right, xv, horizon - 1)
     reps: list[np.ndarray] = []
     rep_steps: list[int] = []
     labels: list[int] = []
-    for k in range(2, horizon + 1):
-        vec = vec @ right
-        if k <= burn_in:
-            continue
-        for idx, rep in enumerate(reps):
-            if np.abs(rep - vec).max() <= merge_tol:
-                labels.append(idx)
-                break
-        else:
-            reps.append(vec)
-            rep_steps.append(k)
-            labels.append(len(reps) - 1)
+    label_of: dict[int, int] = {}
+    for k in range(max(2, burn_in + 1), horizon + 1):
+        i = at[k - 2]
+        if i not in label_of:
+            vec = states[i]
+            label_of[i] = next(
+                (idx for idx, rep in enumerate(reps)
+                 if np.abs(rep - vec).max() <= merge_tol), len(reps))
+            if label_of[i] == len(reps):
+                reps.append(vec)
+                rep_steps.append(k)
+        labels.append(label_of[i])
 
     d = len(reps)
     window = len(labels)

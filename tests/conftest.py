@@ -6,7 +6,9 @@ every generated element and series lives in exact arithmetic and every
 test run is reproducible from its seed.
 """
 
+import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -98,3 +100,22 @@ def prob_polys(draw, max_exponent: int = 4, max_shift: int = 2) -> ProbPoly:
     total = sum(weights)
     return ProbPoly(tuple((e + shift, Fraction(w, total))
                           for e, w in zip(exponents, weights)))
+
+
+def count_calls(monkeypatch, *names) -> dict:
+    """Count calls of simplexdyn functions, named "module.function", wherever
+    a simplexdyn module holds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        modname, attr = name.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"simplexdyn.{modname}"), attr)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for holder_name, module in list(sys.modules.items()):
+            if (holder_name.split(".")[0] == "simplexdyn"
+                    and getattr(module, attr, None) is original):
+                monkeypatch.setattr(module, attr, counted)
+    return counts

@@ -12,12 +12,13 @@ from simplexdyn import (ProbPoly, add, delta, direct_product, make_cyclic,
                         format_rational, power, scale, simplex_from_map,
                         sup_distance, support, to_approx, uniform_on,
                         element_to_map)
-from simplexdyn.algebra import (AlgebraElement, ApproxElement, SimplexPoint,
-                                convolve_floats, evaluate_series_floats,
-                                float_coeffs, series_trace)
+from simplexdyn.algebra import (ITERATION_SLACK_RATE, AlgebraElement,
+                                ApproxElement, SimplexPoint, convolve_floats,
+                                evaluate_series_floats, float_coeffs,
+                                series_trace)
 from simplexdyn.groups import generated_subgroup
 
-from conftest import (build_zoo, prob_polys, random_simplex_point,
+from conftest import (build_zoo, count_calls, prob_polys, random_simplex_point,
                       signed_coeff_lists)
 
 
@@ -183,6 +184,50 @@ def test_series_trace_matches_exact_composition():
     for k in range(6):
         y = add(scale(half, power(y, 0)), scale(half, power(y, 2)))
         assert np.max(np.abs(float_coeffs(y) - trace[k].coeffs)) < 1e-12
+
+
+def plain_series_trace(g, terms, start, n) -> list[tuple[np.ndarray, float]]:
+    """(coefficients, slack) of y_1 .. y_n, one evaluation of p per step."""
+    vec, out = start, []
+    for k in range(1, n + 1):
+        vec = evaluate_series_floats(g, terms, vec)
+        vec = vec / vec.sum()
+        out.append((vec, ITERATION_SLACK_RATE * k))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ZOO_GROUPS),
+       st.one_of(prob_polys(), st.integers(0, 6).map(ProbPoly.pure_power)),
+       st.integers(0, 2 ** 32), st.integers(1, 400))
+@example(make_cyclic(6), ProbPoly.from_map({0: "4999/10000", 2: "5001/10000"}),
+         5, 400)
+def test_series_trace_matches_a_plain_loop(g, p, seed, n):
+    # The near-critical example never repeats a state within 400 steps, so
+    # it evaluates every step; most other orbits repeat within a few dozen.
+    start = float_coeffs(random_simplex_point(g, random.Random(seed)))
+    terms = [(e, float(c)) for e, c in p.terms]
+    got = series_trace(g, terms, start, n)
+    want = plain_series_trace(g, terms, start, n)
+    assert len(got) == n
+    for y, (coeffs, slack) in zip(got, want):
+        assert y.coeffs.tobytes() == coeffs.tobytes()
+        assert y.slack == slack
+
+
+def test_series_trace_stops_evaluating_at_the_first_repeat(monkeypatch):
+    # The C12 worked example: t^1 under (t^3 + t^7)/2 falls, bit for bit,
+    # onto the cycle between the uniform points on the cosets t^3<t^4> and
+    # t^1<t^4> by step 6.
+    g = make_cyclic(12)
+    counts = count_calls(monkeypatch, "algebra.evaluate_series_floats")
+    trace = series_trace(g, [(3, 0.5), (7, 0.5)], float_coeffs(delta(g, 1)),
+                         10_000)
+    assert counts["algebra.evaluate_series_floats"] < 20
+    assert len(trace) == 10_000
+    assert trace[-1].slack == ITERATION_SLACK_RATE * 10_000
+    assert trace[-1].coeffs.tobytes() == trace[-3].coeffs.tobytes()
+    assert trace[-1].coeffs.tobytes() != trace[-2].coeffs.tobytes()
 
 
 def test_approx_element_validation():

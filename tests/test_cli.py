@@ -3,15 +3,14 @@
 import csv
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-import importlib
-
 from simplexdyn import parse_rational
 from simplexdyn.cli import main
+
+from conftest import count_calls
 
 EXAMPLE_12 = {
     "group": {"kind": "cyclic", "n": 12},
@@ -114,25 +113,6 @@ def test_limit_set_empty_window_is_inconclusive(tmp_path, capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
-def count_calls(monkeypatch, *names) -> dict:
-    """Count calls of simplexdyn functions, named "module.function", wherever
-    a simplexdyn module holds them."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        modname, attr = name.rsplit(".", 1)
-        original = getattr(importlib.import_module(f"simplexdyn.{modname}"), attr)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for holder_name, module in list(sys.modules.items()):
-            if (holder_name.split(".")[0] == "simplexdyn"
-                    and getattr(module, attr, None) is original):
-                monkeypatch.setattr(module, attr, counted)
-    return counts
-
-
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_series_commands_solve_the_quotient_once(command, tmp_path, capsys,
                                                  monkeypatch):
@@ -172,6 +152,16 @@ def test_pure_power_verify_walks_the_cycle_once(capsys, monkeypatch):
     assert counts["algebra.multiply"] <= 8
     assert counts["dynamics.profile"] <= 3
     assert counts["dynamics.cycle_points"] == 1
+
+
+def test_verify_rejects_a_nan_tolerance(capsys):
+    # Every deviation compares False against NaN, so a NaN tol once made
+    # the regular oracle fail while the limit-set oracle passed.
+    code, out, err = run(capsys, "verify", "--config",
+                         str(GOLDEN / "c10-regular.json"), "--tol", "nan")
+    assert code == 1
+    assert out == ""
+    assert "tol: must be positive and finite, got nan" in err
 
 
 def test_iterate_csv_shape(tmp_path, capsys):

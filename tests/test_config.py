@@ -99,8 +99,9 @@ def test_from_dict_validates_numbers():
     base = {"group": {"kind": "cyclic", "n": 2}}
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({**base, "horizon": 0})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({**base, "tol": -1.0})
+    for tol in (-1.0, 0.0, "nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="tol"):
+            ExperimentConfig.from_dict({**base, "tol": tol})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({**base, "burn_in": -5})
 

@@ -3,15 +3,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from simplexdyn import (InconclusiveError, InternalConsistencyError, delta,
-                        empirical_limit_set,
+                        direct_product, empirical_limit_set,
                         limit_set, make_cyclic, make_dihedral, make_symmetric,
                         match_accumulation_sets, multiply, power, power_rank,
                         profile, reduce, reduce_to_stable, simplex_from_map,
                         support, sup_distance, to_approx, uniform_on)
-from simplexdyn.dynamics import AccumulationSet, exact_rank
+from simplexdyn.algebra import ITERATION_SLACK_RATE, float_coeffs
+from simplexdyn.dynamics import DEFAULT_MERGE_TOL, AccumulationSet, exact_rank
 
 from conftest import build_zoo, random_simplex_point
 
@@ -95,6 +97,84 @@ def test_empirical_limit_set_inconclusive_window():
     g = make_cyclic(12)
     with pytest.raises(InconclusiveError):
         empirical_limit_set(delta(g, 1), burn_in=4, horizon=12)
+
+
+def plain_limit_set(x, burn_in, horizon):
+    """The power oracle as one multiply and one cluster scan per step:
+    returns (coefficient bytes, slack) per cluster, or the message and
+    iteration count of the InconclusiveError it would raise."""
+    g = x.group
+    xv = float_coeffs(x)
+    right = xv[g.conv_index]
+    vec = xv
+    reps, rep_steps, labels = [], [], []
+    for k in range(2, horizon + 1):
+        vec = vec @ right
+        if k <= burn_in:
+            continue
+        for idx, rep in enumerate(reps):
+            if np.abs(rep - vec).max() <= DEFAULT_MERGE_TOL:
+                labels.append(idx)
+                break
+        else:
+            reps.append(vec)
+            rep_steps.append(k)
+            labels.append(len(reps) - 1)
+    d = len(reps)
+    window = len(labels)
+    periodic = all(labels[i + d] == labels[i] for i in range(window - d))
+    if not reps or window < 3 * d or not periodic:
+        return (f"power trace did not stabilize into clusters by step {horizon} "
+                f"({d} clusters over a window of {window})", horizon)
+    return [(rep.tobytes(), ITERATION_SLACK_RATE * step)
+            for rep, step in zip(reps, rep_steps)]
+
+
+def _interior(g, seed):
+    return random_simplex_point(g, random.Random(seed), support_size=g.order)
+
+
+def _c12_coset():
+    return simplex_from_map(make_cyclic(12), {"t^1": "1/3", "t^5": "2/3"})
+
+
+def _d60_pair():
+    return simplex_from_map(make_dihedral(30), {"r1": "1/2", "s0": "1/2"})
+
+
+# Each case: the point, burn-in, horizon, and the number of clusters (None
+# when the oracle is inconclusive).
+POWER_ORACLE_CASES = {
+    "D4 interior": (lambda: _interior(make_dihedral(4), 3), 200, 600, 1),
+    "C2xC2 interior": (lambda: _interior(
+        direct_product(make_cyclic(2), make_cyclic(2)), 4), 200, 600, 1),
+    # Period 4 on the cosets of <t^4>.
+    "C12 coset": (_c12_coset, 200, 600, 4),
+    # x^46 repeats x^2 bit for bit, long before the burn-in ends.
+    "C44 point mass": (lambda: delta(make_cyclic(44), 1), 200, 600, 44),
+    # The powers first repeat at step 1,545 (a 2-cycle from step 1,543), so
+    # at 600 steps every step is multiplied out and the oracle stays
+    # inconclusive; past the repeat it finds the two clusters.
+    "D60 pair": (_d60_pair, 200, 600, None),
+    "D60 pair, long": (_d60_pair, 2500, 3100, 2),
+    "no burn-in": (lambda: delta(make_cyclic(44), 1), 0, 200, 44),
+    "no burn-in, short": (_c12_coset, 0, 60, None),
+    "one-step window": (lambda: _interior(make_dihedral(4), 3), 30, 31, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POWER_ORACLE_CASES))
+def test_empirical_limit_set_matches_a_plain_loop(case):
+    build, burn_in, horizon, clusters = POWER_ORACLE_CASES[case]
+    x = build()
+    want = plain_limit_set(x, burn_in, horizon)
+    assert isinstance(want, tuple) if clusters is None else len(want) == clusters
+    try:
+        got = empirical_limit_set(x, burn_in=burn_in, horizon=horizon)
+    except InconclusiveError as exc:
+        assert (str(exc), exc.iterations) == want
+    else:
+        assert [(pt.coeffs.tobytes(), pt.slack) for pt in got.points] == want
 
 
 def test_reduction_shrinks_return_time():
