@@ -10,13 +10,14 @@ an explicit slack bound instead of pretending to be exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .groups import ElementSet, FiniteGroup
+from .record import Record
 from .series import _exact_product, _numerators, _power_sum
 
 DEFAULT_APPROX_SLACK = 1e-12
@@ -43,20 +44,24 @@ def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
         raise ValueError(f"{what} requires elements of the same group")
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """An element sum_g x_g * g of R[G], as a dense exact coefficient vector."""
 
-    group: FiniteGroup
-    coeffs: tuple[Fraction, ...]
+    _fields = ("group", "coeffs")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                       for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.group.order:
+    def __init__(self, group: FiniteGroup, coeffs: Sequence[RationalLike]) -> None:
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        if len(coeffs) != group.order:
             raise ValueError(
-                f"expected {self.group.order} coefficients, got {len(coeffs)}")
+                f"expected {group.order} coefficients, got {len(coeffs)}")
+        self._set(group=group, coeffs=coeffs)
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """The coefficients as one read-only float64 vector, converted once."""
+        vec = np.array([float(c) for c in self.coeffs])
+        vec.setflags(write=False)
+        return vec
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i]
@@ -70,8 +75,8 @@ class AlgebraElement:
 class SimplexPoint(AlgebraElement):
     """A probability distribution on G: coefficients >= 0 summing to exactly 1."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, group: FiniteGroup, coeffs: Sequence[RationalLike]) -> None:
+        super().__init__(group, coeffs)
         u, den = _numerators(c for c in self.coeffs if c)
         if any(n < 0 for n in u):
             raise ValueError("simplex point has a negative coefficient")
@@ -80,34 +85,39 @@ class SimplexPoint(AlgebraElement):
                              f"{Fraction(sum(u), den)}, not 1")
 
 
-@dataclass(frozen=True, eq=False)
-class ApproxElement:
+class ApproxElement(Record):
     """Float coefficient vector with an explicit slack bound.
 
     Invariants: sum(coeffs) within [1 - slack, 1 + slack] and every
-    coefficient >= -slack.
+    coefficient >= -slack.  Compares by identity.
     """
 
-    group: FiniteGroup
-    coeffs: np.ndarray
-    slack: float = DEFAULT_APPROX_SLACK
+    _fields = ("group", "coeffs", "slack")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.coeffs, dtype=np.float64)
+    def __init__(self, group: FiniteGroup, coeffs,
+                 slack: float = DEFAULT_APPROX_SLACK) -> None:
+        vec = np.asarray(coeffs, dtype=np.float64)
         vec.setflags(write=False)
-        object.__setattr__(self, "coeffs", vec)
-        if vec.shape != (self.group.order,):
+        if vec.shape != (group.order,):
             raise ValueError(
-                f"expected {self.group.order} coefficients, got shape {vec.shape}")
-        if self.slack < 0:
+                f"expected {group.order} coefficients, got shape {vec.shape}")
+        if slack < 0:
             raise ValueError("slack must be nonnegative")
-        total = float(vec.sum())
-        if not (1 - self.slack <= total <= 1 + self.slack):
+        # The ufunc reductions give vec.sum() and vec.min() bit for bit,
+        # without their Python-level wrappers: this runs once per oracle step.
+        total = float(np.add.reduce(vec))
+        if not (1 - slack <= total <= 1 + slack):
             raise ValueError(
-                f"coefficient sum {total} outside 1 +/- {self.slack}")
-        if vec.size and float(vec.min()) < -self.slack:
+                f"coefficient sum {total} outside 1 +/- {slack}")
+        if vec.size and float(np.minimum.reduce(vec)) < -slack:
             raise ValueError(
-                f"coefficient {float(vec.min())} below -slack {-self.slack}")
+                f"coefficient {float(vec.min())} below -slack {-slack}")
+        # Not _set: per oracle step, each call counts.
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", vec)
+        object.__setattr__(self, "slack", slack)
 
 
 def delta(group: FiniteGroup, i: int) -> SimplexPoint:
@@ -181,7 +191,7 @@ def scale(q: RationalLike, x: AlgebraElement) -> AlgebraElement:
 
 
 def to_approx(x: AlgebraElement, slack: float = DEFAULT_APPROX_SLACK) -> ApproxElement:
-    return ApproxElement(x.group, np.array([float(c) for c in x.coeffs]), slack)
+    return ApproxElement(x.group, x.floats, slack)
 
 
 def sup_distance(a: ApproxElement | AlgebraElement,
@@ -192,9 +202,9 @@ def sup_distance(a: ApproxElement | AlgebraElement,
 
 
 def float_coeffs(x: ApproxElement | AlgebraElement) -> np.ndarray:
-    if isinstance(x, ApproxElement):
-        return x.coeffs
-    return np.array([float(c) for c in x.coeffs])
+    """The read-only float64 coefficient vector of x; for an exact element
+    it is computed on first use and then shared."""
+    return x.coeffs if isinstance(x, ApproxElement) else x.floats
 
 
 def convolve_floats(group: FiniteGroup, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:

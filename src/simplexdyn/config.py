@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .algebra import SimplexPoint, delta, parse_rational, simplex_from_map
 from .groups import (FiniteGroup, direct_product, make_cyclic, make_dihedral,
                      make_symmetric, read_cayley_csv)
+from .record import Record
 from .series import ProbPoly
 
 RANDOM_WEIGHT_MAX = 20
@@ -118,18 +118,18 @@ def build_series(spec, where: str = "series") -> ProbPoly:
     raise ConfigError(f"{where}: expected a map or 'pure-power:<r>'")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Validated experiment: group, optional element and series, parameters."""
 
-    group: FiniteGroup
-    element: SimplexPoint | None
-    series: ProbPoly | None
-    horizon: int | None
-    tol: float | None
-    truncation: int | None
-    seed: int | None
-    burn_in: int | None
+    _fields = ("group", "element", "series", "horizon", "tol", "truncation",
+               "seed", "burn_in")
+
+    def __init__(self, group: FiniteGroup, element: SimplexPoint | None,
+                 series: ProbPoly | None, horizon: int | None, tol: float | None,
+                 truncation: int | None, seed: int | None,
+                 burn_in: int | None) -> None:
+        self._set(group=group, element=element, series=series, horizon=horizon,
+                  tol=tol, truncation=truncation, seed=seed, burn_in=burn_in)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":

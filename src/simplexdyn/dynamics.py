@@ -19,7 +19,6 @@ cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -29,46 +28,48 @@ from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint, multipl
                       support, uniform_on)
 from .errors import InconclusiveError, InternalConsistencyError
 from .groups import ElementSet, FiniteGroup, generated_subgroup
+from .record import Record
 
 DEFAULT_BURN_IN = 200
 DEFAULT_HORIZON = 600
 DEFAULT_MERGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DynamicsProfile:
-    return_time: int
-    period: int
-    support_group: ElementSet
-    idempotent: SimplexPoint
-    point: SimplexPoint = field(repr=False)
+class DynamicsProfile(Record):
+    """The cycle invariants of the point x (see the module doc)."""
 
-    def __post_init__(self) -> None:
-        if self.return_time % self.period:
+    _fields = ("return_time", "period", "support_group", "idempotent", "point")
+
+    def __init__(self, return_time: int, period: int, support_group: ElementSet,
+                 idempotent: SimplexPoint, point: SimplexPoint) -> None:
+        if return_time % period:
             raise InternalConsistencyError(
-                f"period {self.period} does not divide return time {self.return_time}")
+                f"period {period} does not divide return time {return_time}")
+        self._set(return_time=return_time, period=period,
+                  support_group=support_group, idempotent=idempotent, point=point)
+
+    def __repr__(self) -> str:
+        return self._format(self._fields[:-1])  # the point itself stays out
 
 
-@dataclass(frozen=True)
-class AccumulationSet:
+class AccumulationSet(Record):
     """Limit points of an iteration, exact (closed_form) or float (empirical).
 
     Closed-form points are pairwise distinct, checked by hashing their
     exact coefficients.
     """
 
-    points: tuple
-    source: str  # "closed_form" | "empirical"
+    _fields = ("points", "source")
 
-    def __post_init__(self) -> None:
-        if self.source != "closed_form":
-            return
-        first: dict[tuple, int] = {}
-        for j, pt in enumerate(self.points):
-            i = first.setdefault(pt.coeffs, j)
-            if i != j:
-                raise InternalConsistencyError(
-                    f"accumulation points {i} and {j} coincide")
+    def __init__(self, points: tuple, source: str) -> None:
+        if source == "closed_form":
+            first: dict[tuple, int] = {}
+            for j, pt in enumerate(points):
+                i = first.setdefault(pt.coeffs, j)
+                if i != j:
+                    raise InternalConsistencyError(
+                        f"accumulation points {i} and {j} coincide")
+        self._set(points=points, source=source)
 
     def __len__(self) -> int:
         return len(self.points)

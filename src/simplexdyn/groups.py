@@ -12,21 +12,19 @@ is O(n^2 log n) time and O(n^2) memory.
 
 from __future__ import annotations
 
-import csv
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InternalConsistencyError
+from .record import Record
 
 MAX_SYMMETRIC_DEGREE = 6
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group presented by its Cayley table.
 
     Fields:
@@ -41,14 +39,12 @@ class FiniteGroup:
     test.  Groups are equal when labels, identity and table agree.
     """
 
-    order: int
-    labels: tuple[str, ...]
-    table: np.ndarray
-    identity: int
-    inverses: tuple[int, ...]
+    _fields = ("order", "labels", "table", "identity", "inverses")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _as_table(self.table))
+    def __init__(self, order: int, labels: tuple[str, ...], table,
+                 identity: int, inverses: tuple[int, ...]) -> None:
+        self._set(order=order, labels=labels, table=_as_table(table),
+                  identity=identity, inverses=inverses)
         _validate_group(self)
 
     @cached_property
@@ -98,21 +94,18 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, identity={self.labels[self.identity]!r})"
 
 
-@dataclass(frozen=True)
-class ElementSet:
+class ElementSet(Record):
     """A duplicate-free, sorted set of element indices of one group."""
 
-    group: FiniteGroup
-    members: tuple[int, ...]
+    _fields = ("group", "members")
 
-    def __post_init__(self) -> None:
-        mem = tuple(sorted(set(self.members)))
-        if mem != self.members:
-            object.__setattr__(self, "members", mem)
-        for i in self.members:
-            if not 0 <= i < self.group.order:
+    def __init__(self, group: FiniteGroup, members: tuple[int, ...]) -> None:
+        mem = tuple(sorted(set(members)))
+        for i in mem:
+            if not 0 <= i < group.order:
                 raise ValueError(
-                    f"element index {i} out of range for group of order {self.group.order}")
+                    f"element index {i} out of range for group of order {group.order}")
+        self._set(group=group, members=mem)
 
     def __contains__(self, i: int) -> bool:
         return i in self._member_set
@@ -275,20 +268,21 @@ def make_symmetric(n: int) -> FiniteGroup:
         raise ValueError(
             f"symmetric degree must be in 1..{MAX_SYMMETRIC_DEGREE}, got {n}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    # Base-n digits read left to right order codes like the permutations.
+    inverse_perms = np.argsort(perms, axis=1)
+    # A permutation's code is its images read as base-n digits w_k = n^(n-1-k);
+    # index maps each of the n^n codes back to the permutation's rank.
     weights = n ** np.arange(n - 1, -1, -1)
-    codes = perms @ weights
-
-    def rank(images: np.ndarray) -> np.ndarray:
-        return np.searchsorted(codes, images @ weights)
-
-    composed = perms[np.arange(len(perms))[:, None, None], perms[None, :, :]]
+    index = np.zeros(n ** n, dtype=np.intp)
+    index[perms @ weights] = np.arange(len(perms))
+    # The code of g_i g_j is sum_k w_k g_i(g_j(k)) = sum_m g_i(m) w_(g_j^-1(m)):
+    # one n! x n! integer product, no (n!, n!, n) array of composed images.
+    codes = perms @ weights[inverse_perms].T
     return FiniteGroup(
         order=len(perms),
         labels=tuple(_cycle_label(p) for p in perms.tolist()),
-        table=rank(composed),
+        table=index[codes],
         identity=0,
-        inverses=tuple(rank(np.argsort(perms, axis=1)).tolist()),
+        inverses=tuple(index[inverse_perms @ weights].tolist()),
     )
 
 
@@ -332,6 +326,8 @@ def from_cayley_table(table: Sequence[Sequence[int]],
 
 def read_cayley_csv(path: str) -> FiniteGroup:
     """Ingest a Cayley table CSV: a header row of labels, then n rows of n labels."""
+    import csv  # only this reader needs it; keeps it out of every CLI start-up
+
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:

@@ -12,7 +12,6 @@ that subgroup; a direct float iteration is kept alongside as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra
@@ -20,13 +19,13 @@ from .algebra import ApproxElement, SimplexPoint
 from .dynamics import AccumulationSet
 from .errors import InternalConsistencyError, PurePowerError
 from .groups import ElementSet, generated_subgroup, make_cyclic
+from .record import Record
 from .series import ProbPoly, extinction_value
 
 EXTINCTION_SNAP_DENOMINATOR = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ResidueCycle:
+class ResidueCycle(Record):
     """Eventual cycle of the sequence r^n mod m, n counted from 1.
 
     residues[i] is r^(preperiod+1+i) mod m, the cycle in order of first
@@ -34,26 +33,25 @@ class ResidueCycle:
     (n - preperiod - 1) mod d.
     """
 
-    modulus: int
-    base: int
-    preperiod: int
-    residues: tuple[int, ...]
+    _fields = ("modulus", "base", "preperiod", "residues")
 
-    def __post_init__(self) -> None:
-        m, r = self.modulus, self.base
+    def __init__(self, modulus: int, base: int, preperiod: int,
+                 residues: tuple[int, ...]) -> None:
+        m, r = modulus, base
         if m < 1:
             raise ValueError("modulus must be >= 1")
-        if r < 0 or self.preperiod < 0 or not self.residues:
+        if r < 0 or preperiod < 0 or not residues:
             raise ValueError("malformed residue cycle")
-        if len(set(self.residues)) != len(self.residues):
+        if len(set(residues)) != len(residues):
             raise ValueError("cycle residues must be pairwise distinct")
-        d = len(self.residues)
-        for i, res in enumerate(self.residues):
-            n = self.preperiod + 1 + i
+        d = len(residues)
+        for i, res in enumerate(residues):
+            n = preperiod + 1 + i
             if pow(r, n, m) != res or pow(r, n + d, m) != res:
                 raise ValueError(f"residue {res} at slot {i} breaks the cycle")
-        if self.preperiod and pow(r, self.preperiod, m) == pow(r, self.preperiod + d, m):
+        if preperiod and pow(r, preperiod, m) == pow(r, preperiod + d, m):
             raise ValueError("preperiod is not minimal")
+        self._set(modulus=modulus, base=base, preperiod=preperiod, residues=residues)
 
     @property
     def d(self) -> int:
@@ -107,27 +105,25 @@ def series_group(p: ProbPoly, m: int) -> ElementSet:
     return expected
 
 
-@dataclass(frozen=True)
-class ModMReport:
+class ModMReport(Record):
     """Limit data of p^[n] on R[Z_m]: existence, limit, accumulation, Cesaro,
     and the exact extinction value a that every closed form carries."""
 
-    m: int
-    series_group: ElementSet
-    cycle: ResidueCycle
-    exists: bool
-    limit: SimplexPoint | None
-    accumulation: AccumulationSet
-    cesaro: SimplexPoint
-    a: Fraction
+    _fields = ("m", "series_group", "cycle", "exists", "limit", "accumulation",
+               "cesaro", "a")
 
-    def __post_init__(self) -> None:
-        if self.exists != (self.limit is not None):
+    def __init__(self, m: int, series_group: ElementSet, cycle: ResidueCycle,
+                 exists: bool, limit: SimplexPoint | None,
+                 accumulation: AccumulationSet, cesaro: SimplexPoint,
+                 a: Fraction) -> None:
+        if exists != (limit is not None):
             raise ValueError("limit must be present exactly when the limit exists")
-        if self.cycle.modulus != self.m:
+        if cycle.modulus != m:
             raise ValueError("cycle modulus disagrees with report modulus")
-        if self.exists and len(self.accumulation) != 1:
+        if exists and len(accumulation) != 1:
             raise ValueError("a convergent trace has a single accumulation point")
+        self._set(m=m, series_group=series_group, cycle=cycle, exists=exists,
+                  limit=limit, accumulation=accumulation, cesaro=cesaro, a=a)
 
 
 def extinction_correction(coeffs: list[Fraction], identity: int,

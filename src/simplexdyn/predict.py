@@ -25,7 +25,6 @@ float-iteration oracle is provided separately for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,6 +38,7 @@ from .dynamics import (AccumulationSet, DynamicsProfile, cycle_points, profile,
 from .errors import InternalConsistencyError, PurePowerError
 from .modm import (ModMReport, extinction_correction, regularity_mod_m,
                    residue_cycle)
+from .record import Record
 from .series import ProbPoly
 
 REGULAR_HORIZON = 500
@@ -46,33 +46,32 @@ CESARO_HORIZON = 2000
 SCALAR_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Record):
     """Everything the closed forms say about lim p^[n](x).
 
     scalar_limits holds the per-residue mass limits L_0 .. L_{m-1} (the
     Cesaro versions for a Cesaro report); they are present only when the
-    reported limit exists.
+    reported limit exists.  diagnostics defaults to a new empty dict.
     """
 
-    digest: dict
-    profile: DynamicsProfile
-    reduction_steps: int
-    exists: bool
-    limit: SimplexPoint | None
-    accumulation: AccumulationSet
-    cesaro: SimplexPoint
-    a: float
-    scalar_limits: tuple[float, ...] | None
-    diagnostics: dict = field(default_factory=dict)
+    _fields = ("digest", "profile", "reduction_steps", "exists", "limit",
+               "accumulation", "cesaro", "a", "scalar_limits", "diagnostics")
 
-    def __post_init__(self) -> None:
-        if self.exists != (self.limit is not None):
+    def __init__(self, digest: dict, profile: DynamicsProfile, reduction_steps: int,
+                 exists: bool, limit: SimplexPoint | None,
+                 accumulation: AccumulationSet, cesaro: SimplexPoint, a: float,
+                 scalar_limits: tuple[float, ...] | None,
+                 diagnostics: dict | None = None) -> None:
+        if exists != (limit is not None):
             raise ValueError("limit must be present exactly when exists is true")
-        if self.scalar_limits is not None:
-            total = sum(self.scalar_limits)
+        if scalar_limits is not None:
+            total = sum(scalar_limits)
             if abs(total - 1.0) > SCALAR_SUM_TOL:
                 raise ValueError(f"scalar limits sum to {total}, not 1")
+        self._set(digest=digest, profile=profile, reduction_steps=reduction_steps,
+                  exists=exists, limit=limit, accumulation=accumulation,
+                  cesaro=cesaro, a=a, scalar_limits=scalar_limits,
+                  diagnostics={} if diagnostics is None else diagnostics)
 
 
 def _digest(series_label: str, x: SimplexPoint) -> dict:

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InconclusiveError, InternalConsistencyError, PurePowerError
+from .record import Record
 
 TRUNCATION_FACTOR = 64
 TRUNCATION_CAP = 4096
@@ -52,20 +52,19 @@ FLOAT_TAIL_SLACK = 1e-12
 FLOAT_A0_CHECK = 1e-12
 
 
-@dataclass(frozen=True)
-class ProbPoly:
+class ProbPoly(Record):
     """Probability polynomial: sorted (exponent, coefficient) terms.
 
     Coefficients are exact rationals in (0, 1) summing to 1, except for a
     pure power t^r whose single coefficient is 1.
     """
 
-    terms: tuple[tuple[int, Fraction], ...]
+    _fields = ("terms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Iterable[tuple[int, Fraction | int | str]]) -> None:
         cleaned = []
         seen = set()
-        for exponent, coeff in self.terms:
+        for exponent, coeff in terms:
             e = int(exponent)
             c = Fraction(coeff)
             if e < 0:
@@ -86,7 +85,7 @@ class ProbPoly:
             raise ValueError(f"coefficients sum to {total}, not 1")
         if len(cleaned) > 1 and any(c == 1 for _, c in cleaned):
             raise ValueError("coefficient 1 only allowed for a pure power")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        self._set(terms=tuple(cleaned))
 
     @classmethod
     def from_map(cls, mapping: Mapping[int | str, Fraction | int | str]) -> "ProbPoly":
@@ -150,29 +149,27 @@ def default_truncation(p: ProbPoly) -> int:
     return max(1, min(p.degree * TRUNCATION_FACTOR, TRUNCATION_CAP))
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffState:
+class CoeffState(Record):
     """Coefficients a^[n]_0 .. a^[n]_K of the n-th iterate, plus tail mass.
 
     coeffs is one read-only ndarray of K + 1 entries: Fractions (dtype
     object) in exact mode, float64 otherwise; tail_mass, the mass beyond
     degree K, is stored in the same dtype.  mode and truncation are read
-    off the array.
+    off the array.  Compares by identity.
     """
 
-    n: int
-    coeffs: np.ndarray
-    tail_mass: object
+    _fields = ("n", "coeffs", "tail_mass")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.coeffs)
+    def __init__(self, n: int, coeffs, tail_mass) -> None:
+        vec = np.asarray(coeffs)
         if vec.dtype != object:
             vec = vec.astype(np.float64, copy=False)
         if vec.ndim != 1 or vec.size < 2:
             raise ValueError("truncation must hold at least degree 1")
         vec.setflags(write=False)
-        object.__setattr__(self, "coeffs", vec)
-        object.__setattr__(self, "tail_mass", vec.dtype.type(self.tail_mass))
+        self._set(n=n, coeffs=vec, tail_mass=vec.dtype.type(tail_mass))
         coeff_slack, tail_slack, _ = self.slack
         if vec.min() < -coeff_slack:
             raise ValueError(f"negative coefficient {vec.min()} in state")

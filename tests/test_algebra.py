@@ -124,6 +124,17 @@ def test_sup_distance_mixed_kinds():
     assert sup_distance(to_approx(x), to_approx(y)) == pytest.approx(0.25)
 
 
+def test_float_coeffs_of_an_exact_element_is_one_read_only_vector():
+    x = random_simplex_point(make_dihedral(5), random.Random(11))
+    vec = float_coeffs(x)
+    assert float_coeffs(x) is vec
+    assert vec.dtype == np.float64 and not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 0.0
+    assert vec.tobytes() == np.array([float(c) for c in x.coeffs]).tobytes()
+    assert to_approx(x).coeffs.tobytes() == vec.tobytes()
+
+
 def test_convolve_floats_matches_exact():
     rng = random.Random(3)
     g = make_dihedral(4)
