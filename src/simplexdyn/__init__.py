@@ -15,7 +15,7 @@ from .algebra import (AlgebraElement, ApproxElement, SimplexPoint, add, delta,
 from .config import ConfigError, ExperimentConfig
 from .dynamics import (AccumulationSet, DynamicsProfile, empirical_limit_set,
                        limit_set, match_accumulation_sets, power_rank, profile,
-                       reduce, reduce_to_stable)
+                       reduce_to_stable)
 from .errors import (InconclusiveError, InternalConsistencyError,
                      PurePowerError)
 from .groups import (ElementSet, FiniteGroup, direct_product, from_cayley_table,
@@ -46,7 +46,7 @@ __all__ = [
     "limit_set", "make_cyclic", "make_dihedral", "make_symmetric",
     "match_accumulation_sets", "multiply", "parse_rational", "power",
     "power_rank", "profile", "pure_power_report", "recursion_coeffs",
-    "reduce", "reduce_to_stable", "regular_limit", "regularity_mod_m",
+    "reduce_to_stable", "regular_limit", "regularity_mod_m",
     "residue_cycle", "scale", "series_group", "simplex_from_map",
     "sup_distance", "support", "to_approx", "uniform_on",
 ]

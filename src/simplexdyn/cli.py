@@ -21,9 +21,9 @@ from . import algebra, dynamics, series as scalar
 from .algebra import ApproxElement, element_to_map, multiply, sup_distance
 from .config import ConfigError, ExperimentConfig
 from .dynamics import (DEFAULT_BURN_IN, DEFAULT_HORIZON, AccumulationSet,
-                       cycle_points, empirical_limit_set, limit_set,
-                       match_accumulation_sets, power_rank, profile)
-from .errors import InconclusiveError, InternalConsistencyError, PurePowerError
+                       empirical_limit_set, limit_set, match_accumulation_sets,
+                       power_rank, profile)
+from .errors import InconclusiveError, InternalConsistencyError
 from .predict import (CESARO_HORIZON, REGULAR_HORIZON, LimitReport, analyze,
                       empirical_cesaro, iterate_map, pure_power_report)
 
@@ -117,7 +117,7 @@ def cmd_profile(cfg: ExperimentConfig, args) -> int:
 
 def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
-    closed = limit_set(x)
+    closed = limit_set(profile(x))
     horizon, burn_in = _power_window(cfg)
     payload = {"closed_form": [_point_record(pt) for pt in closed.points]}
     try:
@@ -144,10 +144,10 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
         if r < 2:
             raise ConfigError(
                 f"series: pure-power prediction needs exponent >= 2, got {r}")
-        rep = pure_power_report(r, x)
+        rep = pure_power_report(r, profile(x))
         _emit_json(args, {"kind": "pure-power", "report": _report_record(rep)})
         return EXIT_OK
-    regular, cesaro = analyze(p, x)
+    regular, cesaro = analyze(p, profile(x))
     _emit_json(args, {
         "kind": "series",
         "regular": _report_record(regular),
@@ -176,7 +176,7 @@ def cmd_iterate(cfg: ExperimentConfig, args) -> int:
 def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
     p = cfg.require_series()
-    _, rep = analyze(p, x)
+    _, rep = analyze(p, profile(x))
     horizon = cfg.horizon or CESARO_HORIZON
     burn_in = (cfg.burn_in if cfg.burn_in is not None
                else _cesaro_burn_in(horizon, rep.diagnostics["cycle_d"]))
@@ -221,19 +221,18 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
 
     prof = profile(x)
     c = prof.idempotent
-    y = multiply(x, c)
+    prof_y = prof.absorbed
     record("profile-consistency",
            prof.return_time % prof.period == 0
            and multiply(c, c) == c
-           and multiply(c, x) == y,
+           and multiply(c, x) == prof_y.point,
            f"return_time={prof.return_time} period={prof.period}")
-    record("power-independence", power_rank(x) == prof.return_time,
+    record("power-independence", power_rank(prof) == prof.return_time,
            f"rank of {prof.return_time} power vectors")
-    closed = AccumulationSet(points=tuple(cycle_points(prof)), source="closed_form")
+    closed = AccumulationSet(points=prof.cycle, source="closed_form")
     wrapped = multiply(closed.points[-1], x)
     record("limit-cycle-wraps", wrapped == closed.points[0],
            f"{len(closed)} points on the cycle")
-    prof_y = profile(y)
     ok4 = prof_y.return_time <= prof.period <= prof.return_time
     if prof_y.return_time == prof.return_time:
         ok4 = ok4 and prof.return_time == prof.period == prof_y.period
@@ -261,7 +260,7 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
         if p.shift < 2:
             raise ConfigError(
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
-        rep = pure_power_report(p.shift, x, prof, closed.points)
+        rep = pure_power_report(p.shift, prof)
         hits = [False] * len(rep.accumulation)
         for approx in iterate_map(p, x, max(12, 3 * prof.period)):
             dists = [sup_distance(approx, pt) for pt in rep.accumulation.points]
@@ -273,7 +272,7 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
         return checks
 
     critical = p.shift == 0 and p.mean_exponent == 1
-    reg, ces = analyze(p, x)
+    reg, ces = analyze(p, prof)
     if critical:
         checks.append({
             "name": "regular-oracle", "status": "inconclusive",
@@ -383,10 +382,10 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("config: expected a JSON object")
     if args.seed is not None:
         element = raw.get("element")
-        if isinstance(element, str) and element.startswith("interior-random:"):
-            raw["element"] = f"interior-random:{args.seed}"
-        else:
-            raw["seed"] = args.seed
+        if not (isinstance(element, str) and element.startswith("interior-random:")):
+            raise ConfigError("--seed: only an 'interior-random:<seed>' element "
+                              "takes a seed")
+        raw["element"] = f"interior-random:{args.seed}"
     for name in ("horizon", "tol", "truncation"):
         value = getattr(args, name)
         if value is not None:
@@ -399,9 +398,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, PurePowerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -28,17 +28,28 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+def _as_int(value, where: str) -> int:
+    """An int, an integral float or a numeral string; never a bool."""
+    if not isinstance(value, bool) and (not isinstance(value, float)
+                                        or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
 def build_group(spec, where: str = "group") -> FiniteGroup:
     if not isinstance(spec, Mapping):
         raise ConfigError(f"{where}: expected an object with a 'kind' field")
     kind = spec.get("kind")
     try:
         if kind == "cyclic":
-            return make_cyclic(int(spec["n"]))
+            return make_cyclic(_as_int(spec["n"], f"{where}.n"))
         if kind == "dihedral":
-            return make_dihedral(int(spec["n"]))
+            return make_dihedral(_as_int(spec["n"], f"{where}.n"))
         if kind == "symmetric":
-            return make_symmetric(int(spec["n"]))
+            return make_symmetric(_as_int(spec["n"], f"{where}.n"))
         if kind == "product":
             factors = spec["factors"]
             if not isinstance(factors, list) or len(factors) < 2:
@@ -122,21 +133,19 @@ class ExperimentConfig(Record):
     """Validated experiment: group, optional element and series, parameters."""
 
     _fields = ("group", "element", "series", "horizon", "tol", "truncation",
-               "seed", "burn_in")
+               "burn_in")
 
     def __init__(self, group: FiniteGroup, element: SimplexPoint | None,
                  series: ProbPoly | None, horizon: int | None, tol: float | None,
-                 truncation: int | None, seed: int | None,
-                 burn_in: int | None) -> None:
+                 truncation: int | None, burn_in: int | None) -> None:
         self._set(group=group, element=element, series=series, horizon=horizon,
-                  tol=tol, truncation=truncation, seed=seed, burn_in=burn_in)
+                  tol=tol, truncation=truncation, burn_in=burn_in)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
         if not isinstance(raw, Mapping):
             raise ConfigError("config: expected a JSON object")
-        unknown = set(raw) - {"group", "element", "series", "horizon", "tol",
-                              "truncation", "seed", "burn_in"}
+        unknown = set(raw) - set(cls._fields)
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
         if "group" not in raw:
@@ -148,16 +157,15 @@ class ExperimentConfig(Record):
         def opt_int(name: str, minimum: int):
             if name not in raw:
                 return None
-            try:
-                value = int(raw[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: expected an integer") from exc
+            value = _as_int(raw[name], name)
             if value < minimum:
                 raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
             return value
 
         tol = None
         if "tol" in raw:
+            if isinstance(raw["tol"], bool):
+                raise ConfigError(f"tol: expected a number, got {raw['tol']!r}")
             try:
                 tol = float(raw["tol"])
             except (TypeError, ValueError) as exc:
@@ -167,7 +175,7 @@ class ExperimentConfig(Record):
         return cls(group=group, element=element, series=series,
                    horizon=opt_int("horizon", 1), tol=tol,
                    truncation=opt_int("truncation", 1),
-                   seed=opt_int("seed", 0), burn_in=opt_int("burn_in", 0))
+                   burn_in=opt_int("burn_in", 0))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

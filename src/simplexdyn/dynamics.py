@@ -11,15 +11,15 @@ integers and one idempotent computed here describe that cycle exactly:
   idempotent     uniform distribution on support_group; commutes with x
 
 The accumulation set of the powers is {idempotent * x^r : 0 <= r < period}.
-cycle_points is the one walker of that chain: limit_set, the synthesis
-in predict and the pure-power report all read it from there, and
-empirical_limit_set recovers the set from a float trace for
-cross-checking.
+Every analysis of x takes the DynamicsProfile that profile(x) returns; it
+walks that chain (cycle) and takes the absorption step x -> x * idempotent
+(absorbed) once each, on first use.  empirical_limit_set recovers the set
+from a float trace for cross-checking.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +50,19 @@ class DynamicsProfile(Record):
 
     def __repr__(self) -> str:
         return self._format(self._fields[:-1])  # the point itself stays out
+
+    @cached_property
+    def cycle(self) -> tuple[SimplexPoint, ...]:
+        """idempotent * x^r for r = 0 .. period-1, one multiply per step."""
+        points = [self.idempotent]
+        for _ in range(1, self.period):
+            points.append(multiply(points[-1], self.point))
+        return tuple(points)
+
+    @cached_property
+    def absorbed(self) -> DynamicsProfile:
+        """The profile of x * idempotent, x after one absorption step."""
+        return profile(multiply(self.point, self.idempotent))
 
 
 class AccumulationSet(Record):
@@ -112,27 +125,16 @@ def profile(x: SimplexPoint) -> DynamicsProfile:
     )
 
 
-def cycle_points(prof: DynamicsProfile) -> Iterator[SimplexPoint]:
-    """Yield idempotent * x^r for r = 0 .. period-1, one multiply per step,
-    where x is the point prof describes."""
-    cur = prof.idempotent
-    for r in range(prof.period):
-        if r:
-            cur = multiply(cur, prof.point)
-        yield cur
-
-
-def limit_set(x: SimplexPoint) -> AccumulationSet:
+def limit_set(prof: DynamicsProfile) -> AccumulationSet:
     """The exact accumulation set {idempotent * x^r : 0 <= r < period}.
 
     Also verifies that the idempotent commutes with x; the returned
     points are pairwise distinct.
     """
-    prof = profile(x)
-    c = prof.idempotent
+    c, x = prof.idempotent, prof.point
     if multiply(c, x) != multiply(x, c):
         raise InternalConsistencyError("idempotent fails to commute with x")
-    return AccumulationSet(points=tuple(cycle_points(prof)), source="closed_form")
+    return AccumulationSet(points=prof.cycle, source="closed_form")
 
 
 def empirical_limit_set(x: SimplexPoint,
@@ -237,11 +239,11 @@ def exact_rank(rows: list[list]) -> int:
     return rank
 
 
-def power_rank(x: SimplexPoint) -> int:
+def power_rank(prof: DynamicsProfile) -> int:
     """Rank over the rationals of the vectors e, x, x^2, .., x^(n-1),
     where n is the return time.  These are always independent, so the
     value equals the return time; exposed for the verification suites."""
-    prof = profile(x)
+    x = prof.point
     rows = []
     cur = algebra.delta(x.group, x.group.identity)
     for k in range(prof.return_time):
@@ -251,29 +253,24 @@ def power_rank(x: SimplexPoint) -> int:
     return exact_rank(rows)
 
 
-def reduce(x: SimplexPoint) -> SimplexPoint:
-    """One absorption step: x times its own idempotent."""
-    return multiply(x, profile(x).idempotent)
+def reduce_to_stable(prof: DynamicsProfile) -> tuple[DynamicsProfile, int]:
+    """Follow the absorption steps x -> x * idempotent until the return
+    time survives one more.
 
-
-def reduce_to_stable(x: SimplexPoint) -> tuple[SimplexPoint, int]:
-    """Apply reduce until the return time survives one more absorption.
-
-    Returns (y, steps) where y satisfies return_time(y * idempotent(y)) =
-    return_time(y).  Each reduce strictly lowers the return time, so at
-    most |G| steps can occur; the cap raises InternalConsistencyError.
+    Returns (stable, steps) where stable profiles a point y with
+    return_time(y * idempotent(y)) = return_time(y).  Each step strictly
+    lowers the return time, so at most |G| steps can occur; the cap
+    raises InternalConsistencyError.
     """
-    y = x
-    prof = profile(y)
-    for steps in range(x.group.order + 1):
-        z = multiply(y, prof.idempotent)
-        prof_z = profile(z)
-        if prof_z.return_time > prof.period:
+    order = prof.point.group.order
+    for steps in range(order + 1):
+        nxt = prof.absorbed
+        if nxt.return_time > prof.period:
             raise InternalConsistencyError(
                 f"absorption raised the return time above the period "
-                f"({prof_z.return_time} > {prof.period})")
-        if prof_z.return_time == prof.return_time:
-            return y, steps
-        y, prof = z, prof_z
+                f"({nxt.return_time} > {prof.period})")
+        if nxt.return_time == prof.return_time:
+            return prof, steps
+        prof = nxt
     raise InternalConsistencyError(
-        f"absorption chain exceeded {x.group.order} steps without stabilizing")
+        f"absorption chain exceeded {order} steps without stabilizing")

@@ -180,8 +180,8 @@ def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:
     if p.is_pure_power:
         raise PurePowerError("pure powers follow the support rotation only; "
                              "use the pure-power prediction path")
-    group = make_cyclic(m)
     sub = series_group(p, m)
+    group = sub.group
     cycle = residue_cycle(p.shift, m)
     members = set(sub.members)
     base = cycle.residues[0]

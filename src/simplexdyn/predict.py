@@ -1,39 +1,39 @@
 """Closed-form limit prediction for series iteration on a group simplex.
 
-analyze(p, x) makes one pass for a series p and a starting point x:
+analyze(p, profile(x)) makes one pass for a series p and a starting
+point x:
 
-1. reduce x along x -> x * c_x until the return time is stable; call the
-   stabilized point y, profile it once and let m be its period.
+1. follow the profile's absorption steps x -> x * c_x until the return
+   time is stable; call the stabilized point y and let m be its period.
+   Each point on the way is profiled once.
 2. solve the same series once on the cyclic quotient Z_m, where the
    limit coefficient at residue r is exactly the scalar limit
    L_r = lim_n sum_k a^[n]_{k m + r}; the same solve yields the exact
    extinction value a, every accumulation point and the Cesaro point
    (the mean of the d subsequence-class points).
-3. pull every quotient answer back to the group in one walk of the
-   chain c_y * y^r, r < m, adding each step into a running sum per
-   answer: c_y * sum_r y^r L_r + (e - c_y) * a.
-
-dynamics.cycle_points is the one walker of that chain; the pure-power
-report indexes the same walk by cycle residue.
+3. pull every quotient answer back to the group from the chain
+   c_y * y^r, r < m (the profile's cycle, walked once per point),
+   adding each point into a running sum per answer:
+   c_y * sum_r y^r L_r + (e - c_y) * a.
 
 The last term vanishes identically when c_y is the point mass at the
 identity, so one formula covers both branches.  The limit, when it
 exists, is the single accumulation point.  Divergence is decided by the
 exact coset criterion on the quotient, never by failed numerics; a
-float-iteration oracle is provided separately for cross-checking.
+float-iteration oracle is provided separately for cross-checking.  The
+pure-power report indexes the same cycle by residue.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from . import algebra
 from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint,
                       element_to_map)
-from .dynamics import (AccumulationSet, DynamicsProfile, cycle_points, profile,
+from .dynamics import (AccumulationSet, DynamicsProfile, profile,
                        reduce_to_stable)
 from .errors import InternalConsistencyError, PurePowerError
 from .modm import (ModMReport, extinction_correction, regularity_mod_m,
@@ -88,13 +88,12 @@ def _synthesize(prof: DynamicsProfile,
     """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients,
     exactly, where y is the point prof describes.
 
-    One walk of the chain c_y * y^r, r < m, adds each step into the
-    running sum of every quotient point that weights it, so no chain
-    point outlives its step.
+    Each point of the chain c_y * y^r, r < m (prof.cycle) is added into
+    the running sum of every quotient point that weights it.
     """
     group = prof.point.group
     sums = [[Fraction(0)] * group.order for _ in quotients]
-    for r, cur in enumerate(cycle_points(prof)):
+    for r, cur in enumerate(prof.cycle):
         terms = [(g, c) for g, c in enumerate(cur.coeffs) if c]
         for L, acc in zip(quotients, sums):
             if L[r]:
@@ -121,8 +120,9 @@ def _diagnostics(rep: ModMReport, horizon: int) -> dict:
     }
 
 
-def analyze(p: ProbPoly, x: SimplexPoint) -> tuple[LimitReport, LimitReport]:
-    """The regular and the Cesaro report of lim p^[n](x), from one pass.
+def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitReport]:
+    """The regular and the Cesaro report of lim p^[n](x), from one pass,
+    where x is the point prof describes.
 
     The regular verdict comes from the exact coset criterion on the
     cyclic quotient of the stabilized point; its accumulation set lists
@@ -133,13 +133,12 @@ def analyze(p: ProbPoly, x: SimplexPoint) -> tuple[LimitReport, LimitReport]:
         raise PurePowerError(
             "pure powers t^r follow the support rotation alone; "
             "use pure_power_report")
-    y, steps = reduce_to_stable(x)
-    prof = profile(y)
-    rep = regularity_mod_m(p, prof.period)
+    stable, steps = reduce_to_stable(prof)
+    rep = regularity_mod_m(p, stable.period)
     *points, cesaro = _synthesize(
-        prof, [pt.coeffs for pt in rep.accumulation.points] + [rep.cesaro.coeffs],
+        stable, [pt.coeffs for pt in rep.accumulation.points] + [rep.cesaro.coeffs],
         rep.a)
-    shared = {"digest": _digest(str(p), x), "profile": prof,
+    shared = {"digest": _digest(str(p), prof.point), "profile": stable,
               "reduction_steps": steps, "cesaro": cesaro, "a": float(rep.a)}
     regular = LimitReport(
         **shared,
@@ -163,34 +162,29 @@ def analyze(p: ProbPoly, x: SimplexPoint) -> tuple[LimitReport, LimitReport]:
 
 def regular_limit(p: ProbPoly, x: SimplexPoint) -> LimitReport:
     """Decide lim_n p^[n](x) and produce its closed form when it exists."""
-    return analyze(p, x)[0]
+    return analyze(p, profile(x))[0]
 
 
 def cesaro_limit(p: ProbPoly, x: SimplexPoint) -> LimitReport:
     """Cesaro limit of p^[n](x); exists for every series and every x."""
-    return analyze(p, x)[1]
+    return analyze(p, profile(x))[1]
 
 
-def pure_power_report(r: int, x: SimplexPoint,
-                      prof: DynamicsProfile | None = None,
-                      chain: Sequence[SimplexPoint] | None = None) -> LimitReport:
+def pure_power_report(r: int, prof: DynamicsProfile) -> LimitReport:
     """Accumulation set of x^(r^n): {c_x * x^(m_i)} over the cycle of
-    r^n mod m_x, with the divisibility test for it being a singleton.
+    r^n mod m_x, with the divisibility test for it being a singleton,
+    where x is the point prof describes.
 
-    prof, the profile of x, and chain, its cycle_points, are computed
-    here unless a caller that already holds them passes them in.  The
-    singleton criterion (m_x divides r^k (r - 1) for some k <= m_x) is
-    evaluated independently and must agree with d = 1.
+    The points are read from prof.cycle.  The singleton criterion (m_x
+    divides r^k (r - 1) for some k <= m_x) is evaluated independently
+    and must agree with d = 1.
     """
     if r < 2:
         raise ValueError(f"pure-power exponent must be >= 2, got {r}")
-    if prof is None:
-        prof = profile(x)
-    if chain is None:
-        chain = list(cycle_points(prof))
+    x = prof.point
     m = prof.period
     cycle = residue_cycle(r, m)
-    points = tuple(chain[res] for res in cycle.residues)
+    points = tuple(prof.cycle[res] for res in cycle.residues)
     divisible = any(r ** k * (r - 1) % m == 0 for k in range(m + 1))
     if divisible != (cycle.d == 1):
         raise InternalConsistencyError(

@@ -130,9 +130,6 @@ class ProbPoly(Record):
         """p(value); exact for Fraction input, float for float input."""
         return sum(c * value ** e for e, c in self.terms)
 
-    def evaluate_float(self, value: float) -> float:
-        return float(sum(float(c) * value ** e for e, c in self.terms))
-
     def taylor_coefficient(self, i: int, at):
         """p^(i)(at) / i! as an exact binomial-weighted sum over the terms."""
         if i < 0:
@@ -386,14 +383,14 @@ def extinction_value(p: ProbPoly, tol: float = EXTINCTION_TOL,
         raise ValueError("tol must be positive")
     cur = float(p.constant_term)
     for _ in range(max_iter):
-        nxt = p.evaluate_float(cur)
+        nxt = p.evaluate(cur)
         if abs(nxt - cur) < tol:
             return cur
         cur = nxt
     raise InconclusiveError(
         f"extinction iteration did not reach tol={tol} in {max_iter} steps "
         "(mean offspring may be at its critical value)",
-        best=cur, delta=abs(p.evaluate_float(cur) - cur), iterations=max_iter)
+        best=cur, delta=abs(p.evaluate(cur) - cur), iterations=max_iter)
 
 
 def cesaro_coeffs(states: Sequence[CoeffState]) -> list[CoeffState]:

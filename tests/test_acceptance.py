@@ -19,7 +19,7 @@ from simplexdyn import (ProbPoly, cesaro_limit, composition_sum_check, compose,
                         delta, empirical_cesaro, empirical_limit_set,
                         iterate_coeffs, iterate_map, limit_set, make_cyclic,
                         match_accumulation_sets, multiply, power, power_rank,
-                        profile, pure_power_report, recursion_coeffs, reduce,
+                        profile, pure_power_report, recursion_coeffs,
                         reduce_to_stable, regular_limit, residue_cycle,
                         series_group, simplex_from_map, sup_distance, support)
 
@@ -97,7 +97,7 @@ def test_power_limit_sets_match_oracle(announce):
         for trial in range(100):
             g = zoo[names[trial % len(names)]]
             x = random_simplex_point(g, rng)
-            closed = limit_set(x)
+            closed = limit_set(profile(x))
             observed = empirical_limit_set(x, burn_in=4000, horizon=4800)
             assert match_accumulation_sets(closed, observed, tol=1e-8), trial
         assert time.perf_counter() - start < 30.0
@@ -209,8 +209,8 @@ def test_pure_power_accumulation_sets(announce):
             g = zoo[names[trial % len(names)]]
             x = random_simplex_point(g, rng)
             r = rng.randint(2, 7)
-            rep = pure_power_report(r, x)
             prof = profile(x)
+            rep = pure_power_report(r, prof)
             m = prof.period
             c = prof.idempotent
             expected = []
@@ -250,7 +250,8 @@ def test_structural_property_suites(announce):
         # the first return_time powers stay linearly independent
         for trial in range(200):
             x = random_simplex_point(draw(trial), rng)
-            assert power_rank(x) == profile(x).return_time
+            prof = profile(x)
+            assert power_rank(prof) == prof.return_time
 
         # with the identity in the support, the walk eventually fills the
         # group exactly when the support generates it
@@ -279,12 +280,10 @@ def test_structural_property_suites(announce):
         for trial in range(200):
             x = random_simplex_point(draw(trial), rng)
             prof = profile(x)
-            y = reduce(x)
-            prof_y = profile(y)
+            prof_y = profile(multiply(x, prof.idempotent))
             assert prof_y.return_time <= prof.period <= prof.return_time
             if prof_y.return_time == prof.return_time:
                 assert prof.return_time == prof.period
-            stable, steps = reduce_to_stable(x)
-            stable_prof = profile(stable)
-            assert stable_prof.return_time == stable_prof.period
+            stable, steps = reduce_to_stable(prof)
+            assert stable.return_time == stable.period
             assert steps <= x.group.order

@@ -23,6 +23,11 @@ EXAMPLE_10 = {
     "series": {"3": "1/2", "7": "1/2"},
 }
 GOLDEN = Path(__file__).parent / "golden"
+S4_INTERIOR = {
+    "group": {"kind": "symmetric", "n": 4},
+    "element": "interior-random:3",
+    "series": {"0": "1/6", "1": "1/3", "2": "1/2"},
+}
 TRIVIAL = {
     "group": {"kind": "cyclic", "n": 1},
     "element": "point-mass:t^0",
@@ -129,29 +134,36 @@ def test_series_commands_solve_the_quotient_once(command, tmp_path, capsys,
 
 
 def test_verify_builds_each_object_once(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, {
-        "group": {"kind": "symmetric", "n": 4},
-        "element": "interior-random:3",
-        "series": {"0": "1/6", "1": "1/3", "2": "1/2"},
-    })
+    cfg = write_config(tmp_path, S4_INTERIOR)
     counts = count_calls(monkeypatch, "predict.iterate_map", "series.compose",
-                         "algebra.multiply")
+                         "algebra.multiply", "dynamics.profile")
     code, out, _ = run(capsys, "verify", "--config", cfg)
     assert code == 0, out
     assert counts["predict.iterate_map"] == 1
     assert counts["series.compose"] == 2
     assert counts["algebra.multiply"] <= 6
+    # x and its absorbed point x * c_x, each profiled once.
+    assert counts["dynamics.profile"] <= 2
+
+
+def test_predict_profiles_each_point_once(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, S4_INTERIOR)
+    counts = count_calls(monkeypatch, "dynamics.profile")
+    code, out, _ = run(capsys, "predict", "--config", cfg)
+    assert code == 0, out
+    assert counts["dynamics.profile"] <= 2
 
 
 def test_pure_power_verify_walks_the_cycle_once(capsys, monkeypatch):
-    counts = count_calls(monkeypatch, "algebra.multiply", "dynamics.profile",
-                         "dynamics.cycle_points")
+    counts = count_calls(monkeypatch, "algebra.multiply", "dynamics.profile")
     code, out, _ = run(capsys, "verify", "--config",
                        str(GOLDEN / "c12-pure-power.json"))
     assert code == 0, out
-    assert counts["algebra.multiply"] <= 8
-    assert counts["dynamics.profile"] <= 3
-    assert counts["dynamics.cycle_points"] == 1
+    # Return time 4, period 2: 3 multiplies for profile consistency and
+    # the absorption step, 3 for the power rank, 1 for the cycle and 1 for
+    # its wrap check.  A second walk of the cycle would make 9.
+    assert counts["algebra.multiply"] == 8
+    assert counts["dynamics.profile"] <= 2
 
 
 def test_verify_rejects_a_nan_tolerance(capsys):
@@ -280,6 +292,17 @@ def test_seed_override_changes_interior_element(tmp_path, capsys):
                       "--seed", "9")
     assert base == same
     assert base != other
+
+
+def test_seed_reseeds_only_an_interior_random_element(tmp_path, capsys):
+    code, out, err = run(capsys, "predict", "--config",
+                         str(GOLDEN / "c10-regular.json"), "--seed", "9")
+    assert (code, out) == (1, "")
+    assert "--seed: only an 'interior-random:<seed>' element takes a seed" in err
+    cfg = write_config(tmp_path, {**EXAMPLE_10, "seed": 9})
+    code, out, err = run(capsys, "predict", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert "unknown fields ['seed']" in err
 
 
 def test_iterate_json_format(tmp_path, capsys):

@@ -81,7 +81,6 @@ def test_from_dict_full_round():
         "series": {"3": "1/2", "7": "1/2"},
         "horizon": 100,
         "tol": 1e-6,
-        "seed": 3,
     })
     assert cfg.group.order == 12
     assert cfg.require_element() == delta(cfg.group, 1)
@@ -104,6 +103,17 @@ def test_from_dict_validates_numbers():
             ExperimentConfig.from_dict({**base, "tol": tol})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({**base, "burn_in": -5})
+    # Bools and fractional or non-finite floats are not integers.
+    for name, value in (("horizon", 2.5), ("horizon", True), ("horizon", float("inf")),
+                        ("truncation", 64.5), ("burn_in", False), ("burn_in", 1.5)):
+        with pytest.raises(ConfigError, match=f"{name}: expected an integer"):
+            ExperimentConfig.from_dict({**base, name: value})
+    for n in (True, 2.5, float("nan")):
+        with pytest.raises(ConfigError, match="group.n: expected an integer"):
+            ExperimentConfig.from_dict({"group": {"kind": "cyclic", "n": n}})
+    with pytest.raises(ConfigError, match="tol: expected a number"):
+        ExperimentConfig.from_dict({**base, "tol": True})
+    assert ExperimentConfig.from_dict({**base, "horizon": 3.0}).horizon == 3
 
 
 def test_require_helpers_raise_without_sections():

@@ -10,7 +10,7 @@ from simplexdyn import (InconclusiveError, InternalConsistencyError, delta,
                         direct_product, empirical_limit_set,
                         limit_set, make_cyclic, make_dihedral, make_symmetric,
                         match_accumulation_sets, multiply, power, power_rank,
-                        profile, reduce, reduce_to_stable, simplex_from_map,
+                        profile, reduce_to_stable, simplex_from_map,
                         support, sup_distance, to_approx, uniform_on)
 from simplexdyn.algebra import ITERATION_SLACK_RATE, float_coeffs
 from simplexdyn.dynamics import DEFAULT_MERGE_TOL, AccumulationSet, exact_rank
@@ -31,7 +31,7 @@ def test_identity_profile():
     g = make_symmetric(3)
     prof = profile(delta(g, g.identity))
     assert prof.return_time == 1 and prof.period == 1
-    assert len(limit_set(delta(g, g.identity))) == 1
+    assert len(limit_set(prof)) == 1
 
 
 def test_two_step_profile():
@@ -43,7 +43,7 @@ def test_two_step_profile():
     assert prof.return_time == 2
     assert sorted(prof.support_group.members) == [0, 2, 4]
     assert prof.period == 2
-    pts = limit_set(x)
+    pts = limit_set(prof)
     assert len(pts) == 2
     even = uniform_on(prof.support_group)
     assert pts.points[0] == even
@@ -56,7 +56,7 @@ def test_full_support_point_mixes_to_uniform():
     x = random_simplex_point(g, rng, support_size=g.order)
     prof = profile(x)
     assert prof.return_time == 1 and prof.period == 1
-    pts = limit_set(x)
+    pts = limit_set(prof)
     assert len(pts) == 1
     assert pts.points[0].coeffs == tuple([Fraction(1, 8)] * 8)
 
@@ -67,7 +67,7 @@ def test_limit_set_matches_oracle_on_zoo():
     for name in sorted(zoo):
         g = zoo[name]
         x = random_simplex_point(g, rng)
-        closed = limit_set(x)
+        closed = limit_set(profile(x))
         observed = empirical_limit_set(x, burn_in=2500, horizon=3100)
         assert match_accumulation_sets(closed, observed, tol=1e-8), name
 
@@ -75,7 +75,7 @@ def test_limit_set_matches_oracle_on_zoo():
 def test_match_rejects_perturbed_sets():
     g = make_cyclic(4)
     x = delta(g, 1)
-    closed = limit_set(x)
+    closed = limit_set(profile(x))
     shifted = AccumulationSet(points=tuple(
         to_approx(multiply(pt, simplex_from_map(
             g, {"t^0": "9/10", "t^1": "1/10"}))) for pt in closed.points),
@@ -185,21 +185,22 @@ def test_reduction_shrinks_return_time():
     x = simplex_from_map(g, {"t^1": "1/2", "t^2": "1/2"})
     prof = profile(x)
     assert (prof.return_time, prof.period) == (2, 1)
-    y = reduce(x)
-    prof_y = profile(y)
-    assert prof_y.return_time == 1
-    stable, steps = reduce_to_stable(x)
+    assert prof.absorbed.point == multiply(x, prof.idempotent)
+    assert prof.absorbed.return_time == 1
+    stable, steps = reduce_to_stable(prof)
     assert steps == 1
-    assert profile(stable).return_time == profile(stable).period
-    assert stable == uniform_on(prof.support_group)
+    assert stable is prof.absorbed
+    assert stable.return_time == stable.period
+    assert stable.point == uniform_on(prof.support_group)
 
 
 def test_reduce_to_stable_is_idempotent_on_stable_points():
     g = make_cyclic(6)
     x = simplex_from_map(g, {"t^1": "1/2", "t^3": "1/2"})
-    stable, steps = reduce_to_stable(x)
+    prof = profile(x)
+    stable, steps = reduce_to_stable(prof)
     assert steps == 0
-    assert stable == x
+    assert stable is prof
 
 
 def test_exact_rank():
@@ -215,7 +216,8 @@ def test_power_rank_equals_return_time():
     zoo = build_zoo()
     for name in sorted(zoo):
         x = random_simplex_point(zoo[name], rng)
-        assert power_rank(x) == profile(x).return_time, name
+        prof = profile(x)
+        assert power_rank(prof) == prof.return_time, name
 
 
 def test_singleton_iff_support_inside_group():
@@ -226,14 +228,25 @@ def test_singleton_iff_support_inside_group():
         x = random_simplex_point(zoo[name], rng)
         prof = profile(x)
         inside = all(i in prof.support_group for i in support(x).members)
-        assert (len(limit_set(x)) == 1) == inside
+        assert (len(limit_set(prof)) == 1) == inside
 
 
 def test_limit_points_live_on_cosets():
     g = make_cyclic(9)
     x = simplex_from_map(g, {"t^3": "2/5", "t^6": "3/5"})
     prof = profile(x)
-    pts = limit_set(x)
+    pts = limit_set(prof)
     assert len(pts) == prof.period
     for r, pt in enumerate(pts.points):
         assert pt == multiply(power(x, r), pts.points[0])
+
+
+def test_profile_walks_its_cycle_and_absorption_once():
+    g = make_cyclic(9)
+    x = simplex_from_map(g, {"t^1": "1/2", "t^4": "1/2"})
+    prof = profile(x)
+    assert prof.cycle is prof.cycle
+    assert prof.absorbed is prof.absorbed
+    assert prof.cycle == tuple(multiply(prof.idempotent, power(x, r))
+                               for r in range(prof.period))
+    assert prof.absorbed == profile(multiply(x, prof.idempotent))

@@ -7,7 +7,8 @@ import pytest
 
 from simplexdyn import (ProbPoly, PurePowerError, cesaro_limit, delta,
                         empirical_cesaro, iterate_map, limit_set, make_cyclic,
-                        make_symmetric, multiply, power, pure_power_report,
+                        make_symmetric, multiply, power, profile,
+                        pure_power_report,
                         regular_limit, simplex_from_map, sup_distance,
                         uniform_on)
 from simplexdyn.groups import generated_subgroup
@@ -120,7 +121,7 @@ def test_reduction_step_recorded():
 
 def test_pure_power_cycle_on_cyclic_5():
     g = make_cyclic(5)
-    rep = pure_power_report(2, delta(g, 1))
+    rep = pure_power_report(2, profile(delta(g, 1)))
     # powers of 2 mod 5 cycle through 2, 4, 3, 1
     assert [pt for pt in rep.accumulation.points] == [
         delta(g, 2), delta(g, 4), delta(g, 3), delta(g, 1)]
@@ -132,7 +133,7 @@ def test_pure_power_cycle_on_cyclic_5():
 
 def test_pure_power_singleton_on_cyclic_3():
     g = make_cyclic(3)
-    rep = pure_power_report(4, delta(g, 1))
+    rep = pure_power_report(4, profile(delta(g, 1)))
     assert rep.exists
     assert rep.limit == delta(g, 1)
     assert rep.diagnostics["divisibility_singleton"] is True
@@ -141,7 +142,7 @@ def test_pure_power_singleton_on_cyclic_3():
 def test_pure_power_interior_point():
     g = make_symmetric(3)
     x = random_simplex_point(g, random.Random(3), support_size=6)
-    rep = pure_power_report(3, x)
+    rep = pure_power_report(3, profile(x))
     assert rep.exists
     assert rep.limit == uniform_on(generated_subgroup(g, tuple(range(6))))
 
@@ -149,7 +150,7 @@ def test_pure_power_interior_point():
 def test_pure_power_requires_square_or_higher():
     g = make_cyclic(5)
     with pytest.raises(ValueError):
-        pure_power_report(1, delta(g, 1))
+        pure_power_report(1, profile(delta(g, 1)))
     with pytest.raises(PurePowerError):
         regular_limit(ProbPoly.pure_power(2), delta(g, 1))
 

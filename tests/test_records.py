@@ -63,7 +63,7 @@ CASES = [
      f"DynamicsProfile(return_time=1, period=1, support_group=ElementSet(group={C3}, "
      "members=(0, 1, 2)), idempotent=SimplexPoint(t^0: 1/3, t^1: 1/3, t^2: 1/3))",
      "value"),
-    (AccumulationSet, lambda: limit_set(_point()), ("points", "source"),
+    (AccumulationSet, lambda: limit_set(profile(_point())), ("points", "source"),
      "AccumulationSet(points=(SimplexPoint(t^0: 1/3, t^1: 1/3, t^2: 1/3),), "
      "source='closed_form')", "value"),
     (ResidueCycle, lambda: residue_cycle(2, 6),
@@ -77,7 +77,7 @@ CASES = [
      "accumulation=AccumulationSet(points=(SimplexPoint(t^0: 1),), "
      "source='closed_form'), cesaro=SimplexPoint(t^0: 1), a=Fraction(1, 1))",
      "value"),
-    (LimitReport, lambda: analyze(_series(), _point())[0],
+    (LimitReport, lambda: analyze(_series(), profile(_point()))[0],
      ("digest", "profile", "reduction_steps", "exists", "limit", "accumulation",
       "cesaro", "a", "scalar_limits", "diagnostics"),
      "LimitReport(digest={'group_order': 3, 'element': {'t^0': '1/2', 't^2': '1/2'}, "
@@ -93,9 +93,9 @@ CASES = [
     (ExperimentConfig,
      lambda: ExperimentConfig.from_dict({"group": {"kind": "cyclic", "n": 3},
                                          "element": "point-mass:t^1", "tol": 0.5}),
-     ("group", "element", "series", "horizon", "tol", "truncation", "seed", "burn_in"),
+     ("group", "element", "series", "horizon", "tol", "truncation", "burn_in"),
      f"ExperimentConfig(group={C3}, element=SimplexPoint(t^1: 1), series=None, "
-     "horizon=None, tol=0.5, truncation=None, seed=None, burn_in=None)", "value"),
+     "horizon=None, tol=0.5, truncation=None, burn_in=None)", "value"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
