@@ -228,17 +228,18 @@ def evaluate_series_floats(group: FiniteGroup,
 
 
 def _float_orbit(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
-                 n: int) -> tuple[list[np.ndarray], list[int]]:
+                 n: int) -> tuple[list[np.ndarray], int]:
     """The first n states step(start), step(step(start)), .. of a
     deterministic float map, evaluated only up to the first bitwise repeat.
 
-    Returns (states, at): the distinct states in order of appearance and,
-    for each step i = 0 .. n-1, the index at[i] of its state in states.
-    States are keyed by the hash of their bytes and matched on the bytes,
-    so -0.0 and 0.0 stay distinct.  When state i equals an earlier state
-    j bit for bit, step maps it to state j + 1 again, so the orbit replays
-    states j .. i-1 forever: state m >= j is states[j + (m - j) % (i - j)],
-    and nothing further is evaluated.
+    Returns (states, j): the distinct states in order of appearance, and
+    the index j of the state that the first repeat equals, or len(states)
+    when none of the n steps repeats.  States are keyed by the hash of
+    their bytes and matched on the bytes, so -0.0 and 0.0 stay distinct.
+    When state i equals an earlier state j bit for bit, step maps it to
+    state j + 1 again, so the orbit replays states[j:] forever: state
+    m >= j is states[j + (m - j) % (i - j)], and nothing further is
+    evaluated.
     """
     states: list[np.ndarray] = []
     first: dict[int, int] = {}
@@ -248,11 +249,9 @@ def _float_orbit(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
         data = vec.tobytes()
         j = first.setdefault(hash(data), i)
         if j != i and states[j].tobytes() == data:
-            period = i - j
-            return states, list(range(i)) + [j + (m - j) % period
-                                             for m in range(i, n)]
+            return states, j
         states.append(vec)
-    return states, list(range(n))
+    return states, len(states)
 
 
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
@@ -269,8 +268,9 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
     The step is deterministic in float64, so p is evaluated only until
     the first state that repeats an earlier one bit for bit; every later
     y_k is read from the cycle that repeat closes (_float_orbit), which
-    is the value the evaluation would have produced.  Each step still
-    gets its own ApproxElement with slack slack_rate * k and its checks.
+    is the value the evaluation would have produced.  Each distinct state
+    gets one ApproxElement, checked at slack slack_rate * k for the step
+    k it first appears at; every later step that replays it shares it.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -279,9 +279,11 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
         vec = evaluate_series_floats(group, terms, vec)
         return vec / vec.sum()
 
-    states, at = _float_orbit(step, np.asarray(start, dtype=np.float64), n)
-    return [ApproxElement(group=group, coeffs=states[i], slack=slack_rate * k)
-            for k, i in enumerate(at, start=1)]
+    states, j = _float_orbit(step, np.asarray(start, dtype=np.float64), n)
+    trace = [ApproxElement(group=group, coeffs=vec, slack=slack_rate * k)
+             for k, vec in enumerate(states, start=1)]
+    period = len(states) - j
+    return trace + [trace[j + (m - j) % period] for m in range(len(states), n)]
 
 
 def simplex_from_map(group: FiniteGroup,

@@ -20,9 +20,8 @@ import sys
 from . import algebra, dynamics, series as scalar
 from .algebra import ApproxElement, element_to_map, multiply, sup_distance
 from .config import ConfigError, ExperimentConfig
-from .dynamics import (DEFAULT_BURN_IN, DEFAULT_HORIZON, AccumulationSet,
-                       empirical_limit_set, limit_set, match_accumulation_sets,
-                       power_rank, profile)
+from .dynamics import (DEFAULT_HORIZON, AccumulationSet, empirical_limit_set,
+                       limit_set, match_accumulation_sets, power_rank, profile)
 from .errors import InconclusiveError, InternalConsistencyError
 from .predict import (CESARO_HORIZON, REGULAR_HORIZON, LimitReport, analyze,
                       empirical_cesaro, iterate_map, pure_power_report)
@@ -94,14 +93,6 @@ def _emit_csv(args, header: list, rows: list) -> None:
     _emit(args, buf.getvalue())
 
 
-def _power_window(cfg: ExperimentConfig) -> tuple[int, int]:
-    """Horizon and burn-in of the power-trace oracle."""
-    horizon = cfg.horizon or DEFAULT_HORIZON
-    if cfg.burn_in is not None:
-        return horizon, cfg.burn_in
-    return horizon, min(DEFAULT_BURN_IN, horizon // 3)
-
-
 def _cesaro_burn_in(horizon: int, d: int) -> int:
     """Burn-in that leaves the largest whole number of d-cycles within
     the second half of the horizon (at least one cycle)."""
@@ -118,10 +109,9 @@ def cmd_profile(cfg: ExperimentConfig, args) -> int:
 def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
     closed = limit_set(profile(x))
-    horizon, burn_in = _power_window(cfg)
     payload = {"closed_form": [_point_record(pt) for pt in closed.points]}
     try:
-        observed = empirical_limit_set(x, burn_in=burn_in, horizon=horizon)
+        observed = empirical_limit_set(x, horizon=cfg.horizon or DEFAULT_HORIZON)
     except InconclusiveError as exc:
         payload["status"] = "inconclusive"
         payload["detail"] = str(exc)
@@ -178,8 +168,7 @@ def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
     p = cfg.require_series()
     _, rep = analyze(p, profile(x))
     horizon = cfg.horizon or CESARO_HORIZON
-    burn_in = (cfg.burn_in if cfg.burn_in is not None
-               else _cesaro_burn_in(horizon, rep.diagnostics["cycle_d"]))
+    burn_in = _cesaro_burn_in(horizon, rep.diagnostics["cycle_d"])
     avg = empirical_cesaro(iterate_map(p, x, horizon), burn_in)
     _emit_json(args, {
         "report": _report_record(rep),
@@ -242,9 +231,8 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
     record("singleton-criterion", (len(closed) == 1) == inside,
            f"support inside group: {inside}")
 
-    horizon, burn_in = _power_window(cfg)
     try:
-        observed = empirical_limit_set(x, burn_in=burn_in, horizon=horizon)
+        observed = empirical_limit_set(x, horizon=cfg.horizon or DEFAULT_HORIZON)
         record("limit-set-oracle",
                match_accumulation_sets(closed, observed,
                                        tol=cfg.tol or DEFAULT_MATCH_TOL),

@@ -132,14 +132,13 @@ def build_series(spec, where: str = "series") -> ProbPoly:
 class ExperimentConfig(Record):
     """Validated experiment: group, optional element and series, parameters."""
 
-    _fields = ("group", "element", "series", "horizon", "tol", "truncation",
-               "burn_in")
+    _fields = ("group", "element", "series", "horizon", "tol", "truncation")
 
     def __init__(self, group: FiniteGroup, element: SimplexPoint | None,
                  series: ProbPoly | None, horizon: int | None, tol: float | None,
-                 truncation: int | None, burn_in: int | None) -> None:
+                 truncation: int | None) -> None:
         self._set(group=group, element=element, series=series, horizon=horizon,
-                  tol=tol, truncation=truncation, burn_in=burn_in)
+                  tol=tol, truncation=truncation)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
@@ -154,12 +153,12 @@ class ExperimentConfig(Record):
         element = build_element(group, raw["element"]) if "element" in raw else None
         series = build_series(raw["series"]) if "series" in raw else None
 
-        def opt_int(name: str, minimum: int):
+        def opt_int(name: str):
             if name not in raw:
                 return None
             value = _as_int(raw[name], name)
-            if value < minimum:
-                raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
+            if value < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {value}")
             return value
 
         tol = None
@@ -173,9 +172,8 @@ class ExperimentConfig(Record):
             if not 0 < tol < math.inf:
                 raise ConfigError(f"tol: must be positive and finite, got {tol}")
         return cls(group=group, element=element, series=series,
-                   horizon=opt_int("horizon", 1), tol=tol,
-                   truncation=opt_int("truncation", 1),
-                   burn_in=opt_int("burn_in", 0))
+                   horizon=opt_int("horizon"), tol=tol,
+                   truncation=opt_int("truncation"))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

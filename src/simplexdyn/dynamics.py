@@ -27,10 +27,9 @@ from . import algebra
 from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint, multiply,
                       support, uniform_on)
 from .errors import InconclusiveError, InternalConsistencyError
-from .groups import ElementSet, FiniteGroup, generated_subgroup
+from .groups import ElementSet, generated_subgroup
 from .record import Record
 
-DEFAULT_BURN_IN = 200
 DEFAULT_HORIZON = 600
 DEFAULT_MERGE_TOL = 1e-9
 
@@ -137,63 +136,55 @@ def limit_set(prof: DynamicsProfile) -> AccumulationSet:
     return AccumulationSet(points=prof.cycle, source="closed_form")
 
 
+def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The indices i in among, in order, with max_g |rows[i, g] - vec_g| <= tol,
+    and those sup distances.
+
+    A row within tol of vec is within tol of it at every coordinate, so
+    only the rows within tol at one coordinate get compared in full.  The
+    largest coordinate of vec is the one that sets apart sparse states,
+    such as the point masses of a long cycle.
+    """
+    g = int(np.argmax(vec))
+    among = among[np.abs(rows[among, g] - vec[g]) <= tol]
+    dists = np.abs(rows[among] - vec).max(axis=1)
+    return among[dists <= tol], dists[dists <= tol]
+
+
 def empirical_limit_set(x: SimplexPoint,
-                        burn_in: int = DEFAULT_BURN_IN,
                         horizon: int = DEFAULT_HORIZON,
                         merge_tol: float = DEFAULT_MERGE_TOL) -> AccumulationSet:
-    """Brute-force oracle: cluster the float power trace past a burn-in.
+    """Brute-force oracle: cluster the cycle that the float powers close.
 
-    Iterates x^k in floating point for burn_in < k <= horizon and merges
-    iterates within merge_tol (greedy, deterministic).  If the window is
-    too short to show each cluster at least three times in a periodic
-    pattern, or holds no step at all, raises InconclusiveError rather
-    than returning a guess.
-
-    Powers are multiplied out only until the first one that repeats an
-    earlier power bit for bit; later powers are read from the cycle that
-    repeat closes (algebra._float_orbit).  Each distinct power is
-    clustered once and its label reused at every later step that repeats
-    it.  That is exact: greedy first-match labelling only appends to the
-    representatives, so a repeat of a state would scan the same earlier
-    representatives, and match the same one, as its first occurrence did
-    (a new representative matches itself, since merge_tol >= 0).
+    Multiplies out x, x^2, .. in floating point up to the first power
+    that repeats an earlier one bit for bit (algebra._float_orbit).  The
+    step is deterministic, so from there on the powers replay the states
+    between the two occurrences forever: that cycle is the whole float
+    orbit past its transient.  Its states are merged greedily, in order:
+    a state within merge_tol (sup distance) of an earlier cluster joins
+    it, any other starts a new one.  If no power up to x^horizon repeats,
+    raises InconclusiveError rather than returning a guess.
     """
-    if burn_in < 0 or horizon <= burn_in:
-        raise ValueError(f"need 0 <= burn_in < horizon, got {burn_in}, {horizon}")
     if not merge_tol >= 0:
         raise ValueError(f"need merge_tol >= 0, got {merge_tol}")
     g = x.group
-    xv = algebra.float_coeffs(x)
-    right = xv[g.conv_index]
-    # at[k - 2] is the index in states of x^k, for k = 2 .. horizon.
-    states, at = algebra._float_orbit(lambda vec: vec @ right, xv, horizon - 1)
-    reps: list[np.ndarray] = []
-    rep_steps: list[int] = []
-    labels: list[int] = []
-    label_of: dict[int, int] = {}
-    for k in range(max(2, burn_in + 1), horizon + 1):
-        i = at[k - 2]
-        if i not in label_of:
-            vec = states[i]
-            label_of[i] = next(
-                (idx for idx, rep in enumerate(reps)
-                 if np.abs(rep - vec).max() <= merge_tol), len(reps))
-            if label_of[i] == len(reps):
-                reps.append(vec)
-                rep_steps.append(k)
-        labels.append(label_of[i])
-
-    d = len(reps)
-    window = len(labels)
-    periodic = all(labels[i + d] == labels[i] for i in range(window - d))
-    if not reps or window < 3 * d or not periodic:
+    right = algebra.float_coeffs(x)[g.conv_index]
+    one = np.zeros(g.order)
+    one[g.identity] = 1.0
+    # states[k - 1] is x^k; from x^(j + 1) on the powers cycle through states[j:].
+    states, j = algebra._float_orbit(lambda vec: vec @ right, one, horizon)
+    if j == len(states):
         raise InconclusiveError(
-            f"power trace did not stabilize into clusters by step {horizon} "
-            f"({d} clusters over a window of {window})",
-            iterations=horizon)
-    points = tuple(
-        ApproxElement(g, rep, slack=ITERATION_SLACK_RATE * step)
-        for rep, step in zip(reps, rep_steps))
+            f"no power repeated an earlier one bit for bit by step {horizon} "
+            f"({len(states)} distinct powers)", iterations=horizon)
+    cycle = np.array(states[j:])
+    reps: list[int] = []
+    for i, vec in enumerate(cycle):
+        if not len(_within(cycle, np.array(reps, dtype=int), vec, merge_tol)[0]):
+            reps.append(i)
+    points = tuple(ApproxElement(g, cycle[i], slack=ITERATION_SLACK_RATE * (j + 1 + i))
+                   for i in reps)
     return AccumulationSet(points=points, source="empirical")
 
 
@@ -202,18 +193,19 @@ def match_accumulation_sets(expected: AccumulationSet,
                             tol: float = 1e-8) -> bool:
     """Greedy nearest-neighbor matching of two accumulation sets.
 
-    True when the sets have equal cardinality and each observed point is
-    within tol (sup distance) of a distinct expected point.
+    True when the sets have equal cardinality and each observed point,
+    in order, is within tol (sup distance) of the nearest (first on a
+    tie) expected point not matched yet.
     """
     if len(expected) != len(observed):
         return False
-    remaining = list(expected.points)
+    rows = np.array([algebra.float_coeffs(q) for q in expected.points])
+    remaining = np.arange(len(rows))
     for pt in observed.points:
-        dists = [algebra.sup_distance(pt, q) for q in remaining]
-        best = min(range(len(dists)), key=dists.__getitem__)
-        if dists[best] > tol:
+        near, dists = _within(rows, remaining, algebra.float_coeffs(pt), tol)
+        if not len(near):
             return False
-        remaining.pop(best)
+        remaining = remaining[remaining != near[np.argmin(dists)]]
     return True
 
 

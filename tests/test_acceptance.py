@@ -98,7 +98,7 @@ def test_power_limit_sets_match_oracle(announce):
             g = zoo[names[trial % len(names)]]
             x = random_simplex_point(g, rng)
             closed = limit_set(profile(x))
-            observed = empirical_limit_set(x, burn_in=4000, horizon=4800)
+            observed = empirical_limit_set(x, horizon=4800)
             assert match_accumulation_sets(closed, observed, tol=1e-8), trial
         assert time.perf_counter() - start < 30.0
 

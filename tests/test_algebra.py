@@ -198,12 +198,13 @@ def test_series_trace_matches_exact_composition():
 
 
 def plain_series_trace(g, terms, start, n) -> list[tuple[np.ndarray, float]]:
-    """(coefficients, slack) of y_1 .. y_n, one evaluation of p per step."""
-    vec, out = start, []
+    """(coefficients, slack) of y_1 .. y_n, one evaluation of p per step;
+    the slack is that of the first step k with the same state bit for bit."""
+    vec, out, first = start, [], {}
     for k in range(1, n + 1):
         vec = evaluate_series_floats(g, terms, vec)
         vec = vec / vec.sum()
-        out.append((vec, ITERATION_SLACK_RATE * k))
+        out.append((vec, ITERATION_SLACK_RATE * first.setdefault(vec.tobytes(), k)))
     return out
 
 
@@ -236,8 +237,11 @@ def test_series_trace_stops_evaluating_at_the_first_repeat(monkeypatch):
                          10_000)
     assert counts["algebra.evaluate_series_floats"] < 20
     assert len(trace) == 10_000
-    assert trace[-1].slack == ITERATION_SLACK_RATE * 10_000
-    assert trace[-1].coeffs.tobytes() == trace[-3].coeffs.tobytes()
+    # One element per distinct state: y_5 and y_6 alternate from step 5 on,
+    # and every step that replays one shares its element and first slack.
+    assert len({id(y) for y in trace}) == 6
+    assert trace[-1] is trace[5] and trace[-2] is trace[4]
+    assert trace[-1].slack == ITERATION_SLACK_RATE * 6
     assert trace[-1].coeffs.tobytes() != trace[-2].coeffs.tobytes()
 
 

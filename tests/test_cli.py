@@ -118,6 +118,41 @@ def test_limit_set_empty_window_is_inconclusive(tmp_path, capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+D60_PAIR = {"group": {"kind": "dihedral", "n": 30},
+            "element": {"r1": "1/2", "s0": "1/2"}}
+# Points whose powers close their float cycle only after hundreds of
+# steps, or whose cycle is longer than a third of the budget.
+SLOW_CYCLES = [
+    ({"group": {"kind": "dihedral", "n": 12},
+      "element": {"r1": "1/3", "s0": "2/3"}}, [], 2),
+    ({"group": {"kind": "cyclic", "n": 12},
+      "element": {"t^1": "1/16", "t^9": "15/16"}}, [], 4),
+    ({"group": {"kind": "cyclic", "n": 501}, "element": "point-mass:t^1"}, [], 501),
+    (D60_PAIR, ["--horizon", "2000"], 2),
+]
+
+
+@pytest.mark.parametrize("config, flags, clusters", SLOW_CYCLES,
+                         ids=["D24", "Z12", "C501", "D60 long"])
+def test_limit_set_reads_the_cycle_the_orbit_closes(config, flags, clusters,
+                                                    tmp_path, capsys):
+    cfg = write_config(tmp_path, config)
+    code, out, _ = run(capsys, "limit-set", "--config", cfg, *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["matched"] is True
+    assert len(payload["empirical"]) == clusters
+
+
+def test_an_orbit_that_outlasts_the_budget_names_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, D60_PAIR)
+    code, out, _ = run(capsys, "limit-set", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["detail"] == (
+        "no power repeated an earlier one bit for bit by step 600 "
+        "(600 distinct powers)")
+
+
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_series_commands_solve_the_quotient_once(command, tmp_path, capsys,
                                                  monkeypatch):

@@ -92,6 +92,10 @@ def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
         ExperimentConfig.from_dict({
             "group": {"kind": "cyclic", "n": 2}, "surprise": 1})
+    # The power oracle reads the cycle its orbit closes; it has no burn-in.
+    with pytest.raises(ConfigError, match="unknown fields \\['burn_in'\\]"):
+        ExperimentConfig.from_dict({
+            "group": {"kind": "cyclic", "n": 2}, "burn_in": 100})
 
 
 def test_from_dict_validates_numbers():
@@ -102,10 +106,10 @@ def test_from_dict_validates_numbers():
         with pytest.raises(ConfigError, match="tol"):
             ExperimentConfig.from_dict({**base, "tol": tol})
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({**base, "burn_in": -5})
+        ExperimentConfig.from_dict({**base, "truncation": 0})
     # Bools and fractional or non-finite floats are not integers.
     for name, value in (("horizon", 2.5), ("horizon", True), ("horizon", float("inf")),
-                        ("truncation", 64.5), ("burn_in", False), ("burn_in", 1.5)):
+                        ("truncation", 64.5), ("truncation", False)):
         with pytest.raises(ConfigError, match=f"{name}: expected an integer"):
             ExperimentConfig.from_dict({**base, name: value})
     for n in (True, 2.5, float("nan")):

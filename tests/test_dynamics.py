@@ -11,8 +11,8 @@ from simplexdyn import (InconclusiveError, InternalConsistencyError, delta,
                         limit_set, make_cyclic, make_dihedral, make_symmetric,
                         match_accumulation_sets, multiply, power, power_rank,
                         profile, reduce_to_stable, simplex_from_map,
-                        support, sup_distance, to_approx, uniform_on)
-from simplexdyn.algebra import ITERATION_SLACK_RATE, float_coeffs
+                        sup_distance, support, to_approx, uniform_on)
+from simplexdyn.algebra import ITERATION_SLACK_RATE, ApproxElement, float_coeffs
 from simplexdyn.dynamics import DEFAULT_MERGE_TOL, AccumulationSet, exact_rank
 
 from conftest import build_zoo, random_simplex_point
@@ -68,7 +68,7 @@ def test_limit_set_matches_oracle_on_zoo():
         g = zoo[name]
         x = random_simplex_point(g, rng)
         closed = limit_set(profile(x))
-        observed = empirical_limit_set(x, burn_in=2500, horizon=3100)
+        observed = empirical_limit_set(x, horizon=3100)
         assert match_accumulation_sets(closed, observed, tol=1e-8), name
 
 
@@ -85,6 +85,49 @@ def test_match_rejects_perturbed_sets():
     assert not match_accumulation_sets(closed, dropped, tol=1e-8)
 
 
+def plain_match(expected, observed, tol):
+    """Greedy matching as a plain loop: each observed point takes the
+    nearest expected point left (the first on a tie) or fails."""
+    if len(expected) != len(observed):
+        return False
+    remaining = list(expected.points)
+    for pt in observed.points:
+        dists = [sup_distance(pt, q) for q in remaining]
+        best = min(range(len(dists)), key=dists.__getitem__)
+        if dists[best] > tol:
+            return False
+        remaining.pop(best)
+    return True
+
+
+def test_match_accumulation_sets_matches_a_plain_loop():
+    # Points 3 and 4 lie within tol of each other, so which of them an
+    # observed point takes decides the later matches (taking the first
+    # within tol instead of the nearest changes 7 of these verdicts);
+    # observed points are moved by up to 1.5 tol, at coordinate 0, at
+    # their largest coordinate or elsewhere.
+    g = make_cyclic(6)
+    rng = random.Random(2)
+    tol = 1e-8
+    outcomes = set()
+    for _ in range(300):
+        base = [float_coeffs(random_simplex_point(g, rng)) for _ in range(4)]
+        base.append(base[3] + np.eye(6)[0] * 0.7 * tol)
+        expected = AccumulationSet(points=tuple(
+            ApproxElement(g, v, slack=1e-6) for v in base), source="empirical")
+        moved = []
+        for i in rng.sample(range(5), 5):
+            v = base[i].copy()
+            v[rng.choice([0, int(np.argmax(v)), rng.randrange(6)])] += \
+                rng.choice([-1, 1]) * rng.choice([0.2, 0.5, 0.9, 1.5]) * tol
+            moved.append(ApproxElement(g, v, slack=1e-6))
+        observed = AccumulationSet(points=tuple(moved), source="empirical")
+        want = plain_match(expected, observed, tol)
+        assert match_accumulation_sets(expected, observed, tol) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_closed_form_points_must_be_distinct():
     g = make_cyclic(3)
     a, b = delta(g, 0), delta(g, 1)
@@ -94,40 +137,38 @@ def test_closed_form_points_must_be_distinct():
 
 
 def test_empirical_limit_set_inconclusive_window():
+    # x^13 repeats x^1, one step past the budget.
     g = make_cyclic(12)
-    with pytest.raises(InconclusiveError):
-        empirical_limit_set(delta(g, 1), burn_in=4, horizon=12)
+    with pytest.raises(InconclusiveError, match="by step 12 "):
+        empirical_limit_set(delta(g, 1), horizon=12)
 
 
-def plain_limit_set(x, burn_in, horizon):
-    """The power oracle as one multiply and one cluster scan per step:
-    returns (coefficient bytes, slack) per cluster, or the message and
-    iteration count of the InconclusiveError it would raise."""
+def plain_limit_set(x, horizon):
+    """The power oracle as a plain loop: one multiply per step and a bytes
+    dict to find the first power that repeats, then greedy clusters of the
+    cycle's states.  Returns (coefficient bytes, slack) per cluster, or the
+    message and iteration count of the InconclusiveError it would raise."""
     g = x.group
-    xv = float_coeffs(x)
-    right = xv[g.conv_index]
-    vec = xv
-    reps, rep_steps, labels = [], [], []
-    for k in range(2, horizon + 1):
+    right = float_coeffs(x)[g.conv_index]
+    vec = np.zeros(g.order)
+    vec[g.identity] = 1.0
+    first, states = {}, []
+    for k in range(1, horizon + 1):
         vec = vec @ right
-        if k <= burn_in:
-            continue
-        for idx, rep in enumerate(reps):
-            if np.abs(rep - vec).max() <= DEFAULT_MERGE_TOL:
-                labels.append(idx)
-                break
-        else:
-            reps.append(vec)
-            rep_steps.append(k)
-            labels.append(len(reps) - 1)
-    d = len(reps)
-    window = len(labels)
-    periodic = all(labels[i + d] == labels[i] for i in range(window - d))
-    if not reps or window < 3 * d or not periodic:
-        return (f"power trace did not stabilize into clusters by step {horizon} "
-                f"({d} clusters over a window of {window})", horizon)
-    return [(rep.tobytes(), ITERATION_SLACK_RATE * step)
-            for rep, step in zip(reps, rep_steps)]
+        if vec.tobytes() in first:
+            cycle = range(first[vec.tobytes()], len(states))
+            break
+        first[vec.tobytes()] = len(states)
+        states.append(vec)
+    else:
+        return (f"no power repeated an earlier one bit for bit by step {horizon} "
+                f"({len(states)} distinct powers)", horizon)
+    reps = []
+    for i in cycle:
+        if all(np.abs(states[r] - states[i]).max() > DEFAULT_MERGE_TOL for r in reps):
+            reps.append(i)
+    # states[i] is x^(i + 1).
+    return [(states[i].tobytes(), ITERATION_SLACK_RATE * (i + 1)) for i in reps]
 
 
 def _interior(g, seed):
@@ -142,39 +183,47 @@ def _d60_pair():
     return simplex_from_map(make_dihedral(30), {"r1": "1/2", "s0": "1/2"})
 
 
-# Each case: the point, burn-in, horizon, and the number of clusters (None
-# when the oracle is inconclusive).
+# Each case: the point, the horizon, and the number of clusters (None when
+# the oracle is inconclusive).
 POWER_ORACLE_CASES = {
-    "D4 interior": (lambda: _interior(make_dihedral(4), 3), 200, 600, 1),
+    "D4 interior": (lambda: _interior(make_dihedral(4), 3), 600, 1),
     "C2xC2 interior": (lambda: _interior(
-        direct_product(make_cyclic(2), make_cyclic(2)), 4), 200, 600, 1),
-    # Period 4 on the cosets of <t^4>.
-    "C12 coset": (_c12_coset, 200, 600, 4),
-    # x^46 repeats x^2 bit for bit, long before the burn-in ends.
-    "C44 point mass": (lambda: delta(make_cyclic(44), 1), 200, 600, 44),
-    # The powers first repeat at step 1,545 (a 2-cycle from step 1,543), so
-    # at 600 steps every step is multiplied out and the oracle stays
-    # inconclusive; past the repeat it finds the two clusters.
-    "D60 pair": (_d60_pair, 200, 600, None),
-    "D60 pair, long": (_d60_pair, 2500, 3100, 2),
-    "no burn-in": (lambda: delta(make_cyclic(44), 1), 0, 200, 44),
-    "no burn-in, short": (_c12_coset, 0, 60, None),
-    "one-step window": (lambda: _interior(make_dihedral(4), 3), 30, 31, None),
+        direct_product(make_cyclic(2), make_cyclic(2)), 4), 600, 1),
+    # Period 4 on the cosets of <t^4>; x^73 repeats x^69.
+    "C12 coset": (_c12_coset, 600, 4),
+    "C12 coset, short": (_c12_coset, 60, None),
+    # x^45 repeats x^1, so a budget of 45 suffices although the period is
+    # most of it.
+    "C44 point mass": (lambda: delta(make_cyclic(44), 1), 600, 44),
+    "C44 point mass, repeat at the budget": (
+        lambda: delta(make_cyclic(44), 1), 45, 44),
+    "C44 point mass, one step short": (lambda: delta(make_cyclic(44), 1), 44, None),
+    # x^1545 repeats x^1543, so the default budget of 600 is too short.
+    "D60 pair": (_d60_pair, 600, None),
+    "D60 pair, long": (_d60_pair, 2000, 2),
+    # x^543 repeats x^541.
+    "D24 pair": (lambda: simplex_from_map(
+        make_dihedral(12), {"r1": "1/3", "s0": "2/3"}), 600, 2),
+    # A lopsided pair that mixes slowly; x^375 repeats x^371.
+    "Z12 lopsided pair": (lambda: simplex_from_map(
+        make_cyclic(12), {"t^1": "1/16", "t^9": "15/16"}), 600, 4),
+    "one-step budget": (lambda: _interior(make_dihedral(4), 3), 1, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(POWER_ORACLE_CASES))
 def test_empirical_limit_set_matches_a_plain_loop(case):
-    build, burn_in, horizon, clusters = POWER_ORACLE_CASES[case]
+    build, horizon, clusters = POWER_ORACLE_CASES[case]
     x = build()
-    want = plain_limit_set(x, burn_in, horizon)
+    want = plain_limit_set(x, horizon)
     assert isinstance(want, tuple) if clusters is None else len(want) == clusters
     try:
-        got = empirical_limit_set(x, burn_in=burn_in, horizon=horizon)
+        got = empirical_limit_set(x, horizon=horizon)
     except InconclusiveError as exc:
         assert (str(exc), exc.iterations) == want
     else:
         assert [(pt.coeffs.tobytes(), pt.slack) for pt in got.points] == want
+        assert match_accumulation_sets(limit_set(profile(x)), got)
 
 
 def test_reduction_shrinks_return_time():

@@ -6,8 +6,8 @@ import pytest
 
 from simplexdyn import (ProbPoly, PurePowerError, cesaro_mod_m, delta,
                         extinction_fraction, iterate_mod_m, make_cyclic,
-                        multiply, power, regularity_mod_m, residue_cycle,
-                        scale, add, series_group, sup_distance)
+                        power, regularity_mod_m, residue_cycle, scale, add,
+                        series_group, sup_distance)
 
 HALF = Fraction(1, 2)
 EXAMPLE_SERIES = ProbPoly(((3, HALF), (7, HALF)))

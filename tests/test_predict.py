@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from simplexdyn import (ProbPoly, PurePowerError, cesaro_limit, delta,
-                        empirical_cesaro, iterate_map, limit_set, make_cyclic,
-                        make_symmetric, multiply, power, profile,
-                        pure_power_report,
+                        empirical_cesaro, iterate_map, make_cyclic,
+                        make_symmetric, power, profile, pure_power_report,
                         regular_limit, simplex_from_map, sup_distance,
                         uniform_on)
 from simplexdyn.groups import generated_subgroup

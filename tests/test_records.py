@@ -93,9 +93,9 @@ CASES = [
     (ExperimentConfig,
      lambda: ExperimentConfig.from_dict({"group": {"kind": "cyclic", "n": 3},
                                          "element": "point-mass:t^1", "tol": 0.5}),
-     ("group", "element", "series", "horizon", "tol", "truncation", "burn_in"),
+     ("group", "element", "series", "horizon", "tol", "truncation"),
      f"ExperimentConfig(group={C3}, element=SimplexPoint(t^1: 1), series=None, "
-     "horizon=None, tol=0.5, truncation=None, burn_in=None)", "value"),
+     "horizon=None, tol=0.5, truncation=None)", "value"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
