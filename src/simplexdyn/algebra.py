@@ -2,10 +2,11 @@
 
 Exact rationals are the canonical representation; every invariant that
 feeds a support computation is threshold-free.  The exact product runs
-on integer numerators over a common denominator (series._exact_product)
-and rebuilds Fractions only for its result.  Floats appear only in
-ApproxElement, the carrier for long oracle iteration runs, which tracks
-an explicit slack bound instead of pretending to be exact.
+on integer numerators over a common denominator (series._exact_product),
+which each element converts once and keeps, and rebuilds Fractions only
+for its result.  Floats appear only in ApproxElement, the carrier for
+long oracle iteration runs, which tracks an explicit slack bound instead
+of pretending to be exact.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ class AlgebraElement(Record):
         self._set(group=group, coeffs=coeffs)
 
     @cached_property
+    def numerators(self) -> tuple[np.ndarray, tuple[int, ...], int]:
+        """(support, u, D): the indices of the nonzero coefficients and
+        their integer numerators u over the lcm D of their denominators,
+        the form every exact product reads; computed once."""
+        return _numerators(self.coeffs)
+
+    @cached_property
     def floats(self) -> np.ndarray:
         """The coefficients as one read-only float64 vector, converted once."""
         vec = np.array([float(c) for c in self.coeffs])
@@ -77,7 +85,7 @@ class SimplexPoint(AlgebraElement):
 
     def __init__(self, group: FiniteGroup, coeffs: Sequence[RationalLike]) -> None:
         super().__init__(group, coeffs)
-        u, den = _numerators(c for c in self.coeffs if c)
+        _, u, den = self.numerators
         if any(n < 0 for n in u):
             raise ValueError("simplex point has a negative coefficient")
         if sum(u) != den:
@@ -144,7 +152,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
     cls = SimplexPoint if isinstance(x, SimplexPoint) and isinstance(y, SimplexPoint) \
         else AlgebraElement
-    return cls(g, tuple(_exact_product(x.coeffs, y.coeffs, product)))
+    return cls(g, tuple(_exact_product(x.numerators, y.numerators, g.order, product)))
 
 
 def power(x: AlgebraElement, k: int) -> AlgebraElement:

@@ -8,11 +8,19 @@ writes JSON or CSV to --out or stdout.
 Exit codes: 0 success, 1 invalid input, 2 inconclusive numerics
 (iteration budget exhausted before the tolerance was met), 3
 verification failure (an oracle contradicted a closed form).
+
+main() is the process entry point.  Its first act is gc.freeze(): every
+object alive by then, numpy and this package included, moves into the
+collector's permanent generation, so neither the collections during the
+command nor the full ones at interpreter exit traverse it again.  The
+collector stays enabled; what the command itself allocates is collected
+as usual.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import sys
@@ -382,6 +390,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

@@ -30,8 +30,10 @@ class FiniteGroup(Record):
     Fields:
         order: number of elements n.
         labels: n distinct display strings, one per element index.
-        table: read-only n x n integer array (any integer array-like is
-            copied in); table[i, j] is the index of g_i * g_j.
+        table: read-only n x n integer array; table[i, j] is the index of
+            g_i * g_j.  Any integer array-like is copied in, unless the
+            caller passes copy=False to hand over a fresh intp array that
+            nothing else references (the builders below do).
         identity: index of the neutral element.
         inverses: inverses[i] is the index of g_i^{-1}.
 
@@ -42,8 +44,9 @@ class FiniteGroup(Record):
     _fields = ("order", "labels", "table", "identity", "inverses")
 
     def __init__(self, order: int, labels: tuple[str, ...], table,
-                 identity: int, inverses: tuple[int, ...]) -> None:
-        self._set(order=order, labels=labels, table=_as_table(table),
+                 identity: int, inverses: tuple[int, ...], *,
+                 copy: bool = True) -> None:
+        self._set(order=order, labels=labels, table=_as_table(table, copy),
                   identity=identity, inverses=inverses)
         _validate_group(self)
 
@@ -124,14 +127,18 @@ class ElementSet(Record):
         return [self.group.labels[i] for i in self.members]
 
 
-def _as_table(table) -> np.ndarray:
-    """A read-only square intp copy of an integer table, or ValueError."""
+def _as_table(table, copy: bool = True) -> np.ndarray:
+    """A read-only square intp array of an integer table, or ValueError.
+
+    With copy=False an intp ndarray is kept and frozen in place, which
+    is safe only for a fresh array that no caller still holds.
+    """
     arr = np.asarray(table)  # ragged rows raise ValueError
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"cayley table must be square, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"cayley table entries must be integers, got {arr.dtype}")
-    arr = arr.astype(np.intp)
+    arr = arr.astype(np.intp, copy=copy)
     arr.setflags(write=False)
     return arr
 
@@ -220,6 +227,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         table=(idx[:, None] + idx) % n,
         identity=0,
         inverses=tuple(((-idx) % n).tolist()),
+        copy=False,
     )
 
 
@@ -237,7 +245,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     labels = tuple(f"r{k}" for k in range(n)) + tuple(f"s{k}" for k in range(n))
     inverses = tuple((-k) % n for k in range(n)) + tuple(n + k for k in range(n))
     return FiniteGroup(order=2 * n, labels=labels, table=table,
-                       identity=0, inverses=inverses)
+                       identity=0, inverses=inverses, copy=False)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -283,6 +291,7 @@ def make_symmetric(n: int) -> FiniteGroup:
         table=index[codes],
         identity=0,
         inverses=tuple(index[inverse_perms @ weights].tolist()),
+        copy=False,
     )
 
 
@@ -295,7 +304,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         labels=tuple(f"({la},{lb})" for la in a.labels for lb in b.labels),
         table=table.reshape(na * nb, na * nb),
         identity=a.identity * nb + b.identity,
-        inverses=tuple(np.add.outer(np.multiply(a.inverses, nb), b.inverses).ravel().tolist()))
+        inverses=tuple(np.add.outer(np.multiply(a.inverses, nb), b.inverses).ravel().tolist()),
+        copy=False)
 
 
 def from_cayley_table(table: Sequence[Sequence[int]],
@@ -321,7 +331,8 @@ def from_cayley_table(table: Sequence[Sequence[int]],
     if not has_inverse.all():
         raise ValueError(f"element {int(np.argmin(has_inverse))} has no two-sided inverse")
     return FiniteGroup(order=n, labels=labels, table=arr, identity=ident,
-                       inverses=tuple(np.argmax(two_sided, axis=1).tolist()))
+                       inverses=tuple(np.argmax(two_sided, axis=1).tolist()),
+                       copy=False)
 
 
 def read_cayley_csv(path: str) -> FiniteGroup:

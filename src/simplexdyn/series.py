@@ -25,10 +25,12 @@ an exact truncated product, a truncated np.convolve, or the float
 convolution of R[G].
 
 Exact products, the truncated one here and the group product in
-algebra, share one kernel, _exact_product: it scales both operands to
-integer numerators over their common denominators, multiplies those in
-int64 when no sum can overflow and as Python ints otherwise, and builds
-Fractions only for the result.
+algebra, share one kernel, _exact_product: it takes both operands as
+integer numerators of their nonzero entries over a common denominator
+(_numerators, which an AlgebraElement computes once and keeps),
+scatters them into dense operands, multiplies those in int64 when no
+sum can overflow and as Python ints otherwise, and builds Fractions
+only for the result.
 """
 
 from __future__ import annotations
@@ -252,41 +254,52 @@ def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
     return out
 
 
-def _numerators(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """(u, D) with coeffs = u / D entrywise; D is the lcm of the nonzero
-    denominators and u a list of Python ints."""
-    coeffs = list(coeffs)
-    den = math.lcm(*(c.denominator for c in coeffs if c))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _numerators(coeffs: Sequence[Fraction]
+                ) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """(support, u, D): the indices of the nonzero coeffs, in order, and
+    their integer numerators u over D, the lcm of their denominators, so
+    coeffs[support] = u / D and every other entry is 0."""
+    support = [i for i, c in enumerate(coeffs) if c]
+    den = math.lcm(*(coeffs[i].denominator for i in support))
+    u = tuple(coeffs[i].numerator * (den // coeffs[i].denominator) for i in support)
+    index = np.array(support, dtype=np.intp)
+    index.setflags(write=False)
+    return index, u, den
 
 
-def _exact_product(a: Iterable[Fraction], b: Iterable[Fraction],
+def _exact_product(a: tuple[np.ndarray, tuple[int, ...], int],
+                   b: tuple[np.ndarray, tuple[int, ...], int], n: int,
                    product: Callable[[np.ndarray, np.ndarray], np.ndarray]
                    ) -> list[Fraction]:
-    """A bilinear product of two Fraction vectors, computed on integers.
+    """A bilinear product of two length-n Fraction vectors, computed on
+    integers from their _numerators triples.
 
     With a = u / Du and b = v / Dv, returns product(u, v) / (Du * Dv) as
-    Fractions.  product must sum, per output entry, at most one term
-    u_i * v_j for each nonzero u_i.  u and v are int64 arrays when no such
-    sum can reach 2^63 and object arrays of Python ints otherwise: int64
-    wraps silently on overflow, so the guard keeps the result exact.
+    Fractions, u and v scattered into dense length-n operands.  product
+    must sum, per output entry, at most one term u_i * v_j for each
+    nonzero u_i.  u and v are int64 arrays when no such sum can reach
+    2^63 and object arrays of Python ints otherwise: int64 wraps silently
+    on overflow, so the guard keeps the result exact.
     """
-    u, du = _numerators(a)
-    v, dv = _numerators(b)
+    (sa, u, du), (sb, v, dv) = a, b
     mu = max(map(abs, u), default=0)
     mv = max(map(abs, v), default=0)
-    terms = sum(1 for n in u if n)
-    dtype = np.int64 if max(mu, mv, mu * mv * terms) < 2 ** 63 else object
-    out = product(np.array(u, dtype=dtype), np.array(v, dtype=dtype))
+    dtype = np.int64 if max(mu, mv, mu * mv * len(u)) < 2 ** 63 else object
+    ua = np.zeros(n, dtype=dtype)
+    ua[sa] = u
+    va = np.zeros(n, dtype=dtype)
+    va[sb] = v
+    out = product(ua, va)
     den = du * dv
     zero = Fraction(0)
-    return [Fraction(n, den) if n else zero for n in out.tolist()]
+    return [Fraction(k, den) if k else zero for k in out.tolist()]
 
 
 def _trunc_mul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b truncated at their common degree, on integer numerators."""
     return np.array(_exact_product(
-        a, b, lambda u, v: np.convolve(u, v)[:a.size]), dtype=object)
+        _numerators(a.tolist()), _numerators(b.tolist()), a.size,
+        lambda u, v: np.convolve(u, v)[:a.size]), dtype=object)
 
 
 def compose(p: ProbPoly, state: CoeffState) -> CoeffState:

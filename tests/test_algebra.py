@@ -298,6 +298,18 @@ def test_multiply_of_simplex_points_matches_the_definition(g, seed):
     assert got.coeffs == definition_product(x, y)
 
 
+def test_numerators_of_an_exact_element_are_converted_once():
+    x = AlgebraElement(make_cyclic(6), ("0", "-1/4", "0", "2/3", "0", "5/6"))
+    support, u, den = x.numerators
+    assert x.numerators is x.numerators
+    assert support.tolist() == [1, 3, 5] and not support.flags.writeable
+    assert u == (-3, 8, 10) and den == 12
+    zero = AlgebraElement(make_cyclic(6), (0,) * 6)
+    assert zero.numerators[0].size == 0 and zero.numerators[1:] == ((), 1)
+    assert multiply(x, x).coeffs == definition_product(x, x)
+    assert multiply(x, zero).coeffs == (Fraction(0),) * 6
+
+
 @pytest.mark.parametrize("b", [2 ** 30 - 1, 2 ** 30])
 def test_multiply_at_the_int64_boundary(b):
     # Every entry of the product is 4ab: 2^63 - 2^33 fits int64, 2^63 does not.

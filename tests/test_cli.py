@@ -1,8 +1,10 @@
 """Command-line entry points: outputs, exit codes, determinism."""
 
 import csv
+import gc
 import io
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -348,3 +350,22 @@ def test_iterate_json_format(tmp_path, capsys):
     payload = json.loads(out)
     assert [row["step"] for row in payload["trace"]] == [1, 2, 3]
     assert payload["trace"][0]["coeffs"] == {"t^3": 0.5, "t^7": 0.5}
+
+
+def test_main_freezes_the_imported_heap_and_keeps_collecting(capsys):
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    code, _, _ = run(capsys, "profile", "--config", str(GOLDEN / "c10-regular.json"))
+    assert code == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() > 0
+
+    class Node:
+        pass
+
+    a, b = Node(), Node()
+    a.other, b.other = b, a
+    alive = weakref.ref(a)
+    del a, b
+    gc.collect()
+    assert alive() is None

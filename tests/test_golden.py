@@ -9,16 +9,25 @@ shifted series whose powers vanish below the truncation degree),
 s4-supercritical and c20xc20-shifted, and the float oracle trace
 (iterate, CSV) on c6-irrational.  The files hold the exact stdout;
 refresh one by rerunning the command and reviewing the diff.
+
+In-process calls never finalize the interpreter, so two cases also run
+as a CLI call does: main in a fresh process that writes no bytecode,
+through interpreter exit.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import simplexdyn
 from simplexdyn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(path.name.removesuffix(".out") for path in GOLDEN.glob("*.out"))
+ENTRY = "import sys; from simplexdyn.cli import main; sys.exit(main())"
 
 
 def test_every_config_has_outputs():
@@ -34,3 +43,17 @@ def test_output_matches_golden(case, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["c10-regular.verify", "s6-odd-support.profile"])
+def test_fresh_process_output_matches_golden(case):
+    name, command = case.rsplit(".", 1)
+    src = str(Path(simplexdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY, command, "--config", str(GOLDEN / f"{name}.json")],
+        capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{case}.out").read_bytes()

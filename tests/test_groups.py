@@ -165,3 +165,17 @@ def test_conv_index_gathers_products():
     for gi in range(6):
         for hi in range(6):
             assert conv[hi, gi] == g.mul(g.inv(hi), gi)
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.int32])
+def test_from_cayley_table_keeps_no_handle_on_the_callers_array(dtype):
+    # the builders hand their fresh tables over uncopied; a table the
+    # caller still holds must be copied, so mutating it later cannot
+    # reach the validated group
+    z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    arr = np.array(z3, dtype=dtype)
+    g = from_cayley_table(arr)
+    arr[:] = 0
+    assert g.table.tolist() == z3
+    assert not g.table.flags.writeable
+    assert g.mul(1, 1) == 2
