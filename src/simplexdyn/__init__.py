@@ -9,9 +9,8 @@ and cross-checks every closed form against brute-force float iteration.
 """
 
 from .algebra import (AlgebraElement, ApproxElement, SimplexPoint, add, delta,
-                      element_to_map, format_rational, multiply, parse_rational,
-                      power, scale, simplex_from_map, sup_distance, support,
-                      to_approx, uniform_on)
+                      element_to_map, multiply, parse_rational, power, scale,
+                      simplex_from_map, sup_distance, support, uniform_on)
 from .config import ConfigError, ExperimentConfig
 from .dynamics import (AccumulationSet, DynamicsProfile, empirical_limit_set,
                        limit_set, match_accumulation_sets, power_rank, profile,
@@ -21,8 +20,8 @@ from .errors import (InconclusiveError, InternalConsistencyError,
 from .groups import (ElementSet, FiniteGroup, direct_product, from_cayley_table,
                      generated_subgroup, make_cyclic, make_dihedral,
                      make_symmetric)
-from .modm import (ModMReport, ResidueCycle, cesaro_mod_m, extinction_fraction,
-                   iterate_mod_m, regularity_mod_m, residue_cycle, series_group)
+from .modm import (ModMReport, ResidueCycle, extinction_fraction,
+                   regularity_mod_m, residue_cycle, series_group)
 from .predict import (LimitReport, analyze, cesaro_limit, empirical_cesaro,
                       iterate_map, pure_power_report, regular_limit)
 from .series import (CoeffState, ProbPoly, cesaro_coeffs, compose,
@@ -36,17 +35,17 @@ __all__ = [
     "AccumulationSet", "AlgebraElement", "ApproxElement", "CoeffState",
     "ConfigError", "DynamicsProfile", "ElementSet", "ExperimentConfig",
     "FiniteGroup", "InconclusiveError", "InternalConsistencyError",
-    "LimitReport", "ModMReport", "ProbPoly", "PurePowerError", "ResidueCycle",
-    "SimplexPoint", "add", "analyze", "cesaro_coeffs", "cesaro_limit",
-    "cesaro_mod_m", "compose", "composition_sum_check", "default_truncation",
-    "delta", "direct_product", "element_to_map", "empirical_cesaro",
-    "empirical_limit_set", "extinction_fraction", "extinction_value",
-    "format_rational", "from_cayley_table", "generated_subgroup",
-    "initial_state", "iterate_coeffs", "iterate_map", "iterate_mod_m",
-    "limit_set", "make_cyclic", "make_dihedral", "make_symmetric",
+    "LimitReport", "ModMReport", "ProbPoly", "PurePowerError",
+    "ResidueCycle", "SimplexPoint", "add", "analyze", "cesaro_coeffs",
+    "cesaro_limit", "compose", "composition_sum_check",
+    "default_truncation", "delta", "direct_product", "element_to_map",
+    "empirical_cesaro", "empirical_limit_set", "extinction_fraction",
+    "extinction_value", "from_cayley_table", "generated_subgroup",
+    "initial_state", "iterate_coeffs", "iterate_map", "limit_set",
+    "make_cyclic", "make_dihedral", "make_symmetric",
     "match_accumulation_sets", "multiply", "parse_rational", "power",
     "power_rank", "profile", "pure_power_report", "recursion_coeffs",
     "reduce_to_stable", "regular_limit", "regularity_mod_m",
     "residue_cycle", "scale", "series_group", "simplex_from_map",
-    "sup_distance", "support", "to_approx", "uniform_on",
+    "sup_distance", "support", "uniform_on",
 ]

@@ -36,10 +36,6 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
     if a is not b and a != b:
         raise ValueError(f"{what} requires elements of the same group")
@@ -198,10 +194,6 @@ def scale(q: RationalLike, x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.group, tuple(qq * c for c in x.coeffs))
 
 
-def to_approx(x: AlgebraElement, slack: float = DEFAULT_APPROX_SLACK) -> ApproxElement:
-    return ApproxElement(x.group, x.floats, slack)
-
-
 def sup_distance(a: ApproxElement | AlgebraElement,
                  b: ApproxElement | AlgebraElement) -> float:
     """max_g |a_g - b_g|; exact elements are converted to floats first."""
@@ -213,11 +205,6 @@ def float_coeffs(x: ApproxElement | AlgebraElement) -> np.ndarray:
     """The read-only float64 coefficient vector of x; for an exact element
     it is computed on first use and then shared."""
     return x.coeffs if isinstance(x, ApproxElement) else x.floats
-
-
-def convolve_floats(group: FiniteGroup, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-    """Float convolution via the precomputed h^{-1}g gather table."""
-    return xv @ yv[group.conv_index]
 
 
 def evaluate_series_floats(group: FiniteGroup,
@@ -263,8 +250,7 @@ def _float_orbit(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
 
 
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
-                 start: np.ndarray, n: int,
-                 slack_rate: float = ITERATION_SLACK_RATE) -> list["ApproxElement"]:
+                 start: np.ndarray, n: int) -> list["ApproxElement"]:
     """Float orbit y_1 = p(start), y_{k+1} = p(y_k) for p given by terms.
 
     Each step renormalizes the total mass to 1.  The true orbit has mass
@@ -277,8 +263,9 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
     the first state that repeats an earlier one bit for bit; every later
     y_k is read from the cycle that repeat closes (_float_orbit), which
     is the value the evaluation would have produced.  Each distinct state
-    gets one ApproxElement, checked at slack slack_rate * k for the step
-    k it first appears at; every later step that replays it shares it.
+    gets one ApproxElement, checked at slack ITERATION_SLACK_RATE * k for
+    the step k it first appears at; every later step that replays it
+    shares it.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -288,7 +275,7 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
         return vec / vec.sum()
 
     states, j = _float_orbit(step, np.asarray(start, dtype=np.float64), n)
-    trace = [ApproxElement(group=group, coeffs=vec, slack=slack_rate * k)
+    trace = [ApproxElement(group=group, coeffs=vec, slack=ITERATION_SLACK_RATE * k)
              for k, vec in enumerate(states, start=1)]
     period = len(states) - j
     return trace + [trace[j + (m - j) % period] for m in range(len(states), n)]
@@ -312,5 +299,5 @@ def simplex_from_map(group: FiniteGroup,
 
 def element_to_map(x: AlgebraElement) -> dict[str, str]:
     """Nonzero coefficients as a label -> "p/q" map (inverse of simplex_from_map)."""
-    return {x.group.labels[i]: format_rational(c)
+    return {x.group.labels[i]: str(c)
             for i, c in enumerate(x.coeffs) if c}

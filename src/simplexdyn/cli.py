@@ -28,8 +28,9 @@ import sys
 from . import algebra, dynamics, series as scalar
 from .algebra import ApproxElement, element_to_map, multiply, sup_distance
 from .config import ConfigError, ExperimentConfig
-from .dynamics import (DEFAULT_HORIZON, AccumulationSet, empirical_limit_set,
-                       limit_set, match_accumulation_sets, power_rank, profile)
+from .dynamics import (DEFAULT_HORIZON, DEFAULT_MATCH_TOL, AccumulationSet,
+                       empirical_limit_set, limit_set, match_accumulation_sets,
+                       power_rank, profile)
 from .errors import InconclusiveError, InternalConsistencyError
 from .predict import (CESARO_HORIZON, REGULAR_HORIZON, LimitReport, analyze,
                       empirical_cesaro, iterate_map, pure_power_report)
@@ -39,7 +40,6 @@ EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAILED = 3
 
-DEFAULT_MATCH_TOL = 1e-8
 DEFAULT_SCALAR_HORIZON = 200
 REGULAR_ORACLE_TOL = 1e-7
 CESARO_ORACLE_TOL = 1e-4

@@ -18,7 +18,7 @@ from typing import Mapping
 from .algebra import SimplexPoint, delta, parse_rational, simplex_from_map
 from .groups import (FiniteGroup, direct_product, make_cyclic, make_dihedral,
                      make_symmetric, read_cayley_csv)
-from .record import Record
+from .record import Record, as_int
 from .series import ProbPoly
 
 RANDOM_WEIGHT_MAX = 20
@@ -30,13 +30,10 @@ class ConfigError(ValueError):
 
 def _as_int(value, where: str) -> int:
     """An int, an integral float or a numeral string; never a bool."""
-    if not isinstance(value, bool) and (not isinstance(value, float)
-                                        or value.is_integer()):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    try:
+        return as_int(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_group(spec, where: str = "group") -> FiniteGroup:

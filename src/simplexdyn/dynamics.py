@@ -31,7 +31,8 @@ from .groups import ElementSet, generated_subgroup
 from .record import Record
 
 DEFAULT_HORIZON = 600
-DEFAULT_MERGE_TOL = 1e-9
+MERGE_TOL = 1e-9
+DEFAULT_MATCH_TOL = 1e-8
 
 
 class DynamicsProfile(Record):
@@ -153,8 +154,7 @@ def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
 
 
 def empirical_limit_set(x: SimplexPoint,
-                        horizon: int = DEFAULT_HORIZON,
-                        merge_tol: float = DEFAULT_MERGE_TOL) -> AccumulationSet:
+                        horizon: int = DEFAULT_HORIZON) -> AccumulationSet:
     """Brute-force oracle: cluster the cycle that the float powers close.
 
     Multiplies out x, x^2, .. in floating point up to the first power
@@ -162,12 +162,10 @@ def empirical_limit_set(x: SimplexPoint,
     step is deterministic, so from there on the powers replay the states
     between the two occurrences forever: that cycle is the whole float
     orbit past its transient.  Its states are merged greedily, in order:
-    a state within merge_tol (sup distance) of an earlier cluster joins
+    a state within MERGE_TOL (sup distance) of an earlier cluster joins
     it, any other starts a new one.  If no power up to x^horizon repeats,
     raises InconclusiveError rather than returning a guess.
     """
-    if not merge_tol >= 0:
-        raise ValueError(f"need merge_tol >= 0, got {merge_tol}")
     g = x.group
     right = algebra.float_coeffs(x)[g.conv_index]
     one = np.zeros(g.order)
@@ -181,7 +179,7 @@ def empirical_limit_set(x: SimplexPoint,
     cycle = np.array(states[j:])
     reps: list[int] = []
     for i, vec in enumerate(cycle):
-        if not len(_within(cycle, np.array(reps, dtype=int), vec, merge_tol)[0]):
+        if not len(_within(cycle, np.array(reps, dtype=int), vec, MERGE_TOL)[0]):
             reps.append(i)
     points = tuple(ApproxElement(g, cycle[i], slack=ITERATION_SLACK_RATE * (j + 1 + i))
                    for i in reps)
@@ -190,7 +188,7 @@ def empirical_limit_set(x: SimplexPoint,
 
 def match_accumulation_sets(expected: AccumulationSet,
                             observed: AccumulationSet,
-                            tol: float = 1e-8) -> bool:
+                            tol: float = DEFAULT_MATCH_TOL) -> bool:
     """Greedy nearest-neighbor matching of two accumulation sets.
 
     True when the sets have equal cardinality and each observed point,

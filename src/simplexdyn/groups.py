@@ -1,13 +1,14 @@
 """Finite groups as validated Cayley tables.
 
 Groups are immutable value objects: an element is an index into a fixed
-basis, multiplication is a lookup in one read-only numpy table, and every
-constructor runs the full invariant suite (identity, Latin square,
-inverses, associativity) before returning.  Associativity is decided
-exactly at every order by Light's test (Clifford & Preston I, 1961,
-section 1.2): (x*a)*y = x*(a*y) for all x, y and every a of a greedy
-generating set, whose size a group keeps within floor(log2 n); the cost
-is O(n^2 log n) time and O(n^2) memory.
+basis, and multiplication is a lookup in one read-only numpy table.
+FiniteGroup(labels, table) is the one constructor.  It runs the full
+invariant suite (Latin square, identity, inverses, associativity) and
+reads the identity and the inverses off the table, so no builder states
+them.  Associativity is decided exactly at every order by Light's test
+(Clifford & Preston I, 1961, section 1.2): (x*a)*y = x*(a*y) for all
+x, y and every a of a greedy generating set, whose size a group keeps
+within floor(log2 n); the cost is O(n^2 log n) time and O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .record import Record
+from .record import Record, as_int
 
 MAX_SYMMETRIC_DEGREE = 6
 
@@ -27,28 +28,30 @@ MAX_SYMMETRIC_DEGREE = 6
 class FiniteGroup(Record):
     """A finite group presented by its Cayley table.
 
+    FiniteGroup(labels, table) takes n distinct labels and an n x n
+    integer table, checks every group axiom and derives the other fields
+    from the table.  An intp array is kept and frozen in place, not
+    copied: hand over only a fresh array that no caller still writes
+    (the builders below make theirs; from_cayley_table copies).
+
     Fields:
         order: number of elements n.
         labels: n distinct display strings, one per element index.
-        table: read-only n x n integer array; table[i, j] is the index of
-            g_i * g_j.  Any integer array-like is copied in, unless the
-            caller passes copy=False to hand over a fresh intp array that
-            nothing else references (the builders below do).
+        table: read-only n x n intp array; table[i, j] is the index of
+            g_i * g_j.
         identity: index of the neutral element.
         inverses: inverses[i] is the index of g_i^{-1}.
 
-    Validation checks every group axiom exactly, associativity by Light's
-    test.  Groups are equal when labels, identity and table agree.
+    Groups are equal when labels, identity and table agree.
     """
 
     _fields = ("order", "labels", "table", "identity", "inverses")
 
-    def __init__(self, order: int, labels: tuple[str, ...], table,
-                 identity: int, inverses: tuple[int, ...], *,
-                 copy: bool = True) -> None:
-        self._set(order=order, labels=labels, table=_as_table(table, copy),
+    def __init__(self, labels: Sequence[str], table) -> None:
+        labels, table = tuple(labels), _as_table(table)
+        identity, inverses = _validate_group(labels, table)
+        self._set(order=len(table), labels=labels, table=table,
                   identity=identity, inverses=inverses)
-        _validate_group(self)
 
     @cached_property
     def conv_index(self) -> np.ndarray:
@@ -59,9 +62,6 @@ class FiniteGroup(Record):
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
 
     def index_of(self, label: str) -> int:
         try:
@@ -103,7 +103,7 @@ class ElementSet(Record):
     _fields = ("group", "members")
 
     def __init__(self, group: FiniteGroup, members: tuple[int, ...]) -> None:
-        mem = tuple(sorted(set(members)))
+        mem = tuple(sorted({as_int(i, "element index") for i in members}))
         for i in mem:
             if not 0 <= i < group.order:
                 raise ValueError(
@@ -127,41 +127,36 @@ class ElementSet(Record):
         return [self.group.labels[i] for i in self.members]
 
 
-def _as_table(table, copy: bool = True) -> np.ndarray:
-    """A read-only square intp array of an integer table, or ValueError.
-
-    With copy=False an intp ndarray is kept and frozen in place, which
-    is safe only for a fresh array that no caller still holds.
-    """
+def _as_table(table) -> np.ndarray:
+    """A read-only square intp array of an integer table, or ValueError;
+    an intp ndarray is kept and frozen in place, not copied."""
     arr = np.asarray(table)  # ragged rows raise ValueError
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"cayley table must be square, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"cayley table entries must be integers, got {arr.dtype}")
-    arr = arr.astype(np.intp, copy=copy)
+    arr = arr.astype(np.intp, copy=False)
     arr.setflags(write=False)
     return arr
 
 
-def _validate_group(g: FiniteGroup) -> None:
-    n = g.order
+def _validate_group(labels: tuple[str, ...],
+                    table: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Check the group axioms on a square table; return (identity, inverses).
+
+    In a Latin square exactly one x has x * g_0 = g_0, the only candidate
+    for the identity e, and the inverse of g_i can only be the position
+    of e in row i; both are then checked two-sided.
+    """
+    n = len(table)
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")
-    if len(g.labels) != n or len(set(g.labels)) != n:
+    if len(labels) != n or len(set(labels)) != n:
         raise ValueError("labels must be exactly one distinct string per element")
-    table = g.table
-    if table.shape != (n, n):
-        raise ValueError(f"cayley table must be {n}x{n}")
     if table.min() < 0 or table.max() >= n:
         raise ValueError("cayley table entries must be element indices in range")
 
-    e = g.identity
-    if not 0 <= e < n:
-        raise ValueError(f"identity index {e} out of range")
     idx = np.arange(n)
-    if not (np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)):
-        raise ValueError(f"element {g.labels[e]!r} is not a two-sided identity")
-
     in_row = np.zeros((n, n), dtype=bool)
     in_row[idx[:, None], table] = True
     in_col = np.zeros((n, n), dtype=bool)
@@ -169,15 +164,16 @@ def _validate_group(g: FiniteGroup) -> None:
     if not (in_row.all() and in_col.all()):
         raise ValueError("cayley table is not a Latin square")
 
-    if len(g.inverses) != n:
-        raise ValueError("inverses must list one index per element")
-    inv = np.asarray(g.inverses, dtype=np.intp)
-    if inv.min() < 0 or inv.max() >= n:
-        raise ValueError("inverses must be element indices in range")
-    if not ((table[idx, inv] == e).all() and (table[inv, idx] == e).all()):
-        raise ValueError("inverses are not two-sided inverses")
+    e = int(np.argmax(table[:, 0] == 0))
+    if not (np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)):
+        raise ValueError("table has no two-sided identity element")
+    inv = np.argmax(table == e, axis=1)
+    two_sided = table[inv, idx] == e
+    if not two_sided.all():
+        raise ValueError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
 
     _check_associative(table, e)
+    return e, tuple(inv.tolist())
 
 
 def _check_associative(table: np.ndarray, e: int) -> None:
@@ -221,14 +217,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     idx = np.arange(n)
-    return FiniteGroup(
-        order=n,
-        labels=tuple(f"t^{i}" for i in range(n)),
-        table=(idx[:, None] + idx) % n,
-        identity=0,
-        inverses=tuple(((-idx) % n).tolist()),
-        copy=False,
-    )
+    return FiniteGroup((f"t^{i}" for i in range(n)), (idx[:, None] + idx) % n)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -242,10 +231,8 @@ def make_dihedral(n: int) -> FiniteGroup:
     flip, rot = np.divmod(np.arange(2 * n), n)
     sign = 1 - 2 * flip
     table = n * (flip[:, None] ^ flip) + (rot + sign * rot[:, None]) % n
-    labels = tuple(f"r{k}" for k in range(n)) + tuple(f"s{k}" for k in range(n))
-    inverses = tuple((-k) % n for k in range(n)) + tuple(n + k for k in range(n))
-    return FiniteGroup(order=2 * n, labels=labels, table=table,
-                       identity=0, inverses=inverses, copy=False)
+    labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
+    return FiniteGroup(labels, table)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -276,7 +263,6 @@ def make_symmetric(n: int) -> FiniteGroup:
         raise ValueError(
             f"symmetric degree must be in 1..{MAX_SYMMETRIC_DEGREE}, got {n}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    inverse_perms = np.argsort(perms, axis=1)
     # A permutation's code is its images read as base-n digits w_k = n^(n-1-k);
     # index maps each of the n^n codes back to the permutation's rank.
     weights = n ** np.arange(n - 1, -1, -1)
@@ -284,55 +270,27 @@ def make_symmetric(n: int) -> FiniteGroup:
     index[perms @ weights] = np.arange(len(perms))
     # The code of g_i g_j is sum_k w_k g_i(g_j(k)) = sum_m g_i(m) w_(g_j^-1(m)):
     # one n! x n! integer product, no (n!, n!, n) array of composed images.
-    codes = perms @ weights[inverse_perms].T
-    return FiniteGroup(
-        order=len(perms),
-        labels=tuple(_cycle_label(p) for p in perms.tolist()),
-        table=index[codes],
-        identity=0,
-        inverses=tuple(index[inverse_perms @ weights].tolist()),
-        copy=False,
-    )
+    codes = perms @ weights[np.argsort(perms, axis=1)].T
+    return FiniteGroup(map(_cycle_label, perms.tolist()), index[codes])
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with componentwise multiplication; index (i,j) -> i*|b|+j."""
-    na, nb = a.order, b.order
+    n, nb = a.order * b.order, b.order
     table = a.table[:, None, :, None] * nb + b.table[None, :, None, :]
-    return FiniteGroup(
-        order=na * nb,
-        labels=tuple(f"({la},{lb})" for la in a.labels for lb in b.labels),
-        table=table.reshape(na * nb, na * nb),
-        identity=a.identity * nb + b.identity,
-        inverses=tuple(np.add.outer(np.multiply(a.inverses, nb), b.inverses).ravel().tolist()),
-        copy=False)
+    return FiniteGroup((f"({la},{lb})" for la in a.labels for lb in b.labels),
+                       table.reshape(n, n))
 
 
 def from_cayley_table(table: Sequence[Sequence[int]],
                       labels: Sequence[str] | None = None) -> FiniteGroup:
-    """Build and fully validate a group from a raw index table.
-
-    The identity is inferred as the first index e with e*x = x*e = x for
-    all x; inverses are then read off the table.  Entries must be
-    integers and rows of equal length.  Any violation of the group
-    axioms raises ValueError.
-    """
-    arr = _as_table(table)
-    n = len(arr)
-    labels = tuple(f"g{i}" for i in range(n)) if labels is None else tuple(labels)
-    idx = np.arange(n)
-    is_identity = (arr == idx).all(axis=1) & (arr == idx[:, None]).all(axis=0)
-    if not is_identity.any():
-        raise ValueError("table has no two-sided identity element")
-    ident = int(np.argmax(is_identity))
-
-    two_sided = (arr == ident) & (arr.T == ident)
-    has_inverse = two_sided.any(axis=1)
-    if not has_inverse.all():
-        raise ValueError(f"element {int(np.argmin(has_inverse))} has no two-sided inverse")
-    return FiniteGroup(order=n, labels=labels, table=arr, identity=ident,
-                       inverses=tuple(np.argmax(two_sided, axis=1).tolist()),
-                       copy=False)
+    """Build and fully validate a group from a raw index table the caller
+    may still hold, so it is copied once.  Entries must be integers and
+    rows of equal length; labels default to g0 .. g{n-1}.  Any violation
+    of the group axioms raises ValueError."""
+    arr = _as_table(np.array(table))
+    labels = (f"g{i}" for i in range(len(arr))) if labels is None else labels
+    return FiniteGroup(labels, arr)
 
 
 def read_cayley_csv(path: str) -> FiniteGroup:
@@ -375,7 +333,7 @@ def generated_subgroup(g: FiniteGroup, seed: ElementSet | Iterable[int]) -> Elem
             raise ValueError("seed belongs to a different group")
         start = list(seed.members)
     else:
-        start = sorted(set(int(i) for i in seed))
+        start = sorted({as_int(i, "seed index") for i in seed})
     if not start:
         raise ValueError("generated_subgroup requires a nonempty seed")
 

@@ -6,7 +6,7 @@ by two pieces of integer data: the subgroup of Z_m generated by the
 offsets of p, and the eventual cycle of r^n mod m where r is the minimal
 exponent of p.  The limit (when the coset criterion grants one) and the
 Cesaro average both have closed forms built from the uniform measure on
-that subgroup; a direct float iteration is kept alongside as an oracle.
+that subgroup.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import algebra
-from .algebra import ApproxElement, SimplexPoint
+from .algebra import SimplexPoint
 from .dynamics import AccumulationSet
 from .errors import InternalConsistencyError, PurePowerError
 from .groups import ElementSet, generated_subgroup, make_cyclic
@@ -207,17 +206,4 @@ def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:
                       limit=points[0] if exists else None,
                       accumulation=accumulation, cesaro=cesaro, a=a)
 
-
-def cesaro_mod_m(p: ProbPoly, m: int) -> SimplexPoint:
-    """Cesaro limit of p^[n](t mod t^m - 1); defined whether or not the
-    plain limit exists."""
-    return regularity_mod_m(p, m).cesaro
-
-
-def iterate_mod_m(p: ProbPoly, m: int, n: int) -> list[ApproxElement]:
-    """Oracle trace y_1 = p(delta_t), y_{k+1} = p(y_k) in float arithmetic."""
-    group = make_cyclic(m)
-    terms = [(e, float(c)) for e, c in p.terms]
-    start = algebra.float_coeffs(algebra.delta(group, 1 % m))
-    return algebra.series_trace(group, terms, start, n)
 

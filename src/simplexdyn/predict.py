@@ -51,7 +51,7 @@ class LimitReport(Record):
 
     scalar_limits holds the per-residue mass limits L_0 .. L_{m-1} (the
     Cesaro versions for a Cesaro report); they are present only when the
-    reported limit exists.  diagnostics defaults to a new empty dict.
+    reported limit exists.
     """
 
     _fields = ("digest", "profile", "reduction_steps", "exists", "limit",
@@ -60,8 +60,7 @@ class LimitReport(Record):
     def __init__(self, digest: dict, profile: DynamicsProfile, reduction_steps: int,
                  exists: bool, limit: SimplexPoint | None,
                  accumulation: AccumulationSet, cesaro: SimplexPoint, a: float,
-                 scalar_limits: tuple[float, ...] | None,
-                 diagnostics: dict | None = None) -> None:
+                 scalar_limits: tuple[float, ...] | None, diagnostics: dict) -> None:
         if exists != (limit is not None):
             raise ValueError("limit must be present exactly when exists is true")
         if scalar_limits is not None:
@@ -71,7 +70,7 @@ class LimitReport(Record):
         self._set(digest=digest, profile=profile, reduction_steps=reduction_steps,
                   exists=exists, limit=limit, accumulation=accumulation,
                   cesaro=cesaro, a=a, scalar_limits=scalar_limits,
-                  diagnostics={} if diagnostics is None else diagnostics)
+                  diagnostics=diagnostics)
 
 
 def _digest(series_label: str, x: SimplexPoint) -> dict:

@@ -12,6 +12,9 @@ _set().  Record gives it:
 A subclass that compares by identity sets __eq__ = object.__eq__ and
 __hash__ = object.__hash__.  Instances keep a __dict__, so
 functools.cached_property works on them.
+
+as_int is the one integer check of every input a record takes: it
+rejects bools and anything int() would truncate.
 """
 
 from __future__ import annotations
@@ -52,3 +55,20 @@ class Record:
     def _format(self, names: tuple[str, ...]) -> str:
         inside = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__qualname__}({inside})"
+
+
+def as_int(value, what: str) -> int:
+    """value as an int: an integer (numpy's too), an integral number or a
+    numeral string; never a bool (numpy's neither).  Otherwise ValueError
+    naming value."""
+    if type(value) is int:
+        return value
+    if not (isinstance(value, bool) or getattr(value, "dtype", None) == bool):
+        try:
+            n = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or n == value:
+                return n
+    raise ValueError(f"{what}: expected an integer, got {value!r}")

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InconclusiveError, InternalConsistencyError, PurePowerError
-from .record import Record
+from .record import Record, as_int
 
 TRUNCATION_FACTOR = 64
 TRUNCATION_CAP = 4096
@@ -67,7 +67,7 @@ class ProbPoly(Record):
         cleaned = []
         seen = set()
         for exponent, coeff in terms:
-            e = int(exponent)
+            e = as_int(exponent, "exponent")
             c = Fraction(coeff)
             if e < 0:
                 raise ValueError(f"exponent {e} is negative")
@@ -91,11 +91,11 @@ class ProbPoly(Record):
 
     @classmethod
     def from_map(cls, mapping: Mapping[int | str, Fraction | int | str]) -> "ProbPoly":
-        return cls(tuple((int(k), Fraction(v)) for k, v in mapping.items()))
+        return cls(tuple(mapping.items()))
 
     @classmethod
     def pure_power(cls, r: int) -> "ProbPoly":
-        return cls(((int(r), Fraction(1)),))
+        return cls(((r, 1),))
 
     @property
     def is_pure_power(self) -> bool:
@@ -124,9 +124,6 @@ class ProbPoly(Record):
     def mean_exponent(self) -> Fraction:
         """p'(1) = sum e * a_e, the mean exponent drawn from p."""
         return sum((c * e for e, c in self.terms), start=Fraction(0))
-
-    def coeff_map(self) -> dict[int, Fraction]:
-        return dict(self.terms)
 
     def evaluate(self, value):
         """p(value); exact for Fraction input, float for float input."""

@@ -65,7 +65,7 @@ def test_build_element_forms():
 def test_build_series_forms():
     assert build_series("pure-power:3") == ProbPoly.pure_power(3)
     p = build_series({"0": "1/3", "2": "2/3"})
-    assert p.coeff_map() == {0: Fraction(1, 3), 2: Fraction(2, 3)}
+    assert dict(p.terms) == {0: Fraction(1, 3), 2: Fraction(2, 3)}
     with pytest.raises(ConfigError):
         build_series("pure-power:-1")
     with pytest.raises(ConfigError):

@@ -11,9 +11,9 @@ from simplexdyn import (InconclusiveError, InternalConsistencyError, delta,
                         limit_set, make_cyclic, make_dihedral, make_symmetric,
                         match_accumulation_sets, multiply, power, power_rank,
                         profile, reduce_to_stable, simplex_from_map,
-                        sup_distance, support, to_approx, uniform_on)
+                        sup_distance, support, uniform_on)
 from simplexdyn.algebra import ITERATION_SLACK_RATE, ApproxElement, float_coeffs
-from simplexdyn.dynamics import DEFAULT_MERGE_TOL, AccumulationSet, exact_rank
+from simplexdyn.dynamics import MERGE_TOL, AccumulationSet, exact_rank
 
 from conftest import build_zoo, random_simplex_point
 
@@ -77,8 +77,8 @@ def test_match_rejects_perturbed_sets():
     x = delta(g, 1)
     closed = limit_set(profile(x))
     shifted = AccumulationSet(points=tuple(
-        to_approx(multiply(pt, simplex_from_map(
-            g, {"t^0": "9/10", "t^1": "1/10"}))) for pt in closed.points),
+        ApproxElement(g, multiply(pt, simplex_from_map(
+            g, {"t^0": "9/10", "t^1": "1/10"})).floats) for pt in closed.points),
         source="empirical")
     assert not match_accumulation_sets(closed, shifted, tol=1e-8)
     dropped = AccumulationSet(points=closed.points[:-1], source="empirical")
@@ -165,7 +165,7 @@ def plain_limit_set(x, horizon):
                 f"({len(states)} distinct powers)", horizon)
     reps = []
     for i in cycle:
-        if all(np.abs(states[r] - states[i]).max() > DEFAULT_MERGE_TOL for r in reps):
+        if all(np.abs(states[r] - states[i]).max() > MERGE_TOL for r in reps):
             reps.append(i)
     # states[i] is x^(i + 1).
     return [(states[i].tobytes(), ITERATION_SLACK_RATE * (i + 1)) for i in reps]

@@ -1,4 +1,5 @@
-"""Broadcast-built Cayley tables against per-entry definitions; group equality."""
+"""Broadcast-built Cayley tables, and the identity and inverses read off
+them, against per-entry definitions; group equality."""
 
 import itertools
 import random
@@ -15,6 +16,7 @@ def test_cyclic_table_is_addition_mod_n(n):
     g = make_cyclic(n)
     assert g.table.tolist() == [[(i + j) % n for j in range(n)] for i in range(n)]
     assert g.identity == 0
+    assert g.inverses == tuple((-i) % n for i in range(n))
 
 
 def _dihedral_entry(n, i, j):
@@ -34,6 +36,9 @@ def test_dihedral_table_follows_the_four_case_rule(n):
     g = make_dihedral(n)
     assert g.table.tolist() == [[_dihedral_entry(n, i, j) for j in range(2 * n)]
                                 for i in range(2 * n)]
+    assert g.identity == 0
+    # rotations r^k invert to r^-k, reflections are their own inverses
+    assert g.inverses == tuple((-k) % n for k in range(n)) + tuple(range(n, 2 * n))
 
 
 def test_symmetric_table_is_composition_in_lexicographic_order():
@@ -68,6 +73,8 @@ def test_product_table_is_componentwise(a, b):
         [a.mul(u // nb, v // nb) * nb + b.mul(u % nb, v % nb) for v in range(g.order)]
         for u in range(g.order)]
     assert g.identity == a.identity * nb + b.identity
+    assert g.inverses == tuple(a.inverses[u // nb] * nb + b.inverses[u % nb]
+                               for u in range(g.order))
 
 
 def test_tables_are_read_only():

@@ -1,12 +1,14 @@
 """Group construction, validation, and subgroup generation."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from simplexdyn import (direct_product, from_cayley_table, generated_subgroup,
-                        make_cyclic, make_dihedral, make_symmetric)
+from simplexdyn import (FiniteGroup, direct_product, from_cayley_table,
+                        generated_subgroup, make_cyclic, make_dihedral,
+                        make_symmetric)
 from simplexdyn.groups import ElementSet, read_cayley_csv
 
 
@@ -16,7 +18,7 @@ def test_cyclic_structure():
     assert g.identity == 0
     assert g.labels == ("t^0", "t^1", "t^2", "t^3", "t^4", "t^5")
     assert g.mul(4, 5) == 3
-    assert g.inv(2) == 4
+    assert g.inverses[2] == 4
     assert g.element_order(2) == 3
     assert g.index_of("t^3") == 3
 
@@ -41,7 +43,7 @@ def test_dihedral_structure():
     assert g.element_order(s0) == 2
     assert g.mul(r1, s0) != g.mul(s0, r1)
     # reflection conjugates a rotation to its inverse
-    assert g.mul(g.mul(s0, r1), s0) == g.inv(r1)
+    assert g.mul(g.mul(s0, r1), s0) == g.inverses[r1]
 
 
 def test_symmetric_structure():
@@ -71,6 +73,9 @@ def test_from_cayley_table_validates():
     z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     g = from_cayley_table(z3, labels=("e", "a", "b"))
     assert g.order == 3
+    # Z_4 under i*j = i + j + 2 mod 4: the identity is 2, the inverse of i is -i
+    g = from_cayley_table([[(i + j + 2) % 4 for j in range(4)] for i in range(4)])
+    assert (g.identity, g.inverses) == (2, (0, 3, 2, 1))
     # Break associativity: a*a = a makes the table a non-group.
     broken = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]
     with pytest.raises(ValueError):
@@ -79,6 +84,27 @@ def test_from_cayley_table_validates():
     not_latin = [[0, 1, 2], [1, 1, 0], [2, 0, 2]]
     with pytest.raises(ValueError):
         from_cayley_table(not_latin, labels=("e", "a", "b"))
+
+
+@pytest.mark.parametrize("table, message", [
+    # a Latin square with identity 0 in which 2, 3 and 4 have one-sided
+    # inverses only: 2*3 = 3*4 = 4*2 = 0 but 3*2, 4*3 and 2*4 are not
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+      [4, 2, 0, 1, 3]], "element 2 has no two-sided inverse"),
+    # x*y = -x-y mod 3: a Latin square whose only candidate, 0, is no identity
+    ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "table has no two-sided identity element"),
+], ids=["one-sided-inverses", "no-identity"])
+def test_from_cayley_table_rejects_latin_squares_that_are_no_groups(table, message):
+    with pytest.raises(ValueError, match=message):
+        from_cayley_table(table)
+
+
+def test_finite_group_freezes_the_array_it_is_handed():
+    arr = np.array([[0, 1], [1, 0]], dtype=np.intp)
+    g = FiniteGroup(("e", "a"), arr)
+    assert g.table is arr and not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1
 
 
 @pytest.mark.parametrize("table", [
@@ -143,6 +169,7 @@ def test_generated_subgroup():
     assert generated_subgroup(g, (0,)).members == (0,)
     with pytest.raises(ValueError):
         generated_subgroup(g, ())
+    assert generated_subgroup(g, (np.int64(4),)).members == (0, 4, 8)
     d4 = make_dihedral(4)
     rotations = generated_subgroup(d4, (d4.index_of("r1"),))
     assert len(rotations) == 4
@@ -155,6 +182,18 @@ def test_element_set_operations():
     assert len(sub) == 3
     assert sub <= ElementSet(g, tuple(range(6)))
     assert sub.label_list() == ["t^0", "t^2", "t^4"]
+    assert ElementSet(g, (np.int32(3), 1)).members == (1, 3)
+
+
+@pytest.mark.parametrize("index", [1.5, 4.7, True, np.True_, np.float64(2.5)])
+def test_fractional_and_bool_indices_are_rejected_not_truncated(index):
+    # int() would turn 4.7 into 4 and True into 1, both valid in C12
+    g = make_cyclic(12)
+    message = re.escape(f"expected an integer, got {index!r}")
+    with pytest.raises(ValueError, match=message):
+        generated_subgroup(g, [index])
+    with pytest.raises(ValueError, match=message):
+        ElementSet(g, (index,))
 
 
 def test_conv_index_gathers_products():
@@ -164,7 +203,7 @@ def test_conv_index_gathers_products():
     assert isinstance(conv, np.ndarray)
     for gi in range(6):
         for hi in range(6):
-            assert conv[hi, gi] == g.mul(g.inv(hi), gi)
+            assert conv[hi, gi] == g.mul(g.inverses[hi], gi)
 
 
 @pytest.mark.parametrize("dtype", [np.intp, np.int32])

@@ -1,6 +1,11 @@
-"""Source hygiene: every imported name is used in its module."""
+"""Source hygiene: every imported name is used in its module, and the
+README's library quick tour runs as written."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +47,12 @@ def test_the_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S)
+    assert tour is not None
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", tour.group(1)], env=env, check=True,
+                   cwd=ROOT, timeout=120)

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from simplexdyn import (ProbPoly, PurePowerError, cesaro_mod_m, delta,
-                        extinction_fraction, iterate_mod_m, make_cyclic,
-                        power, regularity_mod_m, residue_cycle, scale, add,
-                        series_group, sup_distance)
+from simplexdyn import (ProbPoly, PurePowerError, delta, extinction_fraction,
+                        iterate_map, make_cyclic, power, regularity_mod_m,
+                        residue_cycle, scale, add, series_group, sup_distance)
 
 HALF = Fraction(1, 2)
 EXAMPLE_SERIES = ProbPoly(((3, HALF), (7, HALF)))
@@ -53,7 +52,7 @@ def test_divergent_example_mod_12():
         assert {i for i, c in enumerate(pt.coeffs) if c} == expected
         assert all(c in (Fraction(0), Fraction(1, 3)) for c in pt.coeffs)
     assert rep.a == 0
-    ces = cesaro_mod_m(EXAMPLE_SERIES, 12)
+    ces = regularity_mod_m(EXAMPLE_SERIES, 12).cesaro
     assert ces.coeffs == tuple(Fraction(1, 6) if i % 2 else Fraction(0)
                                for i in range(12))
 
@@ -101,7 +100,7 @@ def test_duplicate_cosets_are_deduplicated():
     assert rep.cycle.d == 6
     assert not rep.exists
     assert len(rep.accumulation) == 2
-    ces = cesaro_mod_m(p, 9)
+    ces = regularity_mod_m(p, 9).cesaro
     assert ces.coeffs == tuple(Fraction(0) if i % 3 == 0 else Fraction(1, 6)
                                for i in range(9))
 
@@ -117,8 +116,8 @@ def test_extinction_fraction_branches():
 def test_iterate_mod_m_matches_exact_composition():
     p = EXAMPLE_SERIES
     g = make_cyclic(10)
-    trace = iterate_mod_m(p, 10, 6)
     y = delta(g, 1)
+    trace = iterate_map(p, y, 6)
     for k in range(6):
         y = add(scale(HALF, power(y, 3)), scale(HALF, power(y, 7)))
         assert sup_distance(y, trace[k]) < 1e-12
@@ -126,6 +125,6 @@ def test_iterate_mod_m_matches_exact_composition():
 
 def test_oracle_confirms_mod_10_limit():
     rep = regularity_mod_m(EXAMPLE_SERIES, 10)
-    trace = iterate_mod_m(EXAMPLE_SERIES, 10, 500)
+    trace = iterate_map(EXAMPLE_SERIES, delta(make_cyclic(10), 1), 500)
     assert sup_distance(trace[-1], rep.limit) < 1e-8
 

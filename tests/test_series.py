@@ -1,6 +1,7 @@
 """Scalar coefficient dynamics: composition, recursion, extinction."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,17 @@ def test_prob_poly_validation():
         ProbPoly(((1, HALF), (1, HALF)))  # duplicate exponent
     with pytest.raises(ValueError):
         ProbPoly(((-1, HALF), (1, HALF)))
+    assert ProbPoly(((np.int64(2), HALF), (0, HALF))) == two_type_poly()
+
+
+@pytest.mark.parametrize("exponent", [2.5, 3.9, True, np.float32(2.5)])
+def test_prob_poly_rejects_fractional_and_bool_exponents(exponent):
+    # int() would truncate these to valid exponents (2.5 -> 2, True -> 1)
+    message = re.escape(f"expected an integer, got {exponent!r}")
+    with pytest.raises(ValueError, match=message):
+        ProbPoly(((exponent, HALF), (3, HALF)))
+    with pytest.raises(ValueError, match=message):
+        ProbPoly.from_map({exponent: "1/2", 4: "1/2"})
 
 
 def test_prob_poly_accessors():
