@@ -9,6 +9,13 @@ them.  Associativity is decided exactly at every order by Light's test
 (Clifford & Preston I, 1961, section 1.2): (x*a)*y = x*(a*y) for all
 x, y and every a of a greedy generating set, whose size a group keeps
 within floor(log2 n); the cost is O(n^2 log n) time and O(n^2) memory.
+
+Validation works on one int32 copy of the table, made once the entries
+are known to lie in range.  The identity and inverse scans, Light's test
+and its closures read it, the row and column gathers by ndarray.take, so
+they move half the bytes of the intp table.  Besides the table (8n^2
+bytes) and a 1-byte Latin-square mask, validation holds a few 4n^2-byte
+arrays: the copy and the two sides of Light's test for one generator.
 """
 
 from __future__ import annotations
@@ -155,25 +162,38 @@ def _validate_group(labels: tuple[str, ...],
         raise ValueError("labels must be exactly one distinct string per element")
     if table.min() < 0 or table.max() >= n:
         raise ValueError("cayley table entries must be element indices in range")
+    # Entries lie in [0, n) and a table that fits in memory has n < 2**31,
+    # so no entry wraps; every check after the Latin square reads the copy.
+    work = table.astype(np.int32)
 
-    idx = np.arange(n)
-    in_row = np.zeros((n, n), dtype=bool)
-    in_row[idx[:, None], table] = True
-    in_col = np.zeros((n, n), dtype=bool)
-    in_col[table, idx] = True
-    if not (in_row.all() and in_col.all()):
+    if not _is_latin_square(table):
         raise ValueError("cayley table is not a Latin square")
 
-    e = int(np.argmax(table[:, 0] == 0))
-    if not (np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)):
+    idx = np.arange(n)
+    e = int(np.argmax(work[:, 0] == 0))
+    if not (np.array_equal(work[e], idx) and np.array_equal(work[:, e], idx)):
         raise ValueError("table has no two-sided identity element")
-    inv = np.argmax(table == e, axis=1)
-    two_sided = table[inv, idx] == e
+    inv = np.argmax(work == e, axis=1)
+    two_sided = work[inv, idx] == e
     if not two_sided.all():
         raise ValueError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
 
-    _check_associative(table, e)
+    _check_associative(work, e)
     return e, tuple(inv.tolist())
+
+
+def _is_latin_square(table: np.ndarray) -> bool:
+    """Whether every row and every column of an in-range intp table holds
+    each index once; the intp entries index the masks without a cast."""
+    n = len(table)
+    idx = np.arange(n)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[idx[:, None], table] = True  # seen[i, x]: x occurs in row i
+    if not seen.all():
+        return False
+    seen[...] = False
+    seen[table, idx] = True  # seen[x, j]: x occurs in column j
+    return bool(seen.all())
 
 
 def _check_associative(table: np.ndarray, e: int) -> None:
@@ -189,7 +209,8 @@ def _check_associative(table: np.ndarray, e: int) -> None:
         if closed.all():
             return
         a = int(np.argmin(closed))
-        if not np.array_equal(table[table[:, a]], table[:, table[a]]):
+        if not np.array_equal(table.take(table[:, a], axis=0),
+                              table.take(table[a], axis=1)):
             raise ValueError(
                 f"associativity fails: (x*a)*y != x*(a*y) for generator a = {a}")
         closed[a] = True
@@ -202,22 +223,26 @@ def _check_associative(table: np.ndarray, e: int) -> None:
 def _closure(table: np.ndarray, members) -> np.ndarray:
     """Membership mask of the product closure of members, which must
     include the identity: then S lies inside S*S, so squaring until the
-    size stops growing reaches the closure."""
-    mask = np.zeros(len(table), dtype=bool)
+    size stops growing reaches the closure, or until it covers the table."""
+    n = len(table)
+    mask = np.zeros(n, dtype=bool)
     mask[members] = True
     while True:
         members = np.flatnonzero(mask)
-        mask[table[np.ix_(members, members)]] = True
-        if np.count_nonzero(mask) == len(members):
+        mask[table.take(members, axis=0).take(members, axis=1)] = True
+        if np.count_nonzero(mask) in (len(members), n):
             return mask
 
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group Z_n with labels t^0 .. t^{n-1} and addition mod n."""
+    n = as_int(n, "cyclic group order")
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     idx = np.arange(n)
-    return FiniteGroup((f"t^{i}" for i in range(n)), (idx[:, None] + idx) % n)
+    table = idx[:, None] + idx  # i + j < 2n, so one subtraction reduces it
+    np.subtract(table, n, out=table, where=table >= n)
+    return FiniteGroup((f"t^{i}" for i in range(n)), table)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -226,11 +251,16 @@ def make_dihedral(n: int) -> FiniteGroup:
     Index k encodes the rotation r^k, index n+k the reflection s*r^k, so
     (f1, k1) * (f2, k2) = (f1 xor f2, k2 + (-1)^f2 * k1 mod n).
     """
+    n = as_int(n, "dihedral parameter")
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
     flip, rot = np.divmod(np.arange(2 * n), n)
-    sign = 1 - 2 * flip
-    table = n * (flip[:, None] ^ flip) + (rot + sign * rot[:, None]) % n
+    table = (1 - 2 * flip) * rot[:, None]
+    table += rot  # k2 +- k1 lies in (-n, 2n): one correction reduces it mod n
+    np.add(table, n, out=table, where=table < 0)
+    np.subtract(table, n, out=table, where=table >= n)
+    table[:n, n:] += n  # f1 xor f2 = 1 off the two diagonal blocks
+    table[n:, :n] += n
     labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
     return FiniteGroup(labels, table)
 
@@ -259,6 +289,7 @@ def make_symmetric(n: int) -> FiniteGroup:
     Product g_i * g_j is composition applying g_j first: (g_i g_j)(x) = g_i(g_j(x)).
     Labels use cycle notation, identity labelled "e".
     """
+    n = as_int(n, "symmetric degree")
     if not 1 <= n <= MAX_SYMMETRIC_DEGREE:
         raise ValueError(
             f"symmetric degree must be in 1..{MAX_SYMMETRIC_DEGREE}, got {n}")
@@ -270,8 +301,8 @@ def make_symmetric(n: int) -> FiniteGroup:
     index[perms @ weights] = np.arange(len(perms))
     # The code of g_i g_j is sum_k w_k g_i(g_j(k)) = sum_m g_i(m) w_(g_j^-1(m)):
     # one n! x n! integer product, no (n!, n!, n) array of composed images.
-    codes = perms @ weights[np.argsort(perms, axis=1)].T
-    return FiniteGroup(map(_cycle_label, perms.tolist()), index[codes])
+    table = index[perms @ weights[np.argsort(perms, axis=1)].T]
+    return FiniteGroup(map(_cycle_label, perms.tolist()), table)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

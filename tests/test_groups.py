@@ -135,16 +135,34 @@ def test_from_cayley_table_rejects_nonassociative_order_128():
 @pytest.mark.parametrize("build, n", [
     (lambda: make_cyclic(2000), 2000),
     (lambda: direct_product(make_cyclic(30), make_cyclic(40)), 1200),
-], ids=["C2000", "C30xC40"])
+    (lambda: make_symmetric(6), 720),
+], ids=["C2000", "C30xC40", "S6"])
 def test_construction_memory_is_bounded(build, n):
-    # validation must stay within a few n x n int64 tables
+    # Building and validating holds the intp table, its int32 working copy
+    # and Light's two int32 gathers: about 2.6 n x n int64 tables.  Fancy
+    # indexing the intp table gathered two int64 tables per generator
+    # (about 3.4 tables for C2000, 4.5 for S6).
     tracemalloc.start()
     try:
         build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * n * 8
+    assert peak <= 3 * n * n * 8
+
+
+@pytest.mark.parametrize("build", [make_cyclic, make_dihedral, make_symmetric])
+@pytest.mark.parametrize("size", [True, np.True_, 2.5])
+def test_builders_reject_bool_and_fractional_sizes(build, size):
+    with pytest.raises(ValueError, match=re.escape(repr(size))):
+        build(size)
+
+
+@pytest.mark.parametrize("build", [make_cyclic, make_dihedral, make_symmetric])
+def test_builders_accept_integral_sizes(build):
+    g = build(4)
+    assert build(np.int64(4)) == g
+    assert build(4.0) == g
 
 
 def test_read_cayley_csv(tmp_path):
