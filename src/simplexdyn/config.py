@@ -82,9 +82,11 @@ def build_element(group: FiniteGroup, spec, where: str = "element") -> SimplexPo
     if isinstance(spec, str):
         head, sep, arg = spec.partition(":")
         if head == "point-mass" and sep:
-            if arg not in group.labels:
-                raise ConfigError(f"{where}: label {arg!r} not in the group")
-            return delta(group, group.index_of(arg))
+            try:
+                i = group.index_of(arg)
+            except ValueError:
+                raise ConfigError(f"{where}: label {arg!r} not in the group") from None
+            return delta(group, i)
         if head == "interior-random" and sep:
             try:
                 return random_interior_point(group, int(arg))

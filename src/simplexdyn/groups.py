@@ -10,12 +10,16 @@ them.  Associativity is decided exactly at every order by Light's test
 x, y and every a of a greedy generating set, whose size a group keeps
 within floor(log2 n); the cost is O(n^2 log n) time and O(n^2) memory.
 
-Validation works on one int32 copy of the table, made once the entries
-are known to lie in range.  The identity and inverse scans, Light's test
+Validation works on one int32 copy of the table, made once the table is
+known to be a Latin square.  The identity and inverse scans, Light's test
 and its closures read it, the row and column gathers by ndarray.take, so
-they move half the bytes of the intp table.  Besides the table (8n^2
-bytes) and a 1-byte Latin-square mask, validation holds a few 4n^2-byte
-arrays: the copy and the two sides of Light's test for one generator.
+they move half the bytes of the intp table.  Light's test and each
+squaring of a closure gather one block of rows (_BLOCK entries) at a
+time, so besides the table (8n^2 bytes) validation holds the copy
+(4n^2), the n^2-byte Latin-square mask before it or the n^2-byte inverse
+scan after it, and a few blocks: a tracemalloc peak of 1.6-1.7 tables of
+8n^2 bytes for C2000, C30 x C40 and S6, where whole-table gathers held
+2.6-2.8.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .errors import InternalConsistencyError
 from .record import Record, as_int
 
 MAX_SYMMETRIC_DEGREE = 6
+# Entries per block of rows that a gather over the table handles at once
+# (256 kB in int32): a table of up to 256 rows is a single block.
+_BLOCK = 1 << 16
 
 
 class FiniteGroup(Record):
@@ -56,9 +63,9 @@ class FiniteGroup(Record):
 
     def __init__(self, labels: Sequence[str], table) -> None:
         labels, table = tuple(labels), _as_table(table)
-        identity, inverses = _validate_group(labels, table)
+        identity, inverses, positions = _validate_group(labels, table)
         self._set(order=len(table), labels=labels, table=table,
-                  identity=identity, inverses=inverses)
+                  identity=identity, inverses=inverses, _positions=positions)
 
     @cached_property
     def conv_index(self) -> np.ndarray:
@@ -72,8 +79,8 @@ class FiniteGroup(Record):
 
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise ValueError(f"unknown element label {label!r}") from None
 
     def element_order(self, i: int) -> int:
@@ -147,9 +154,10 @@ def _as_table(table) -> np.ndarray:
     return arr
 
 
-def _validate_group(labels: tuple[str, ...],
-                    table: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Check the group axioms on a square table; return (identity, inverses).
+def _validate_group(labels: tuple[str, ...], table: np.ndarray
+                    ) -> tuple[int, tuple[int, ...], dict[str, int]]:
+    """Check the group axioms on a square table; return (identity, inverses,
+    positions), where positions maps each label to its element index.
 
     In a Latin square exactly one x has x * g_0 = g_0, the only candidate
     for the identity e, and the inverse of g_i can only be the position
@@ -158,28 +166,28 @@ def _validate_group(labels: tuple[str, ...],
     n = len(table)
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")
-    if len(labels) != n or len(set(labels)) != n:
+    positions = {label: i for i, label in enumerate(labels)}
+    if len(labels) != n or len(positions) != n:
         raise ValueError("labels must be exactly one distinct string per element")
     if table.min() < 0 or table.max() >= n:
         raise ValueError("cayley table entries must be element indices in range")
+    if not _is_latin_square(table):
+        raise ValueError("cayley table is not a Latin square")
     # Entries lie in [0, n) and a table that fits in memory has n < 2**31,
     # so no entry wraps; every check after the Latin square reads the copy.
     work = table.astype(np.int32)
 
-    if not _is_latin_square(table):
-        raise ValueError("cayley table is not a Latin square")
-
     idx = np.arange(n)
-    e = int(np.argmax(work[:, 0] == 0))
-    if not (np.array_equal(work[e], idx) and np.array_equal(work[:, e], idx)):
+    e = int((work[:, 0] == 0).argmax())
+    if not ((work[e] == idx).all() and (work[:, e] == idx).all()):
         raise ValueError("table has no two-sided identity element")
-    inv = np.argmax(work == e, axis=1)
+    inv = (work == e).argmax(axis=1)
     two_sided = work[inv, idx] == e
     if not two_sided.all():
-        raise ValueError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
+        raise ValueError(f"element {int(two_sided.argmin())} has no two-sided inverse")
 
     _check_associative(work, e)
-    return e, tuple(inv.tolist())
+    return e, tuple(inv.tolist()), positions
 
 
 def _is_latin_square(table: np.ndarray) -> bool:
@@ -201,20 +209,23 @@ def _check_associative(table: np.ndarray, e: int) -> None:
 
     The identity passes trivially and the elements that pass are closed
     under products, so once the closure of the picks covers the table,
-    the whole operation is associative.
+    the whole operation is associative.  Each generator is checked one
+    block of rows x at a time.
     """
-    max_picks = len(table).bit_length() - 1
+    n = len(table)
+    max_picks = n.bit_length() - 1
     closed = _closure(table, [e])
     for _ in range(max_picks):
         if closed.all():
             return
-        a = int(np.argmin(closed))
-        if not np.array_equal(table.take(table[:, a], axis=0),
-                              table.take(table[a], axis=1)):
-            raise ValueError(
-                f"associativity fails: (x*a)*y != x*(a*y) for generator a = {a}")
+        a = int(closed.argmin())
+        xa, ay = table[:, a], table[a]
+        for rows in _row_blocks(n, n):
+            if not (table.take(xa[rows], axis=0) == table[rows].take(ay, axis=1)).all():
+                raise ValueError(
+                    f"associativity fails: (x*a)*y != x*(a*y) for generator a = {a}")
         closed[a] = True
-        closed = _closure(table, np.flatnonzero(closed))
+        closed = _closure(table, closed.nonzero()[0])
     if not closed.all():
         raise ValueError(
             f"table needs more than {max_picks} generators, so it is not a group")
@@ -223,15 +234,26 @@ def _check_associative(table: np.ndarray, e: int) -> None:
 def _closure(table: np.ndarray, members) -> np.ndarray:
     """Membership mask of the product closure of members, which must
     include the identity: then S lies inside S*S, so squaring until the
-    size stops growing reaches the closure, or until it covers the table."""
+    size stops growing reaches the closure, or until it covers the table.
+    Each squaring gathers the products s*t of S*S for one block of rows s
+    at a time."""
     n = len(table)
     mask = np.zeros(n, dtype=bool)
     mask[members] = True
     while True:
-        members = np.flatnonzero(mask)
-        mask[table.take(members, axis=0).take(members, axis=1)] = True
+        members = mask.nonzero()[0]
+        for rows in _row_blocks(len(members), n):
+            mask[table.take(members[rows], axis=0).take(members, axis=1)] = True
         if np.count_nonzero(mask) in (len(members), n):
             return mask
+
+
+def _row_blocks(count: int, width: int):
+    """Slices covering range(count) in steps of _BLOCK // width (one at
+    least), so a block of that many rows of the given width holds at most
+    _BLOCK entries."""
+    step = max(1, _BLOCK // width)
+    return map(slice, range(0, count, step), range(step, count + step, step))
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -300,8 +322,13 @@ def make_symmetric(n: int) -> FiniteGroup:
     index = np.zeros(n ** n, dtype=np.intp)
     index[perms @ weights] = np.arange(len(perms))
     # The code of g_i g_j is sum_k w_k g_i(g_j(k)) = sum_m g_i(m) w_(g_j^-1(m)):
-    # one n! x n! integer product, no (n!, n!, n) array of composed images.
-    table = index[perms @ weights[np.argsort(perms, axis=1)].T]
+    # an n! x n! integer product, no (n!, n!, n) array of composed images,
+    # formed and looked up one block of rows at a time.
+    w_inv = weights[np.argsort(perms, axis=1)].T
+    table = np.empty((len(perms), len(perms)), dtype=np.intp)
+    for rows in _row_blocks(len(perms), len(perms)):
+        table[rows] = index[perms[rows] @ w_inv]
+    del index  # validation, the peak of the build, need not hold its 8 n^n bytes
     return FiniteGroup(map(_cycle_label, perms.tolist()), table)
 
 

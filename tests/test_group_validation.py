@@ -1,16 +1,17 @@
 """The group validator against a reference copy of its intp form.
 
 The three functions below are the validator as it stood before it moved
-onto an int32 working copy, copied verbatim.  Hypothesis feeds both the
-same tables, groups and near-groups, and requires the same (identity,
-inverses) or the same ValueError message.
+onto an int32 working copy and row blocks, copied verbatim.  Hypothesis
+feeds both the same tables, groups and near-groups, and requires the
+same (identity, inverses) or the same ValueError message, on tables of
+one block and of several.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from simplexdyn import direct_product, make_cyclic, make_dihedral, make_symmetric
-from simplexdyn.groups import _as_table, _validate_group as validate
+from simplexdyn.groups import _BLOCK, _as_table, _validate_group as validate
 
 from conftest import build_zoo
 
@@ -101,6 +102,9 @@ def _groups() -> list:
 
 
 TABLES = _groups()
+# Orders 300, 320 and 720: Light's test and the closures run over 2, 2 and
+# 8 row blocks, the last one partial.
+LARGE = [make_cyclic(300).table, make_dihedral(160).table, make_symmetric(6).table]
 
 
 def _intercalates(table: np.ndarray) -> list:
@@ -121,22 +125,30 @@ INTERCALATES = [(i, q) for i, t in enumerate(TABLES) for q in _intercalates(t)]
 
 
 @st.composite
-def relabelled(draw, index=None):
+def relabelled(draw, index=None, tables=TABLES):
     """A group table under a random relabelling sigma:
     T'[sigma(i), sigma(j)] = sigma(T[i, j])."""
     if index is None:
-        index = draw(st.integers(0, len(TABLES) - 1))
-    table = TABLES[index]
-    sigma = np.array(draw(st.permutations(range(len(table)))), dtype=np.intp)
+        index = draw(st.integers(0, len(tables) - 1))
+    sigma = np.array(draw(st.permutations(range(len(tables[index])))), dtype=np.intp)
+    return _relabel(tables[index], sigma), sigma
+
+
+def _relabel(table: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     out = np.empty_like(table)
     out[np.ix_(sigma, sigma)] = sigma[table]
-    return out, sigma
+    return out
+
+
+def _associative(table: np.ndarray) -> bool:
+    """(x*y)*z == x*(y*z) for all x, y, z, by brute force."""
+    return np.array_equal(table[table], table[:, table])
 
 
 def _outcome(check, table: np.ndarray):
     labels = tuple(f"g{i}" for i in range(len(table)))
     try:
-        return "group", check(labels, _as_table(table.copy()))
+        return "group", check(labels, _as_table(table.copy()))[:2]
     except ValueError as exc:
         return "error", str(exc)
 
@@ -183,13 +195,16 @@ def test_two_rows_or_columns_swapped(drawn, data, columns):
 def test_intercalate_moved_off_the_identity(data):
     """Switching a 2x2 Latin subsquare that avoids the identity's row and
     column keeps a Latin square with the same identity; Light's test must
-    then find the failure (generalises the order-128 case in test_groups)."""
+    then find any failure (generalises the order-128 case in test_groups).
+    The switch can give another group: in the Klein four-group it gives
+    Z_4, which both validators must accept."""
     index, (r1, r2, c1, c2) = data.draw(st.sampled_from(INTERCALATES))
     table, sigma = data.draw(relabelled(index))
     rows, cols = sigma[[r1, r2]], sigma[[c1, c2]]
     block = table[np.ix_(rows, cols)]
     table[np.ix_(rows, cols)] = block[::-1]
-    assert _assert_same(table)[0] == "error"
+    expected = "group" if _associative(table) else "error"
+    assert _assert_same(table)[0] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,3 +216,33 @@ def test_one_entry_out_of_range(drawn, data, side):
     table[r, c] = -1 if side == "low" else n
     assert _assert_same(table) == (
         "error", "cayley table entries must be element indices in range")
+
+
+@settings(max_examples=12, deadline=None)
+@given(relabelled(tables=LARGE), st.data())
+def test_several_blocks_relabelled_or_one_entry_changed(drawn, data):
+    table, _ = drawn
+    if data.draw(st.booleans()):
+        n = len(table)
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[r, c] = (table[r, c] + data.draw(st.integers(1, n - 1))) % n
+    _assert_same(table)
+
+
+def test_associativity_failure_only_in_the_last_partial_block():
+    # Z_300 with the intercalate rows {100, 250} x columns {60, 210}
+    # switched keeps identity 0 and every inverse.  For generator a = 1,
+    # (x*a)*y != x*(a*y) exactly in rows 99, 100, 249 and 250; relabelling
+    # 99 and 100 as 230 and 231 puts all four in the last of two blocks.
+    n, step = 300, _BLOCK // 300
+    table = make_cyclic(n).table.copy()
+    for r in (100, 250):
+        table[r, [60, 210]] = table[r, [210, 60]]
+    sigma = np.arange(n)
+    sigma[[99, 100, 230, 231]] = [230, 231, 99, 100]
+    table = _relabel(table, sigma)
+    failing = np.flatnonzero((table[table[:, 1]] != table[:, table[1]]).any(axis=1))
+    assert failing.tolist() == [230, 231, 249, 250]
+    assert step < n < 2 * step and failing.min() >= step
+    assert _assert_same(table) == (
+        "error", "associativity fails: (x*a)*y != x*(a*y) for generator a = 1")

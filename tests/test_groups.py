@@ -139,16 +139,39 @@ def test_from_cayley_table_rejects_nonassociative_order_128():
 ], ids=["C2000", "C30xC40", "S6"])
 def test_construction_memory_is_bounded(build, n):
     # Building and validating holds the intp table, its int32 working copy
-    # and Light's two int32 gathers: about 2.6 n x n int64 tables.  Fancy
-    # indexing the intp table gathered two int64 tables per generator
-    # (about 3.4 tables for C2000, 4.5 for S6).
+    # and one row block of Light's test or a closure at a time: about 1.7
+    # n x n int64 tables.  Light's test on whole int32 sides and closures
+    # gathering |S| x n held about 2.7 tables.
+    assert _traced_peak(build) <= 2 * n * n * 8
+
+
+def test_subgroup_closure_memory_is_bounded():
+    # The closure gathers S x S one block of rows at a time on the group's
+    # intp table; gathering all |S| x n rows first added 0.75 of a table
+    # for the index-2 subgroup of S6.
+    g = make_symmetric(6)
+    seed = (g.index_of("(0 1 2)"), g.index_of("(1 2 3 4 5)"))
+    peak = _traced_peak(lambda: generated_subgroup(g, seed))
+    assert len(generated_subgroup(g, seed)) == 360
+    assert peak <= 0.4 * g.order * g.order * 8
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        build()
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n * n * 8
+
+
+@pytest.mark.parametrize("build", [lambda: make_cyclic(2000), lambda: make_symmetric(6)],
+                         ids=["C2000", "S6"])
+def test_every_label_round_trips(build):
+    g = build()
+    assert [g.index_of(label) for label in g.labels] == list(range(g.order))
+    with pytest.raises(ValueError, match="unknown element label 'x'"):
+        g.index_of("x")
 
 
 @pytest.mark.parametrize("build", [make_cyclic, make_dihedral, make_symmetric])
