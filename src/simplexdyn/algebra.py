@@ -136,15 +136,15 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact.
 
     On integer numerators u, v: (xy)_g is proportional to the sum over h
-    in Supp(x) of u_h * v[h^-1 g], one matrix product over those rows of
-    the gather table.
+    in Supp(x) of u_h * v[h^-1 g], one matrix product over the rows
+    table[h^-1] of the group's int32 table, gathered for those h only.
     """
     _same_group(x.group, y.group, "multiply")
     g = x.group
 
     def product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         hs = np.flatnonzero(u)
-        return u[hs] @ v[g.conv_index[hs]]
+        return u[hs] @ v[g.table[g.inverse_index[hs]]]
 
     cls = SimplexPoint if isinstance(x, SimplexPoint) and isinstance(y, SimplexPoint) \
         else AlgebraElement

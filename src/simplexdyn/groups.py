@@ -10,16 +10,16 @@ them.  Associativity is decided exactly at every order by Light's test
 x, y and every a of a greedy generating set, whose size a group keeps
 within floor(log2 n); the cost is O(n^2 log n) time and O(n^2) memory.
 
-Validation works on one int32 copy of the table, made once the table is
-known to be a Latin square.  The identity and inverse scans, Light's test
-and its closures read it, the row and column gathers by ndarray.take, so
-they move half the bytes of the intp table.  Light's test and each
-squaring of a closure gather one block of rows (_BLOCK entries) at a
-time, so besides the table (8n^2 bytes) validation holds the copy
-(4n^2), the n^2-byte Latin-square mask before it or the n^2-byte inverse
-scan after it, and a few blocks: a tracemalloc peak of 1.6-1.7 tables of
-8n^2 bytes for C2000, C30 x C40 and S6, where whole-table gathers held
-2.6-2.8.
+A group holds one table, stored as int32: the builders write int32,
+FiniteGroup converts any other integer table once, after checking that
+its entries lie in [0, n) on the caller's dtype, so no entry can wrap.
+Every check reads that table in place, the row and column gathers by
+ndarray.take.  The Latin-square scatters, Light's test and each squaring
+of a closure handle one block of rows (_BLOCK entries) at a time, so
+besides the table (4n^2 bytes) validation holds the n^2-byte Latin mask
+or inverse scan and a few blocks: a tracemalloc peak of 0.64-0.77 int64
+tables of 8n^2 bytes for C2000, C30 x C40 and S6, where an intp table
+with an int32 working copy held 1.6-1.7.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ class FiniteGroup(Record):
 
     FiniteGroup(labels, table) takes n distinct labels and an n x n
     integer table, checks every group axiom and derives the other fields
-    from the table.  An intp array is kept and frozen in place, not
+    from the table.  An int32 array is kept and frozen in place, not
     copied: hand over only a fresh array that no caller still writes
-    (the builders below make theirs; from_cayley_table copies).
+    (the builders below make theirs; from_cayley_table copies).  Any
+    other integer array is converted to int32 once.
 
     Fields:
         order: number of elements n.
         labels: n distinct display strings, one per element index.
-        table: read-only n x n intp array; table[i, j] is the index of
+        table: read-only n x n int32 array; table[i, j] is the index of
             g_i * g_j.
         identity: index of the neutral element.
         inverses: inverses[i] is the index of g_i^{-1}.
@@ -68,9 +69,19 @@ class FiniteGroup(Record):
                   identity=identity, inverses=inverses, _positions=positions)
 
     @cached_property
+    def inverse_index(self) -> np.ndarray:
+        """The inverses as one read-only intp array, to gather rows of
+        the table by: table[inverse_index[h]] is the row of h^{-1}."""
+        arr = np.array(self.inverses, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def conv_index(self) -> np.ndarray:
-        """Gather table for convolution: conv_index[h, g] = index of h^{-1} g."""
-        arr = self.table[np.asarray(self.inverses, dtype=np.intp)]
+        """Gather table of the float convolutions, which index with all
+        of it on every step, so it is kept in intp and never cast again:
+        conv_index[h, g] = index of h^{-1} g."""
+        arr = self.table[self.inverse_index].astype(np.intp)
         arr.setflags(write=False)
         return arr
 
@@ -142,22 +153,27 @@ class ElementSet(Record):
 
 
 def _as_table(table) -> np.ndarray:
-    """A read-only square intp array of an integer table, or ValueError;
-    an intp ndarray is kept and frozen in place, not copied."""
+    """A read-only square int32 array of an integer table of element
+    indices, or ValueError; an int32 ndarray is kept and frozen in place,
+    not copied.  The entries are checked to lie in [0, n) before the
+    cast, so none wraps, and a table that fits in memory has n < 2**31."""
     arr = np.asarray(table)  # ragged rows raise ValueError
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"cayley table must be square, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"cayley table entries must be integers, got {arr.dtype}")
-    arr = arr.astype(np.intp, copy=False)
+    if arr.size and (arr.min() < 0 or arr.max() >= len(arr)):
+        raise ValueError("cayley table entries must be element indices in range")
+    arr = arr.astype(np.int32, copy=False)
     arr.setflags(write=False)
     return arr
 
 
 def _validate_group(labels: tuple[str, ...], table: np.ndarray
                     ) -> tuple[int, tuple[int, ...], dict[str, int]]:
-    """Check the group axioms on a square table; return (identity, inverses,
-    positions), where positions maps each label to its element index.
+    """Check the group axioms on a square table of in-range indices (as
+    _as_table returns it); return (identity, inverses, positions), where
+    positions maps each label to its element index.
 
     In a Latin square exactly one x has x * g_0 = g_0, the only candidate
     for the identity e, and the inverse of g_i can only be the position
@@ -169,38 +185,36 @@ def _validate_group(labels: tuple[str, ...], table: np.ndarray
     positions = {label: i for i, label in enumerate(labels)}
     if len(labels) != n or len(positions) != n:
         raise ValueError("labels must be exactly one distinct string per element")
-    if table.min() < 0 or table.max() >= n:
-        raise ValueError("cayley table entries must be element indices in range")
     if not _is_latin_square(table):
         raise ValueError("cayley table is not a Latin square")
-    # Entries lie in [0, n) and a table that fits in memory has n < 2**31,
-    # so no entry wraps; every check after the Latin square reads the copy.
-    work = table.astype(np.int32)
 
     idx = np.arange(n)
-    e = int((work[:, 0] == 0).argmax())
-    if not ((work[e] == idx).all() and (work[:, e] == idx).all()):
+    e = int((table[:, 0] == 0).argmax())
+    if not ((table[e] == idx).all() and (table[:, e] == idx).all()):
         raise ValueError("table has no two-sided identity element")
-    inv = (work == e).argmax(axis=1)
-    two_sided = work[inv, idx] == e
+    inv = (table == e).argmax(axis=1)
+    two_sided = table[inv, idx] == e
     if not two_sided.all():
         raise ValueError(f"element {int(two_sided.argmin())} has no two-sided inverse")
 
-    _check_associative(work, e)
+    _check_associative(table, e)
     return e, tuple(inv.tolist()), positions
 
 
 def _is_latin_square(table: np.ndarray) -> bool:
-    """Whether every row and every column of an in-range intp table holds
-    each index once; the intp entries index the masks without a cast."""
+    """Whether every row and every column of an in-range table holds each
+    index once.  Both scatters into the n x n mask index with one block
+    of rows at a time, so numpy casts only that block to intp."""
     n = len(table)
     idx = np.arange(n)
     seen = np.zeros((n, n), dtype=bool)
-    seen[idx[:, None], table] = True  # seen[i, x]: x occurs in row i
+    for rows in _row_blocks(n, n):
+        seen[idx[rows, None], table[rows]] = True  # seen[i, x]: x occurs in row i
     if not seen.all():
         return False
     seen[...] = False
-    seen[table, idx] = True  # seen[x, j]: x occurs in column j
+    for rows in _row_blocks(n, n):
+        seen[table[rows], idx] = True  # seen[x, j]: x occurs in column j
     return bool(seen.all())
 
 
@@ -256,14 +270,25 @@ def _row_blocks(count: int, width: int):
     return map(slice, range(0, count, step), range(step, count + step, step))
 
 
+def _rotations(values: np.ndarray, left: bool) -> np.ndarray:
+    """n x n view whose row i is values rotated by i places, left (row i
+    holds values[(j + i) % n]) or right (values[(j - i) % n]): row i is
+    the window of length n at offset i (left) or n - i (right) of values
+    written twice, which the ndarray constructor checks to lie inside."""
+    n = len(values)
+    twice = np.concatenate((values, values))
+    step = twice.itemsize
+    if left:
+        return np.ndarray((n, n), twice.dtype, twice, 0, (step, step))
+    return np.ndarray((n, n), twice.dtype, twice, n * step, (-step, step))
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group Z_n with labels t^0 .. t^{n-1} and addition mod n."""
     n = as_int(n, "cyclic group order")
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    idx = np.arange(n)
-    table = idx[:, None] + idx  # i + j < 2n, so one subtraction reduces it
-    np.subtract(table, n, out=table, where=table >= n)
+    table = _rotations(np.arange(n, dtype=np.int32), left=True).copy()
     return FiniteGroup((f"t^{i}" for i in range(n)), table)
 
 
@@ -271,18 +296,20 @@ def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r0..r{n-1}, reflections s0..s{n-1}.
 
     Index k encodes the rotation r^k, index n+k the reflection s*r^k, so
-    (f1, k1) * (f2, k2) = (f1 xor f2, k2 + (-1)^f2 * k1 mod n).
+    (f1, k1) * (f2, k2) = (f1 xor f2, k2 + (-1)^f2 * k1 mod n): each
+    n x n block of the table rotates the rotation or the reflection
+    indices left (f2 = 0) or right (f2 = 1) by k1.
     """
     n = as_int(n, "dihedral parameter")
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    flip, rot = np.divmod(np.arange(2 * n), n)
-    table = (1 - 2 * flip) * rot[:, None]
-    table += rot  # k2 +- k1 lies in (-n, 2n): one correction reduces it mod n
-    np.add(table, n, out=table, where=table < 0)
-    np.subtract(table, n, out=table, where=table >= n)
-    table[:n, n:] += n  # f1 xor f2 = 1 off the two diagonal blocks
-    table[n:, :n] += n
+    rotations = np.arange(n, dtype=np.int32)
+    reflections = np.arange(n, 2 * n, dtype=np.int32)
+    table = np.empty((2 * n, 2 * n), dtype=np.int32)
+    table[:n, :n] = _rotations(rotations, left=True)
+    table[n:, :n] = _rotations(reflections, left=True)
+    table[:n, n:] = _rotations(reflections, left=False)
+    table[n:, n:] = _rotations(rotations, left=False)
     labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
     return FiniteGroup(labels, table)
 
@@ -319,16 +346,16 @@ def make_symmetric(n: int) -> FiniteGroup:
     # A permutation's code is its images read as base-n digits w_k = n^(n-1-k);
     # index maps each of the n^n codes back to the permutation's rank.
     weights = n ** np.arange(n - 1, -1, -1)
-    index = np.zeros(n ** n, dtype=np.intp)
+    index = np.zeros(n ** n, dtype=np.int32)
     index[perms @ weights] = np.arange(len(perms))
     # The code of g_i g_j is sum_k w_k g_i(g_j(k)) = sum_m g_i(m) w_(g_j^-1(m)):
     # an n! x n! integer product, no (n!, n!, n) array of composed images,
     # formed and looked up one block of rows at a time.
     w_inv = weights[np.argsort(perms, axis=1)].T
-    table = np.empty((len(perms), len(perms)), dtype=np.intp)
+    table = np.empty((len(perms), len(perms)), dtype=np.int32)
     for rows in _row_blocks(len(perms), len(perms)):
         table[rows] = index[perms[rows] @ w_inv]
-    del index  # validation, the peak of the build, need not hold its 8 n^n bytes
+    del index  # validation, the peak of the build, need not hold its 4 n^n bytes
     return FiniteGroup(map(_cycle_label, perms.tolist()), table)
 
 

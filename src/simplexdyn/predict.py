@@ -26,6 +26,7 @@ pure-power report indexes the same cycle by residue.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import InternalConsistencyError, PurePowerError
 from .modm import (ModMReport, extinction_correction, regularity_mod_m,
                    residue_cycle)
 from .record import Record
-from .series import ProbPoly
+from .series import ProbPoly, _int_dtype, _numerators
 
 REGULAR_HORIZON = 500
 CESARO_HORIZON = 2000
@@ -87,25 +88,40 @@ def _synthesize(prof: DynamicsProfile,
     """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients,
     exactly, where y is the point prof describes.
 
-    Each point of the chain c_y * y^r, r < m (prof.cycle) is added into
-    the running sum of every quotient point that weights it.
+    On integers: the quotient points give the rows w of W, numerators
+    over one common denominator, the chain c_y * y^r, r < m (prof.cycle)
+    the rows of U over another, and every sum is one vector-matrix
+    product w @ U, in int64 unless a sum of m products could overflow it.
     """
     group = prof.point.group
-    sums = [[Fraction(0)] * group.order for _ in quotients]
-    for r, cur in enumerate(prof.cycle):
-        terms = [(g, c) for g, c in enumerate(cur.coeffs) if c]
-        for L, acc in zip(quotients, sums):
-            if L[r]:
-                for g, c in terms:
-                    acc[g] += L[r] * c
+    chain = [pt.numerators for pt in prof.cycle]
+    weights = [_numerators(L) for L in quotients]
+    den_u = math.lcm(*(d for _, _, d in chain))
+    den_w = math.lcm(*(d for _, _, d in weights))
+    u_rows = [(s, [k * (den_u // d) for k in u]) for s, u, d in chain]
+    w_rows = [(s, [k * (den_w // d) for k in w]) for s, w, d in weights]
+    dtype = _int_dtype(max(abs(k) for _, w in w_rows for k in w),
+                       max(abs(k) for _, u in u_rows for k in u), len(chain))
+    u_mat = _dense(u_rows, group.order, dtype)
+    den, zero = den_w * den_u, Fraction(0)
     members = prof.support_group.members
     try:
-        return [SimplexPoint(group=group, coeffs=tuple(
-                    extinction_correction(acc, group.identity, members, a)))
-                for acc in sums]
+        return [SimplexPoint(group=group, coeffs=tuple(extinction_correction(
+                    [Fraction(k, den) if k else zero for k in (w @ u_mat).tolist()],
+                    group.identity, members, a)))
+                for w in _dense(w_rows, len(chain), dtype)]
     except ValueError as exc:
         raise InternalConsistencyError(
             f"synthesized limit left the simplex: {exc}") from exc
+
+
+def _dense(rows: list[tuple[np.ndarray, list[int]]], width: int, dtype) -> np.ndarray:
+    """The matrix whose row i holds the values rows[i][1] at the indices
+    rows[i][0] and zeros elsewhere."""
+    out = np.zeros((len(rows), width), dtype=dtype)
+    for i, (index, values) in enumerate(rows):
+        out[i, index] = values
+    return out
 
 
 def _diagnostics(rep: ModMReport, horizon: int) -> dict:

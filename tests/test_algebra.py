@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from simplexdyn import (ProbPoly, add, delta, direct_product, make_cyclic,
                         make_dihedral, make_symmetric, multiply, parse_rational,
-                        power, scale, simplex_from_map, sup_distance, support,
-                        uniform_on, element_to_map)
+                        power, profile, scale, simplex_from_map, sup_distance,
+                        support, uniform_on, element_to_map)
 from simplexdyn.algebra import (ITERATION_SLACK_RATE, AlgebraElement,
                                 ApproxElement, SimplexPoint,
                                 evaluate_series_floats, float_coeffs,
@@ -295,6 +295,17 @@ def test_numerators_of_an_exact_element_are_converted_once():
     assert zero.numerators[0].size == 0 and zero.numerators[1:] == ((), 1)
     assert multiply(x, x).coeffs == definition_product(x, x)
     assert multiply(x, zero).coeffs == (Fraction(0),) * 6
+
+
+def test_exact_products_build_no_gather_table():
+    # exact products gather the table rows of the inverses they need; only
+    # the float oracles build the n x n intp conv_index
+    g = make_symmetric(5)
+    x = random_simplex_point(g, random.Random(5))
+    profile(x)
+    assert multiply(x, x).coeffs == definition_product(x, x)
+    assert "conv_index" not in g.__dict__
+    assert g.inverse_index.tolist() == list(g.inverses)
 
 
 @pytest.mark.parametrize("b", [2 ** 30 - 1, 2 ** 30])

@@ -100,11 +100,29 @@ def test_from_cayley_table_rejects_latin_squares_that_are_no_groups(table, messa
 
 
 def test_finite_group_freezes_the_array_it_is_handed():
-    arr = np.array([[0, 1], [1, 0]], dtype=np.intp)
+    arr = np.array([[0, 1], [1, 0]], dtype=np.int32)
     g = FiniteGroup(("e", "a"), arr)
     assert g.table is arr and not arr.flags.writeable
     with pytest.raises(ValueError):
         arr[0, 0] = 1
+    # any other integer dtype is converted to the group's int32 table once
+    wide = np.array([[0, 1], [1, 0]], dtype=np.intp)
+    g = FiniteGroup(("e", "a"), wide)
+    assert g.table is not wide and g.table.dtype == np.int32
+    assert not g.table.flags.writeable and g.table.base is None
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0, 1], [1, 2 ** 32]], dtype=np.int64),
+    np.array([[0, 2 ** 32 + 1], [1, 0]], dtype=np.uint64),
+], ids=["int64", "uint64"])
+def test_entries_are_range_checked_before_the_int32_cast(table):
+    # cast to int32 first, both would wrap to the valid Z_2 table [[0, 1], [1, 0]]
+    assert table.astype(np.int32).tolist() == [[0, 1], [1, 0]]
+    for build in (from_cayley_table, lambda t: FiniteGroup(("e", "a"), t)):
+        with pytest.raises(ValueError,
+                           match="cayley table entries must be element indices in range"):
+            build(table)
 
 
 @pytest.mark.parametrize("table", [
@@ -138,22 +156,22 @@ def test_from_cayley_table_rejects_nonassociative_order_128():
     (lambda: make_symmetric(6), 720),
 ], ids=["C2000", "C30xC40", "S6"])
 def test_construction_memory_is_bounded(build, n):
-    # Building and validating holds the intp table, its int32 working copy
-    # and one row block of Light's test or a closure at a time: about 1.7
-    # n x n int64 tables.  Light's test on whole int32 sides and closures
-    # gathering |S| x n held about 2.7 tables.
-    assert _traced_peak(build) <= 2 * n * n * 8
+    # Building and validating holds the int32 table, the n^2-byte Latin
+    # mask or inverse scan and one row block at a time: under one n x n
+    # int64 table.  An intp table with an int32 working copy held about
+    # 1.7 tables, and whole-table gathers about 2.7.
+    assert _traced_peak(build) <= 1 * n * n * 8
 
 
 def test_subgroup_closure_memory_is_bounded():
     # The closure gathers S x S one block of rows at a time on the group's
-    # intp table; gathering all |S| x n rows first added 0.75 of a table
-    # for the index-2 subgroup of S6.
+    # int32 table; gathering all |S| x n rows first added 0.75 of an int64
+    # table for the index-2 subgroup of S6.
     g = make_symmetric(6)
     seed = (g.index_of("(0 1 2)"), g.index_of("(1 2 3 4 5)"))
     peak = _traced_peak(lambda: generated_subgroup(g, seed))
     assert len(generated_subgroup(g, seed)) == 360
-    assert peak <= 0.4 * g.order * g.order * 8
+    assert peak <= 0.2 * g.order * g.order * 8
 
 
 def _traced_peak(call) -> int:

@@ -7,10 +7,12 @@ import pytest
 
 from simplexdyn import (ProbPoly, PurePowerError, cesaro_limit, delta,
                         empirical_cesaro, iterate_map, make_cyclic,
-                        make_symmetric, power, profile, pure_power_report,
-                        regular_limit, simplex_from_map, sup_distance,
-                        uniform_on)
+                        make_dihedral, make_symmetric, power, profile,
+                        pure_power_report, regular_limit, simplex_from_map,
+                        sup_distance, uniform_on)
 from simplexdyn.groups import generated_subgroup
+from simplexdyn.modm import extinction_correction
+from simplexdyn.predict import _synthesize
 
 from conftest import random_simplex_point
 
@@ -201,3 +203,33 @@ def test_cesaro_equals_average_of_accumulation_points():
         for i, c in enumerate(pt.coeffs):
             avg[i] += Fraction(c) / len(rep.accumulation)
     assert tuple(avg) == ces.cesaro.coeffs
+
+
+def _synthesize_by_fractions(prof, quotients, a):
+    """The pair-by-pair Fraction sum that the integer synthesis replaced."""
+    group = prof.point.group
+    sums = [[Fraction(0)] * group.order for _ in quotients]
+    for r, cur in enumerate(prof.cycle):
+        for L, acc in zip(quotients, sums):
+            for g, c in enumerate(cur.coeffs):
+                acc[g] += L[r] * c
+    return [tuple(extinction_correction(acc, group.identity,
+                                        prof.support_group.members, a))
+            for acc in sums]
+
+
+@pytest.mark.parametrize("top", [20, 2 ** 62], ids=["int64", "python-int"])
+def test_synthesis_matches_the_fraction_sums(top):
+    # weights up to 2^62 over a common denominator push W @ U past int64
+    rng = random.Random(top)
+    for g in (make_cyclic(12), make_dihedral(6), make_symmetric(4)):
+        for size in (1, 2, g.order):
+            prof = profile(random_simplex_point(g, rng, support_size=size))
+            quotients = []
+            for _ in range(3):
+                w = [rng.randint(0, top) for _ in range(prof.period)]
+                w[rng.randrange(prof.period)] += 1
+                quotients.append(tuple(Fraction(k, sum(w)) for k in w))
+            got = _synthesize(prof, quotients, Fraction(0))
+            assert [pt.coeffs for pt in got] == \
+                _synthesize_by_fractions(prof, quotients, Fraction(0))
