@@ -11,9 +11,11 @@ of pretending to be exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from itertools import chain, cycle, islice
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -249,8 +251,57 @@ def _float_orbit(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
     return states, len(states)
 
 
+class OrbitTrace(Sequence):
+    """Read-only view of the first n steps of a float orbit, held as its
+    distinct states only.
+
+    elements holds one ApproxElement per distinct state, k of them, in
+    order of appearance; j is the index of the state that the first
+    bitwise repeat equals, or k when none of the n steps repeats.  Step m
+    (0-based) is state m for m < k and state j + (m - j) % (k - j) after:
+    the cycle that repeat closes.  Supports len, indexing (negative too),
+    iteration and prefix slices trace[:m], which share the states.
+    """
+
+    __slots__ = ("elements", "j", "n")
+
+    def __init__(self, elements: tuple[ApproxElement, ...], j: int, n: int) -> None:
+        self.elements = elements
+        self.j = j
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, m):
+        if isinstance(m, slice):
+            start, stop, stride = m.indices(self.n)
+            if start or stride != 1:
+                raise ValueError("an orbit trace takes prefix slices [:m] only")
+            return OrbitTrace(self.elements, self.j, stop)
+        if m < 0:
+            m += self.n
+        if not 0 <= m < self.n:
+            raise IndexError(f"step {m} outside a trace of {self.n} steps")
+        k = len(self.elements)
+        return self.elements[m if m < k else self.j + (m - self.j) % (k - self.j)]
+
+    def __iter__(self):
+        return islice(chain(self.elements, cycle(self.elements[self.j:])), self.n)
+
+    def state_indices(self, start: int, stop: int) -> np.ndarray:
+        """The index in elements of each step start .. stop - 1."""
+        steps = np.arange(start, stop)
+        k = len(self.elements)
+        if start >= k:
+            return self.j + (steps - self.j) % (k - self.j)
+        if stop > k:
+            steps[k - start:] = self.j + (steps[k - start:] - self.j) % (k - self.j)
+        return steps
+
+
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
-                 start: np.ndarray, n: int) -> list["ApproxElement"]:
+                 start: np.ndarray, n: int) -> OrbitTrace:
     """Float orbit y_1 = p(start), y_{k+1} = p(y_k) for p given by terms.
 
     Each step renormalizes the total mass to 1.  The true orbit has mass
@@ -262,10 +313,11 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
     The step is deterministic in float64, so p is evaluated only until
     the first state that repeats an earlier one bit for bit; every later
     y_k is read from the cycle that repeat closes (_float_orbit), which
-    is the value the evaluation would have produced.  Each distinct state
-    gets one ApproxElement, checked at slack ITERATION_SLACK_RATE * k for
-    the step k it first appears at; every later step that replays it
-    shares it.
+    is the value the evaluation would have produced.  The result is an
+    OrbitTrace of n steps over the distinct states: each gets one
+    ApproxElement, checked at slack ITERATION_SLACK_RATE * k for the step
+    k it first appears at, and every later step that replays it reads
+    that element, so memory does not grow with n past the repeat.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -275,10 +327,9 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
         return vec / vec.sum()
 
     states, j = _float_orbit(step, np.asarray(start, dtype=np.float64), n)
-    trace = [ApproxElement(group=group, coeffs=vec, slack=ITERATION_SLACK_RATE * k)
-             for k, vec in enumerate(states, start=1)]
-    period = len(states) - j
-    return trace + [trace[j + (m - j) % period] for m in range(len(states), n)]
+    return OrbitTrace(tuple(ApproxElement(group=group, coeffs=vec,
+                                          slack=ITERATION_SLACK_RATE * k)
+                            for k, vec in enumerate(states, start=1)), j, n)
 
 
 def simplex_from_map(group: FiniteGroup,

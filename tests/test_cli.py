@@ -4,13 +4,14 @@ import csv
 import gc
 import io
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
 
 from simplexdyn import parse_rational
-from simplexdyn.cli import main
+from simplexdyn.cli import _class_step, main
 
 from conftest import count_calls
 
@@ -270,6 +271,64 @@ def test_verify_critical_series_is_inconclusive(tmp_path, capsys):
     assert code == 2
     assert "INCONCLUSIVE regular-oracle" in out
     assert "FAIL" not in out
+
+
+def old_class_step(horizon, pre, d, i):
+    """The search loop _class_step replaced."""
+    n = horizon
+    while n > pre and (n - pre - 1) % d != i:
+        n -= 1
+    return n
+
+
+def test_class_step_matches_the_search_loop():
+    for horizon in range(1, 25):
+        for pre in range(0, 8):
+            for d in range(1, 9):
+                for i in range(d):
+                    want = old_class_step(horizon, pre, d, i)
+                    got = _class_step(horizon, pre, d, i)
+                    if want > pre:
+                        assert got == want
+                    else:
+                        # No step of the class by horizon: the loop stopped
+                        # at pre, and the arithmetic lands at or below it.
+                        assert got <= pre
+                        assert horizon < pre + 1 + i
+
+
+def test_verify_class_without_a_step_is_inconclusive(capsys):
+    # C12 worked example: preperiod 0 and d = 2, so at horizon 1 the second
+    # subsequence class has no step yet; it needs horizon 2.
+    code, out, _ = run(capsys, "verify", "--config",
+                       str(GOLDEN / "c12-divergent.json"), "--horizon", "1",
+                       "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["regular-oracle"] == {
+        "name": "regular-oracle", "status": "inconclusive",
+        "detail": "2 subsequence classes need horizon 2 for a step each, got 1"}
+    code, out, _ = run(capsys, "verify", "--config",
+                       str(GOLDEN / "c12-divergent.json"), "--horizon", "2")
+    assert "INCONCLUSIVE regular-oracle" not in out
+
+
+def test_verify_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    # The orbit of this C24 interior point repeats bit for bit within a few
+    # dozen steps, so past that repeat a longer horizon adds only steps read
+    # from the stored cycle, and the Cesaro window is summed in blocks.
+    cfg = write_config(tmp_path, {
+        "group": {"kind": "cyclic", "n": 24},
+        "element": "interior-random:5",
+        "series": {"0": "5/59", "1": "15/59", "5": "20/59", "6": "19/59"},
+    })
+    peaks = {}
+    for horizon in ("10000", "10000", "100000"):
+        tracemalloc.start()
+        code, out, _ = run(capsys, "verify", "--config", cfg, "--horizon", horizon)
+        peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0, out
+    assert abs(peaks["100000"] - peaks["10000"]) < 64 * 1024, peaks
 
 
 def test_exit_code_invalid_inputs(tmp_path, capsys):

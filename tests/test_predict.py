@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from simplexdyn import (ProbPoly, PurePowerError, cesaro_limit, delta,
@@ -10,9 +11,10 @@ from simplexdyn import (ProbPoly, PurePowerError, cesaro_limit, delta,
                         make_dihedral, make_symmetric, power, profile,
                         pure_power_report, regular_limit, simplex_from_map,
                         sup_distance, uniform_on)
+from simplexdyn.algebra import ApproxElement, OrbitTrace
 from simplexdyn.groups import generated_subgroup
 from simplexdyn.modm import extinction_correction
-from simplexdyn.predict import _synthesize
+from simplexdyn.predict import CESARO_BLOCK, _synthesize
 
 from conftest import random_simplex_point
 
@@ -184,6 +186,49 @@ def test_empirical_cesaro_validates_burn_in():
         empirical_cesaro(trace, burn_in=100)
     with pytest.raises(ValueError):
         empirical_cesaro(trace, burn_in=-1)
+
+
+def synthetic_orbit(g, transient, period, n, seed):
+    """An OrbitTrace of n steps over transient + period random simplex
+    states, the last period of which repeat."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((transient + period, g.order))
+    rows /= rows.sum(axis=1, keepdims=True)
+    return OrbitTrace(tuple(ApproxElement(g, row) for row in rows), transient, n)
+
+
+ORBIT_GROUPS = {1: make_cyclic(1), 2: make_cyclic(2), 24: make_cyclic(24),
+                720: make_symmetric(6)}
+
+
+@pytest.mark.parametrize("order", sorted(ORBIT_GROUPS))
+@pytest.mark.parametrize("blocks", ["one row", "one block", "several blocks"])
+def test_empirical_cesaro_is_the_stacked_mean_bit_for_bit(order, blocks):
+    g = ORBIT_GROUPS[order]
+    steps = max(1, CESARO_BLOCK // order)
+    window = {"one row": 1, "one block": steps,
+              "several blocks": 3 * steps + steps // 2 + 1}[blocks]
+    burn_in = 3
+    trace = synthetic_orbit(g, 5, 7, burn_in + window, seed=order + window)
+    want = np.mean(np.stack([t.coeffs for t in trace][burn_in:]), axis=0)
+    got = empirical_cesaro(trace, burn_in)
+    assert got.coeffs.tobytes() == want.tobytes()
+
+
+def test_orbit_trace_reads_steps_from_the_cycle():
+    g = make_cyclic(3)
+    trace = synthetic_orbit(g, 2, 3, 20, seed=1)
+    steps = [trace.elements[m if m < 5 else 2 + (m - 2) % 3] for m in range(20)]
+    assert list(trace) == steps
+    assert [trace[m] for m in range(-20, 20)] == steps + steps
+    assert list(trace[:7]) == steps[:7] and len(trace[:7]) == 7
+    indices = [trace.elements.index(y) for y in steps]
+    for start, stop in [(0, 20), (0, 4), (3, 9), (7, 20)]:
+        assert trace.state_indices(start, stop).tolist() == indices[start:stop]
+    with pytest.raises(IndexError):
+        trace[20]
+    with pytest.raises(ValueError):
+        trace[1:]
 
 
 def test_report_digest_identifies_instance():
