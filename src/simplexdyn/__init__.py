@@ -6,46 +6,51 @@ a finite set of limit points with an explicit closed form.  This package
 computes those objects exactly (rational arithmetic throughout), predicts
 whether a plain limit exists, evaluates Cesaro averages when it does not,
 and cross-checks every closed form against brute-force float iteration.
+
+Importing the package loads none of its modules: each exported name is
+imported from its module on first use (PEP 562), so a process pays to
+compile and import only the modules it reads.
 """
 
-from .algebra import (AlgebraElement, ApproxElement, SimplexPoint, add, delta,
-                      element_to_map, multiply, parse_rational, power, scale,
-                      simplex_from_map, sup_distance, support, uniform_on)
-from .config import ConfigError, ExperimentConfig
-from .dynamics import (AccumulationSet, DynamicsProfile, empirical_limit_set,
-                       limit_set, match_accumulation_sets, power_rank, profile,
-                       reduce_to_stable)
-from .errors import (InconclusiveError, InternalConsistencyError,
-                     PurePowerError)
-from .groups import (ElementSet, FiniteGroup, direct_product, from_cayley_table,
-                     generated_subgroup, make_cyclic, make_dihedral,
-                     make_symmetric)
-from .modm import (ModMReport, ResidueCycle, extinction_fraction,
-                   regularity_mod_m, residue_cycle, series_group)
-from .predict import (LimitReport, analyze, cesaro_limit, empirical_cesaro,
-                      iterate_map, pure_power_report, regular_limit)
-from .series import (CoeffState, ProbPoly, cesaro_coeffs, compose,
-                     composition_sum_check, default_truncation,
-                     extinction_value, initial_state, iterate_coeffs,
-                     recursion_coeffs)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccumulationSet", "AlgebraElement", "ApproxElement", "CoeffState",
-    "ConfigError", "DynamicsProfile", "ElementSet", "ExperimentConfig",
-    "FiniteGroup", "InconclusiveError", "InternalConsistencyError",
-    "LimitReport", "ModMReport", "ProbPoly", "PurePowerError",
-    "ResidueCycle", "SimplexPoint", "add", "analyze", "cesaro_coeffs",
-    "cesaro_limit", "compose", "composition_sum_check",
-    "default_truncation", "delta", "direct_product", "element_to_map",
-    "empirical_cesaro", "empirical_limit_set", "extinction_fraction",
-    "extinction_value", "from_cayley_table", "generated_subgroup",
-    "initial_state", "iterate_coeffs", "iterate_map", "limit_set",
-    "make_cyclic", "make_dihedral", "make_symmetric",
-    "match_accumulation_sets", "multiply", "parse_rational", "power",
-    "power_rank", "profile", "pure_power_report", "recursion_coeffs",
-    "reduce_to_stable", "regular_limit", "regularity_mod_m",
-    "residue_cycle", "scale", "series_group", "simplex_from_map",
-    "sup_distance", "support", "uniform_on",
-]
+# The module that defines each exported name.
+_HOME = {name: module for module, names in {
+    "algebra": ("AlgebraElement", "ApproxElement", "SimplexPoint", "add",
+                "delta", "element_to_map", "multiply", "power", "scale",
+                "simplex_from_map", "sup_distance", "support", "uniform_on"),
+    "config": ("ConfigError", "ExperimentConfig"),
+    "dynamics": ("AccumulationSet", "DynamicsProfile", "empirical_limit_set",
+                 "limit_set", "match_accumulation_sets", "power_rank",
+                 "profile", "reduce_to_stable"),
+    "errors": ("InconclusiveError", "InternalConsistencyError",
+               "PurePowerError"),
+    "groups": ("ElementSet", "FiniteGroup", "direct_product",
+               "from_cayley_table", "generated_subgroup", "make_cyclic",
+               "make_dihedral", "make_symmetric"),
+    "modm": ("ModMReport", "ResidueCycle", "extinction_fraction",
+             "regularity_mod_m", "residue_cycle", "series_group"),
+    "predict": ("LimitReport", "analyze", "cesaro_limit", "empirical_cesaro",
+                "iterate_map", "pure_power_report", "regular_limit"),
+    "record": ("parse_rational",),
+    "series": ("CoeffState", "ProbPoly", "cesaro_coeffs", "compose",
+               "composition_sum_check", "default_truncation",
+               "extinction_value", "initial_state", "iterate_coeffs",
+               "recursion_coeffs"),
+}.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .groups import ElementSet, FiniteGroup
-from .record import Record
+from .record import Record, parse_rational
 from .series import _exact_product, _numerators, _power_sum
 
 DEFAULT_APPROX_SLACK = 1e-12
@@ -28,14 +28,6 @@ DEFAULT_APPROX_SLACK = 1e-12
 ITERATION_SLACK_RATE = 1e-12
 
 RationalLike = Fraction | int | str
-
-
-def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse an exact rational from a "p/q" string (or int/Fraction)."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational {text!r}: {exc}") from None
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:

@@ -13,13 +13,15 @@ import json
 import math
 import random
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .algebra import SimplexPoint, delta, parse_rational, simplex_from_map
 from .groups import (FiniteGroup, direct_product, make_cyclic, make_dihedral,
                      make_symmetric, read_cayley_csv)
-from .record import Record, as_int
+from .record import Record, as_int, parse_rational
 from .series import ProbPoly
+
+if TYPE_CHECKING:
+    from .algebra import SimplexPoint
 
 RANDOM_WEIGHT_MAX = 20
 
@@ -71,6 +73,8 @@ def build_group(spec, where: str = "group") -> FiniteGroup:
 
 def random_interior_point(group: FiniteGroup, seed: int) -> SimplexPoint:
     """Seeded exact interior point: integer weights 1..20, normalized."""
+    from .algebra import SimplexPoint
+
     rng = random.Random(seed)
     weights = [rng.randint(1, RANDOM_WEIGHT_MAX) for _ in range(group.order)]
     total = sum(weights)
@@ -79,6 +83,8 @@ def random_interior_point(group: FiniteGroup, seed: int) -> SimplexPoint:
 
 
 def build_element(group: FiniteGroup, spec, where: str = "element") -> SimplexPoint:
+    from .algebra import delta, simplex_from_map
+
     if isinstance(spec, str):
         head, sep, arg = spec.partition(":")
         if head == "point-mass" and sep:
@@ -126,6 +132,18 @@ def build_series(spec, where: str = "series") -> ProbPoly:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: expected a map or 'pure-power:<r>'")
+
+
+def read_config(path: str):
+    """The JSON value in the file at path, unvalidated; a ConfigError that
+    names the file when it cannot be read or is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
 
 
 class ExperimentConfig(Record):
@@ -176,14 +194,7 @@ class ExperimentConfig(Record):
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
 
     def require_element(self) -> SimplexPoint:
         if self.element is None:

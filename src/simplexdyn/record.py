@@ -14,10 +14,13 @@ __hash__ = object.__hash__.  Instances keep a __dict__, so
 functools.cached_property works on them.
 
 as_int is the one integer check of every input a record takes: it
-rejects bools and anything int() would truncate.
+rejects bools and anything int() would truncate.  parse_rational is the
+one rational parser of config and label maps.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class Record:
@@ -72,3 +75,11 @@ def as_int(value, what: str) -> int:
             if isinstance(value, str) or n == value:
                 return n
     raise ValueError(f"{what}: expected an integer, got {value!r}")
+
+
+def parse_rational(text: str | int | Fraction) -> Fraction:
+    """Parse an exact rational from a "p/q" string (or int/Fraction)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"invalid rational {text!r}: {exc}") from None

@@ -351,6 +351,23 @@ def test_exit_code_invalid_inputs(tmp_path, capsys):
     assert run(capsys, "profile", "--config", str(notjson))[0] == 1
 
 
+def test_config_read_errors_name_the_config(tmp_path, capsys):
+    notjson = tmp_path / "bad.json"
+    notjson.write_text("{oops")
+    code, out, err = run(capsys, "profile", "--config", str(notjson))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        f"error: config: {notjson} is not valid JSON: Expecting property name")
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "profile", "--config", str(missing))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: config: cannot read {missing}: [Errno 2]")
+    listed = write_config(tmp_path, [EXAMPLE_10], "listed.json")
+    for flags in ([], ["--seed", "3"], ["--horizon", "3"]):
+        code, out, err = run(capsys, "predict", "--config", listed, *flags)
+        assert (code, out, err) == (1, "", "error: config: expected a JSON object\n")
+
+
 def test_pure_power_predict(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "group": {"kind": "cyclic", "n": 5},

@@ -16,7 +16,8 @@ MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")])
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import statement and never loaded, except those of
-    `from __future__` and those listed in a module-level __all__."""
+    `from __future__` and those listed in a module-level __all__ written
+    out as a list or tuple (a computed __all__ exempts nothing)."""
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     exported: set[str] = set()
@@ -30,7 +31,8 @@ def unused_imports(source: str) -> list[str]:
                 imported.setdefault(name, node.lineno)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
+        elif isinstance(node, ast.Assign) and isinstance(
+                node.value, (ast.List, ast.Tuple)) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in imported.items()

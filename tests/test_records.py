@@ -155,10 +155,19 @@ def test_records_differ_by_any_field():
 
 
 def test_importing_the_cli_does_not_load_dataclasses():
-    src = str(Path(simplexdyn.__file__).resolve().parents[1])
+    # The package imports its modules on first use, so the star import
+    # loads every one of them next to the cli.
+    package = Path(simplexdyn.__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, simplexdyn.cli; print('dataclasses' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, simplexdyn.cli\nfrom simplexdyn import *\n"
+            "print(*sorted(name for name in sys.modules\n"
+            "              if name.startswith('simplexdyn.')))\n"
+            "print('dataclasses' in sys.modules)\n")
+    loaded, dataclasses = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True,
+        text=True).stdout.splitlines()
+    assert loaded.split() == sorted(f"simplexdyn.{path.stem}"
+                                    for path in package.glob("*.py")
+                                    if path.stem != "__init__")
+    assert dataclasses == "False"
