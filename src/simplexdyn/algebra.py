@@ -251,8 +251,8 @@ class OrbitTrace(Sequence):
     order of appearance; j is the index of the state that the first
     bitwise repeat equals, or k when none of the n steps repeats.  Step m
     (0-based) is state m for m < k and state j + (m - j) % (k - j) after:
-    the cycle that repeat closes.  Supports len, indexing (negative too),
-    iteration and prefix slices trace[:m], which share the states.
+    the cycle that repeat closes.  Supports len, indexing (negative too)
+    and iteration.
     """
 
     __slots__ = ("elements", "j", "n")
@@ -265,12 +265,7 @@ class OrbitTrace(Sequence):
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, m):
-        if isinstance(m, slice):
-            start, stop, stride = m.indices(self.n)
-            if start or stride != 1:
-                raise ValueError("an orbit trace takes prefix slices [:m] only")
-            return OrbitTrace(self.elements, self.j, stop)
+    def __getitem__(self, m: int) -> ApproxElement:
         if m < 0:
             m += self.n
         if not 0 <= m < self.n:

@@ -40,13 +40,17 @@ from .config import ConfigError, ExperimentConfig, read_config
 from .errors import InconclusiveError, InternalConsistencyError
 
 if TYPE_CHECKING:
-    from .dynamics import DynamicsProfile
+    from .dynamics import AccumulationSet, DynamicsProfile
     from .predict import LimitReport
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAILED = 3
+# The exit code of each oracle verdict.  The codes rise with severity, so
+# the worst of several verdicts is the one with the largest code.
+_EXIT_CODES = {"pass": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE,
+               "fail": EXIT_VERIFY_FAILED}
 
 DEFAULT_SCALAR_HORIZON = 200
 REGULAR_ORACLE_TOL = 1e-7
@@ -129,6 +133,68 @@ def _class_step(horizon: int, pre: int, d: int, i: int) -> int:
     return horizon - (horizon - pre - 1 - i) % d
 
 
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _check(name: str, status: str, detail: str) -> dict:
+    """One verify line: a check's name, verdict and detail."""
+    return {"name": name, "status": status, "detail": detail}
+
+
+def _power_oracle(cfg: ExperimentConfig, x, closed: AccumulationSet) -> tuple:
+    """The float powers of x, clustered, against the closed-form limit set:
+    (verdict, detail, the clusters, or None when inconclusive)."""
+    from .dynamics import (DEFAULT_HORIZON, DEFAULT_MATCH_TOL,
+                           empirical_limit_set, match_accumulation_sets)
+
+    try:
+        observed = empirical_limit_set(x, horizon=cfg.horizon or DEFAULT_HORIZON)
+    except InconclusiveError as exc:
+        return "inconclusive", str(exc), None
+    matched = match_accumulation_sets(closed, observed,
+                                      tol=cfg.tol or DEFAULT_MATCH_TOL)
+    return _verdict(matched), f"{len(observed)} empirical clusters", observed
+
+
+def _cesaro_oracle(cfg: ExperimentConfig, p, x, rep: LimitReport) -> tuple:
+    """The mean of the float orbit p^[n](x), n the Cesaro horizon, over its
+    last whole cycles against rep's Cesaro limit: (verdict, detail, a dict
+    of the orbit, the burn-in, the mean and its sup deviation)."""
+    from .algebra import sup_distance
+    from .predict import CESARO_HORIZON, empirical_cesaro, iterate_map
+
+    trace = iterate_map(p, x, cfg.horizon or CESARO_HORIZON)
+    burn_in = _cesaro_burn_in(len(trace), rep.diagnostics["cycle_d"])
+    avg = empirical_cesaro(trace, burn_in)
+    dev = sup_distance(avg, rep.cesaro)
+    return (_verdict(dev <= CESARO_ORACLE_TOL), f"sup deviation {dev:.2e}",
+            {"trace": trace, "burn_in": burn_in, "average": avg, "deviation": dev})
+
+
+def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
+    """The float orbit at the regular horizon against reg's limit, or each
+    subsequence class's last step by then against reg's accumulation set:
+    (verdict, detail)."""
+    from .algebra import sup_distance
+    from .predict import REGULAR_HORIZON
+
+    horizon = cfg.horizon or REGULAR_HORIZON
+    tol = cfg.tol or REGULAR_ORACLE_TOL
+    if reg.exists:
+        dev = sup_distance(trace[horizon - 1], reg.limit)
+        return _verdict(dev <= tol), f"sup deviation {dev:.2e}"
+    d = reg.diagnostics["cycle_d"]
+    pre = reg.diagnostics["cycle_preperiod"]
+    steps = [_class_step(horizon, pre, d, i) for i in range(d)]
+    if min(steps) <= pre:
+        return "inconclusive", (f"{d} subsequence classes need horizon {pre + d} "
+                                f"for a step each, got {horizon}")
+    ok = all(min(sup_distance(trace[n - 1], q) for q in reg.accumulation.points) <= tol
+             for n in steps)
+    return _verdict(ok), f"{d} subsequence classes vs {len(reg.accumulation)} points"
+
+
 def cmd_profile(cfg: ExperimentConfig, args) -> int:
     from .dynamics import profile
 
@@ -138,27 +204,20 @@ def cmd_profile(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
-    from .dynamics import (DEFAULT_HORIZON, DEFAULT_MATCH_TOL,
-                           empirical_limit_set, limit_set,
-                           match_accumulation_sets, profile)
+    from .dynamics import limit_set, profile
 
     x = cfg.require_element()
     closed = limit_set(profile(x))
+    status, detail, observed = _power_oracle(cfg, x, closed)
     payload = {"closed_form": [_point_record(pt) for pt in closed.points]}
-    try:
-        observed = empirical_limit_set(x, horizon=cfg.horizon or DEFAULT_HORIZON)
-    except InconclusiveError as exc:
-        payload["status"] = "inconclusive"
-        payload["detail"] = str(exc)
-        _emit_json(args, payload)
-        return EXIT_INCONCLUSIVE
-    matched = match_accumulation_sets(closed, observed,
-                                      tol=cfg.tol or DEFAULT_MATCH_TOL)
-    payload["empirical"] = [_point_record(pt) for pt in observed.points]
-    payload["matched"] = matched
-    payload["status"] = "ok" if matched else "mismatch"
+    if observed is None:
+        payload.update(status=status, detail=detail)
+    else:
+        payload.update(empirical=[_point_record(pt) for pt in observed.points],
+                       matched=status == "pass",
+                       status="ok" if status == "pass" else "mismatch")
     _emit_json(args, payload)
-    return EXIT_OK if matched else EXIT_VERIFY_FAILED
+    return _EXIT_CODES[status]
 
 
 def cmd_predict(cfg: ExperimentConfig, args) -> int:
@@ -210,22 +269,19 @@ def cmd_iterate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
-    from .algebra import sup_distance
     from .dynamics import profile
-    from .predict import CESARO_HORIZON, analyze, empirical_cesaro, iterate_map
+    from .predict import analyze
 
     x = cfg.require_element()
     p = cfg.require_series()
     _, rep = analyze(p, profile(x))
-    horizon = cfg.horizon or CESARO_HORIZON
-    burn_in = _cesaro_burn_in(horizon, rep.diagnostics["cycle_d"])
-    avg = empirical_cesaro(iterate_map(p, x, horizon), burn_in)
+    _, _, evidence = _cesaro_oracle(cfg, p, x, rep)
     _emit_json(args, {
         "report": _report_record(rep),
-        "empirical": _decimal_map(avg),
-        "sup_distance": sup_distance(avg, rep.cesaro),
-        "horizon": horizon,
-        "burn_in": burn_in,
+        "empirical": _decimal_map(evidence["average"]),
+        "sup_distance": evidence["deviation"],
+        "horizon": len(evidence["trace"]),
+        "burn_in": evidence["burn_in"],
     })
     return EXIT_OK
 
@@ -252,54 +308,36 @@ def cmd_scalar(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
+def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     from .algebra import multiply, sup_distance, support
-    from .dynamics import (DEFAULT_HORIZON, DEFAULT_MATCH_TOL, AccumulationSet,
-                           empirical_limit_set, match_accumulation_sets,
-                           power_rank, profile)
-    from .predict import (CESARO_HORIZON, REGULAR_HORIZON, analyze,
-                          empirical_cesaro, iterate_map, pure_power_report)
+    from .dynamics import DEFAULT_MATCH_TOL, AccumulationSet, power_rank, profile
+    from .predict import analyze, iterate_map, pure_power_report
     from .series import iterate_coeffs, recursion_coeffs
 
     x = cfg.require_element()
-    checks: list[dict] = []
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "detail": detail})
-
     prof = profile(x)
     c = prof.idempotent
     prof_y = prof.absorbed
-    record("profile-consistency",
-           prof.return_time % prof.period == 0
-           and multiply(c, c) == c
-           and multiply(c, x) == prof_y.point,
-           f"return_time={prof.return_time} period={prof.period}")
-    record("power-independence", power_rank(prof) == prof.return_time,
-           f"rank of {prof.return_time} power vectors")
     closed = AccumulationSet(points=prof.cycle, source="closed_form")
-    wrapped = multiply(closed.points[-1], x)
-    record("limit-cycle-wraps", wrapped == closed.points[0],
-           f"{len(closed)} points on the cycle")
-    ok4 = prof_y.return_time <= prof.period <= prof.return_time
+    reduction = prof_y.return_time <= prof.period <= prof.return_time
     if prof_y.return_time == prof.return_time:
-        ok4 = ok4 and prof.return_time == prof.period == prof_y.period
-    record("reduction-inequalities", ok4,
-           f"absorbed return_time={prof_y.return_time}")
+        reduction = reduction and prof.return_time == prof.period == prof_y.period
     inside = all(i in prof.support_group for i in support(x).members)
-    record("singleton-criterion", (len(closed) == 1) == inside,
-           f"support inside group: {inside}")
-
-    try:
-        observed = empirical_limit_set(x, horizon=cfg.horizon or DEFAULT_HORIZON)
-        record("limit-set-oracle",
-               match_accumulation_sets(closed, observed,
-                                       tol=cfg.tol or DEFAULT_MATCH_TOL),
-               f"{len(observed)} empirical clusters")
-    except InconclusiveError as exc:
-        checks.append({"name": "limit-set-oracle", "status": "inconclusive",
-                       "detail": str(exc)})
+    checks = [_check(name, _verdict(ok), detail) for name, ok, detail in (
+        ("profile-consistency",
+         prof.return_time % prof.period == 0 and multiply(c, c) == c
+         and multiply(c, x) == prof_y.point,
+         f"return_time={prof.return_time} period={prof.period}"),
+        ("power-independence", power_rank(prof) == prof.return_time,
+         f"rank of {prof.return_time} power vectors"),
+        ("limit-cycle-wraps", multiply(closed.points[-1], x) == closed.points[0],
+         f"{len(closed)} points on the cycle"),
+        ("reduction-inequalities", reduction,
+         f"absorbed return_time={prof_y.return_time}"),
+        ("singleton-criterion", (len(closed) == 1) == inside,
+         f"support inside group: {inside}"))]
+    status, detail, _ = _power_oracle(cfg, x, closed)
+    checks.append(_check("limit-set-oracle", status, detail))
 
     p = cfg.series
     if p is None:
@@ -309,87 +347,52 @@ def _verify_checks(cfg: ExperimentConfig, args) -> list[dict]:
             raise ConfigError(
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
         rep = pure_power_report(p.shift, prof)
+        tol = cfg.tol or DEFAULT_MATCH_TOL
         hits = [False] * len(rep.accumulation)
         for approx in iterate_map(p, x, max(12, 3 * prof.period)):
             dists = [sup_distance(approx, pt) for pt in rep.accumulation.points]
             best = min(range(len(dists)), key=dists.__getitem__)
-            if dists[best] <= (cfg.tol or DEFAULT_MATCH_TOL):
+            if dists[best] <= tol:
                 hits[best] = True
-        record("power-accumulation-oracle", all(hits),
-               f"{sum(hits)}/{len(hits)} predicted points visited")
+        checks.append(_check("power-accumulation-oracle", _verdict(all(hits)),
+                             f"{sum(hits)}/{len(hits)} predicted points visited"))
         return checks
-
-    critical = p.shift == 0 and p.mean_exponent == 1
     reg, ces = analyze(p, prof)
-    if critical:
-        checks.append({
-            "name": "regular-oracle", "status": "inconclusive",
-            "detail": "mean exponent is exactly 1; iterates approach the "
-                      "limit at rate 1/n, beyond any fixed float horizon"})
-        checks.append({
-            "name": "cesaro-oracle", "status": "inconclusive",
-            "detail": "averages of a 1/n-converging trace need horizons "
-                      "beyond the float budget"})
+    if p.shift == 0 and p.mean_exponent == 1:
+        checks += [
+            _check("regular-oracle", "inconclusive",
+                   "mean exponent is exactly 1; iterates approach the "
+                   "limit at rate 1/n, beyond any fixed float horizon"),
+            _check("cesaro-oracle", "inconclusive",
+                   "averages of a 1/n-converging trace need horizons "
+                   "beyond the float budget")]
     else:
-        reg_h = cfg.horizon or REGULAR_HORIZON
-        ces_h = cfg.horizon or CESARO_HORIZON
-        trace = iterate_map(p, x, max(reg_h, ces_h))
-        tol = cfg.tol or REGULAR_ORACLE_TOL
-        if reg.exists:
-            dev = sup_distance(trace[reg_h - 1], reg.limit)
-            record("regular-oracle", dev <= tol, f"sup deviation {dev:.2e}")
-        else:
-            d = reg.diagnostics["cycle_d"]
-            pre = reg.diagnostics["cycle_preperiod"]
-            steps = [_class_step(reg_h, pre, d, i) for i in range(d)]
-            if min(steps) <= pre:
-                checks.append({
-                    "name": "regular-oracle", "status": "inconclusive",
-                    "detail": f"{d} subsequence classes need horizon {pre + d} "
-                              f"for a step each, got {reg_h}"})
-            else:
-                ok = all(min(sup_distance(trace[n - 1], q)
-                             for q in reg.accumulation.points) <= tol
-                         for n in steps)
-                record("regular-oracle", ok,
-                       f"{d} subsequence classes vs {len(reg.accumulation)} points")
-        burn_in = _cesaro_burn_in(ces_h, ces.diagnostics["cycle_d"])
-        avg = empirical_cesaro(trace[:ces_h], burn_in)
-        dev = sup_distance(avg, ces.cesaro)
-        record("cesaro-oracle", dev <= CESARO_ORACLE_TOL, f"sup deviation {dev:.2e}")
+        status, detail, evidence = _cesaro_oracle(cfg, p, x, ces)
+        trace = evidence["trace"]  # never shorter than the regular horizon
+        checks += [_check("regular-oracle", *_regular_oracle(cfg, trace, reg)),
+                   _check("cesaro-oracle", status, detail)]
 
     # Kept coefficients are exact at any truncation (series module doc), so
     # K = 8 checks the same coefficients k <= 8 as a larger K would.
     exact_states = iterate_coeffs(p, 3, max(p.degree, 8), mode="exact")
-    ok = True
-    for st, nxt in zip(exact_states, exact_states[1:]):
-        for k in range(9):
-            if recursion_coeffs(p, st, k) != nxt.coeffs[k]:
-                ok = False
-    record("scalar-recursion", ok, "composition vs derivative recursion, exact")
+    ok = all(recursion_coeffs(p, st, k) == nxt.coeffs[k]
+             for st, nxt in zip(exact_states, exact_states[1:]) for k in range(9))
+    checks.append(_check("scalar-recursion", _verdict(ok),
+                         "composition vs derivative recursion, exact"))
     return checks
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
-    checks = _verify_checks(cfg, args)
-    statuses = {c["status"] for c in checks}
+    checks = _verify_checks(cfg)
+    overall = max((c["status"] for c in checks), key=_EXIT_CODES.__getitem__)
     if args.format == "json":
-        overall = ("fail" if "fail" in statuses
-                   else "inconclusive" if "inconclusive" in statuses else "pass")
         _emit_json(args, {"checks": checks, "status": overall})
     else:
-        lines = []
-        for c in checks:
-            tag = {"pass": "PASS", "fail": "FAIL",
-                   "inconclusive": "INCONCLUSIVE"}[c["status"]]
-            detail = f" ({c['detail']})" if c["detail"] else ""
-            lines.append(f"{tag} {c['name']}{detail}\n")
-        _emit(args, "".join(lines))
-    if "fail" in statuses:
-        return EXIT_VERIFY_FAILED
-    if "inconclusive" in statuses:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        _emit(args, "".join(
+            f"{c['status'].upper()} {c['name']}"
+            + (f" ({c['detail']})" if c["detail"] else "") + "\n"
+            for c in checks))
+    return _EXIT_CODES[overall]
 
 
 _COMMANDS = {

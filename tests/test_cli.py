@@ -147,6 +147,25 @@ def test_limit_set_reads_the_cycle_the_orbit_closes(config, flags, clusters,
     assert len(payload["empirical"]) == clusters
 
 
+def test_a_limit_set_mismatch_fails_limit_set_and_verify(capsys):
+    # No float cluster of the S4 interior orbit lies within 1e-300 of the
+    # closed form, so both commands report the power oracle's failure.
+    config = str(GOLDEN / "s4-supercritical.json")
+    code, out, _ = run(capsys, "limit-set", "--config", config, "--tol", "1e-300")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["status"] == "mismatch"
+    assert payload["matched"] is False
+    assert len(payload["empirical"]) == 1
+    code, out, _ = run(capsys, "verify", "--config", config, "--tol", "1e-300")
+    assert code == 3
+    assert "FAIL limit-set-oracle (1 empirical clusters)\n" in out
+    code, out, _ = run(capsys, "verify", "--config", config, "--tol", "1e-300",
+                       "--format", "json")
+    assert code == 3
+    assert json.loads(out)["status"] == "fail"
+
+
 def test_an_orbit_that_outlasts_the_budget_names_it(tmp_path, capsys):
     cfg = write_config(tmp_path, D60_PAIR)
     code, out, _ = run(capsys, "limit-set", "--config", cfg)

@@ -6,8 +6,10 @@ cesaro where it succeeds (a pure power has no Cesaro command); the S6
 and C20xC20 configs, groups of order above 64, pin profile and predict.
 The scalar shadow (CSV) is pinned on c6-irrational, c12-divergent (a
 shifted series whose powers vanish below the truncation degree),
-s4-supercritical and c20xc20-shifted, and the float oracle trace
-(iterate, CSV) on c6-irrational.  The files hold the exact stdout;
+s4-supercritical and c20xc20-shifted, the float oracle trace
+(iterate, CSV) on c6-irrational, and the power oracle (limit-set) on
+c12-divergent (twelve point-mass clusters) and s4-supercritical (one
+interior cluster in float decimals).  The files hold the exact stdout;
 refresh one by rerunning the command and reviewing the diff.
 
 In-process calls never finalize the interpreter, so two cases also run
