@@ -37,8 +37,7 @@ _HOME = {name: module for module, names in {
     "record": ("parse_rational",),
     "series": ("CoeffState", "ProbPoly", "cesaro_coeffs", "compose",
                "composition_sum_check", "default_truncation",
-               "extinction_value", "initial_state", "iterate_coeffs",
-               "recursion_coeffs"),
+               "initial_state", "iterate_coeffs", "recursion_coeffs"),
 }.items() for name in names}
 __all__ = sorted(_HOME)
 

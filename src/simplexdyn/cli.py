@@ -324,6 +324,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         reduction = reduction and prof.return_time == prof.period == prof_y.period
     inside = all(i in prof.support_group for i in support(x).members)
     checks = [_check(name, _verdict(ok), detail) for name, ok, detail in (
+        # prof_y.point is x * c: c * x == x * c is limit_set's commutation check.
         ("profile-consistency",
          prof.return_time % prof.period == 0 and multiply(c, c) == c
          and multiply(c, x) == prof_y.point,

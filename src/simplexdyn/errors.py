@@ -25,11 +25,8 @@ class InconclusiveError(RuntimeError):
     value.  CLI maps this to exit code 2.
     """
 
-    def __init__(self, message: str, *, best: float | None = None,
-                 delta: float | None = None, iterations: int | None = None):
+    def __init__(self, message: str, *, iterations: int | None = None):
         super().__init__(message)
-        self.best = best
-        self.delta = delta
         self.iterations = iterations
 
 

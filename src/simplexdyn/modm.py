@@ -6,7 +6,12 @@ by two pieces of integer data: the subgroup of Z_m generated by the
 offsets of p, and the eventual cycle of r^n mod m where r is the minimal
 exponent of p.  The limit (when the coset criterion grants one) and the
 Cesaro average both have closed forms built from the uniform measure on
-that subgroup.
+that subgroup, plus the extinction value a of p on the identity.
+
+a is found in exact arithmetic only: bisection on dyadics by the sign of
+an integer polynomial, then one rational-root candidate checked by
+p(a) == a.  A rational a comes out exact; an irrational one as a dyadic
+within 2^-65 of it.
 """
 
 from __future__ import annotations
@@ -19,9 +24,12 @@ from .dynamics import AccumulationSet
 from .errors import InternalConsistencyError, PurePowerError
 from .groups import ElementSet, generated_subgroup, make_cyclic
 from .record import Record
-from .series import ProbPoly, extinction_value
+from .series import ProbPoly
 
-EXTINCTION_SNAP_DENOMINATOR = 10 ** 6
+# Bisection width 2^-EXTINCTION_BITS: an irrational a is returned within
+# 2^-65, below half the float64 spacing of every a >= 2^-11, so float(a)
+# is the double nearest a unless a lies that close to a rounding boundary.
+EXTINCTION_BITS = 64
 
 
 class ResidueCycle(Record):
@@ -143,29 +151,46 @@ def extinction_correction(coeffs: list[Fraction], identity: int,
 
 
 def extinction_fraction(p: ProbPoly) -> Fraction:
-    """Extinction value for the closed forms, embedded as an exact rational.
+    """Extinction value a, the smallest fixed point of p in [0, 1].
 
     Shifted series (no constant term) have value 0, and series with mean
-    exponent <= 1 have value 1 (their only fixed point in [a_0, 1] is 1);
-    both classifications are exact rational arithmetic.  At exact
-    criticality the fixed-point iteration slows to steps of order 1/n^2
-    and would exhaust any fixed budget, so this shortcut is what keeps
-    the closed forms total.  The remaining (supercritical) case iterates
-    in floats; when a nearby small-denominator rational is verified to be
-    an exact fixed point it is returned (p - id is convex, so [0, 1) holds
-    at most one fixed point and the snap is unambiguous), otherwise the
-    float converts without rounding (floats are dyadic), clamped into
-    [0, 1] so endpoint rounding can never push a coefficient negative.
+    exponent <= 1 have value 1 (their only fixed point in [a_0, 1] is 1).
+    A supercritical series has q = D * (p(t) - t) > 0 on [0, a) and
+    q < 0 on (a, 1), since p - id is convex with roots a and 1 (Harris,
+    The Theory of Branching Processes, 1963).  So a is bisected on
+    dyadics n / 2^k by the sign of q, taken in integers: D is the common
+    denominator of p, and 2^(k deg) q(n / 2^k) comes from Horner's rule.
+    Bisection stops below width 2^-64 and below 1 / (2 L^2), L the
+    leading coefficient of q.  A rational root of q has a denominator
+    dividing L, and two such rationals lie at least 1 / L^2 apart, so
+    limit_denominator(L) of the midpoint is the only rational candidate.
+    It is returned when it lies below 1 (1 is the other root) and p fixes
+    it exactly; otherwise a is irrational and the midpoint, within 2^-65
+    of a, is returned.
     """
     if p.shift >= 1:
         return Fraction(0)
     if p.mean_exponent <= 1:
         return Fraction(1)
-    approx = Fraction(extinction_value(p))
-    candidate = approx.limit_denominator(EXTINCTION_SNAP_DENOMINATOR)
+    den = math.lcm(*(c.denominator for _, c in p.terms))
+    q = {e: c.numerator * (den // c.denominator) for e, c in p.terms}
+    q[1] = q.get(1, 0) - den
+    terms = sorted(q.items(), reverse=True)
+    deg, lead = terms[0]
+    bits = max(EXTINCTION_BITS, (2 * lead * lead).bit_length())
+    lo = 0
+    for k in range(1, bits + 1):
+        n = 2 * lo + 1
+        value, prev = 0, deg
+        for e, c in terms:
+            value = value * n ** (prev - e) + (c << k * (deg - e))
+            prev = e
+        lo = n if value > 0 else 2 * lo
+    mid = Fraction(2 * lo + 1, 2 ** (bits + 1))
+    candidate = mid.limit_denominator(lead)
     if candidate < 1 and p.evaluate(candidate) == candidate:
         return candidate
-    return min(max(approx, Fraction(0)), Fraction(1))
+    return mid
 
 
 def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:

@@ -42,13 +42,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InconclusiveError, InternalConsistencyError, PurePowerError
+from .errors import InternalConsistencyError, PurePowerError
 from .record import Record, as_int
 
 TRUNCATION_FACTOR = 64
 TRUNCATION_CAP = 4096
-EXTINCTION_TOL = 1e-12
-EXTINCTION_MAX_ITER = 10 ** 6
 FLOAT_COEFF_SLACK = 1e-15
 FLOAT_TAIL_SLACK = 1e-12
 FLOAT_A0_CHECK = 1e-12
@@ -384,29 +382,6 @@ def recursion_coeffs(p: ProbPoly, state: CoeffState, k: int):
             inner += prod
         total += factor * inner
     return total
-
-
-def extinction_value(p: ProbPoly, tol: float = EXTINCTION_TOL,
-                     max_iter: int = EXTINCTION_MAX_ITER) -> float:
-    """Limit of the constant terms a_0^[n]: iterate a <- p(a) from a_0.
-
-    Plain fixed-point iteration reproduces the defining sequence; the
-    returned value satisfies |p(a) - a| < tol and is the smallest fixed
-    point of p in [a_0, 1].  Near-critical series (mean offspring close
-    to 1) may exhaust the budget, which raises InconclusiveError.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cur = float(p.constant_term)
-    for _ in range(max_iter):
-        nxt = p.evaluate(cur)
-        if abs(nxt - cur) < tol:
-            return cur
-        cur = nxt
-    raise InconclusiveError(
-        f"extinction iteration did not reach tol={tol} in {max_iter} steps "
-        "(mean offspring may be at its critical value)",
-        best=cur, delta=abs(p.evaluate(cur) - cur), iterations=max_iter)
 
 
 def cesaro_coeffs(states: Sequence[CoeffState]) -> list[CoeffState]:

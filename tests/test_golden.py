@@ -4,6 +4,9 @@ Each tests/golden/<name>.json config has one <name>.<command>.out file
 per command pinned on it.  The six small configs pin predict, verify and
 cesaro where it succeeds (a pure power has no Cesaro command); the S6
 and C20xC20 configs, groups of order above 64, pin profile and predict.
+c6-near-critical pins predict only, its exact fields built on the
+extinction value 4999/5001; its verify FAILs the fixed-horizon series
+oracles, which converge too slowly there.
 The scalar shadow (CSV) is pinned on c6-irrational, c12-divergent (a
 shifted series whose powers vanish below the truncation degree),
 s4-supercritical and c20xc20-shifted, the float oracle trace
@@ -35,7 +38,7 @@ ENTRY = "import sys; from simplexdyn.cli import main; sys.exit(main())"
 def test_every_config_has_outputs():
     configs = {path.stem for path in GOLDEN.glob("*.json")}
     assert configs == {case.rsplit(".", 1)[0] for case in CASES}
-    assert len(configs) == 8
+    assert len(configs) == 9
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from simplexdyn import (InconclusiveError, ProbPoly, PurePowerError,
-                        cesaro_coeffs, compose, composition_sum_check,
-                        default_truncation, extinction_value, initial_state,
-                        iterate_coeffs, recursion_coeffs)
+from simplexdyn import (ProbPoly, PurePowerError, cesaro_coeffs, compose,
+                        composition_sum_check, default_truncation,
+                        extinction_fraction, initial_state, iterate_coeffs,
+                        recursion_coeffs)
 from simplexdyn.series import CoeffState, _power_sum, _trunc_mul_exact
 
 from conftest import prob_polys, random_prob_poly, signed_coeff_lists
@@ -245,26 +245,55 @@ def test_recursion_on_float_state():
         assert abs(recursion_coeffs(p, st, k) - nxt.coeffs[k]) < 1e-12
 
 
-def test_extinction_values():
-    # subcritical: mean offspring 1/2, dies out surely
-    assert extinction_value(geometric_poly()) == pytest.approx(1.0, abs=1e-9)
-    # supercritical 1/4 + 3 t^2 / 4: smallest root of 3a^2 - 4a + 1
-    sup = ProbPoly(((0, Fraction(1, 4)), (2, Fraction(3, 4))))
-    assert extinction_value(sup) == pytest.approx(1 / 3, abs=1e-9)
-    # shifted series never dies out
-    shifted = ProbPoly(((1, HALF), (3, HALF)))
-    assert extinction_value(shifted) == 0.0
+EPS = Fraction(1, 2 ** 64)
 
 
-def test_extinction_budget_exhaustion():
-    # critical two-type dynamics approaches 1 at rate ~2/n, far slower
-    # than any small iteration budget
-    with pytest.raises(InconclusiveError) as info:
-        extinction_value(two_type_poly(), tol=1e-12, max_iter=50)
-    err = info.value
-    assert err.iterations == 50
-    assert err.best is not None and 0 < err.best < 1
-    assert err.delta is not None and err.delta > 0
+def assert_certified_extinction(p: ProbPoly) -> Fraction:
+    """a lies in (0, 1) and is either a fixed point of p or within 2^-64
+    of one: p - id changes sign from + to - across [a - 2^-64, a + 2^-64],
+    checked in exact arithmetic."""
+    a = extinction_fraction(p)
+    assert 0 < a < 1
+    if p.evaluate(a) != a:
+        assert p.evaluate(a - EPS) > a - EPS
+        assert p.evaluate(a + EPS) < a + EPS
+    return a
+
+
+@st.composite
+def supercritical_polys(draw) -> ProbPoly:
+    """A constant term plus 1 to 4 terms of degree 1..8, mean exponent > 1,
+    weights up to 10^6 so denominators vary widely."""
+    exponents = [0] + draw(st.lists(st.integers(1, 8), min_size=1, max_size=4,
+                                    unique=True))
+    weights = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(exponents),
+                            max_size=len(exponents)))
+    p = ProbPoly(tuple((e, Fraction(w, sum(weights)))
+                       for e, w in zip(exponents, weights)))
+    assume(p.mean_exponent > 1)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(supercritical_polys())
+def test_extinction_fraction_is_certified(p):
+    assert_certified_extinction(p)
+
+
+def test_extinction_fraction_named_cases():
+    near = ProbPoly.from_map({0: Fraction(4999, 10000), 2: Fraction(5001, 10000)})
+    assert assert_certified_extinction(near) == Fraction(4999, 5001)
+    assert assert_certified_extinction(
+        ProbPoly.from_map({0: Fraction(1, 3), 2: Fraction(2, 3)})) == HALF
+    # a sits near 1, where limit_denominator rounds to the other root 1
+    assert_certified_extinction(ProbPoly.from_map(
+        {0: Fraction(20, 31), 1: Fraction(6, 31), 6: Fraction(5, 31)}))
+    # irrational: (sqrt 3 - 1) / 2, (sqrt 17 - 3) / 4 and a degree-6 root
+    for series in ({0: "1/3", 3: "2/3"}, {0: "1/4", 2: "1/4", 3: "1/2"},
+                   {0: "5/11", 1: "13/44", 5: "5/44", 6: "3/22"}):
+        p = ProbPoly.from_map(series)
+        a = assert_certified_extinction(p)
+        assert p.evaluate(a) != a
 
 
 def test_pure_power_rejected():
