@@ -276,16 +276,6 @@ class OrbitTrace(Sequence):
     def __iter__(self):
         return islice(chain(self.elements, cycle(self.elements[self.j:])), self.n)
 
-    def state_indices(self, start: int, stop: int) -> np.ndarray:
-        """The index in elements of each step start .. stop - 1."""
-        steps = np.arange(start, stop)
-        k = len(self.elements)
-        if start >= k:
-            return self.j + (steps - self.j) % (k - self.j)
-        if stop > k:
-            steps[k - start:] = self.j + (steps[k - start:] - self.j) % (k - self.j)
-        return steps
-
 
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
                  start: np.ndarray, n: int) -> OrbitTrace:

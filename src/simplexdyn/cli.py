@@ -126,13 +126,6 @@ def _cesaro_burn_in(horizon: int, d: int) -> int:
     return max(0, horizon - window)
 
 
-def _class_step(horizon: int, pre: int, d: int, i: int) -> int:
-    """The last step n <= horizon of subsequence class i, the steps
-    n > pre with (n - pre - 1) % d == i; at most pre when the class has
-    no step by horizon."""
-    return horizon - (horizon - pre - 1 - i) % d
-
-
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
@@ -173,9 +166,13 @@ def _cesaro_oracle(cfg: ExperimentConfig, p, x, rep: LimitReport) -> tuple:
 
 
 def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
-    """The float orbit at the regular horizon against reg's limit, or each
-    subsequence class's last step by then against reg's accumulation set:
-    (verdict, detail)."""
+    """The float orbit at the regular horizon against reg's limit, or its
+    last d steps against reg's accumulation set: (verdict, detail).
+
+    After the preperiod pre, step n belongs to subsequence class
+    (n - pre - 1) % d, so d consecutive steps past pre hold the last step
+    of each class by the horizon; the verdict is inconclusive when they
+    do not all lie past pre."""
     from .algebra import sup_distance
     from .predict import REGULAR_HORIZON
 
@@ -186,12 +183,11 @@ def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
         return _verdict(dev <= tol), f"sup deviation {dev:.2e}"
     d = reg.diagnostics["cycle_d"]
     pre = reg.diagnostics["cycle_preperiod"]
-    steps = [_class_step(horizon, pre, d, i) for i in range(d)]
-    if min(steps) <= pre:
+    if horizon - d + 1 <= pre:
         return "inconclusive", (f"{d} subsequence classes need horizon {pre + d} "
                                 f"for a step each, got {horizon}")
     ok = all(min(sup_distance(trace[n - 1], q) for q in reg.accumulation.points) <= tol
-             for n in steps)
+             for n in range(horizon - d + 1, horizon + 1))
     return _verdict(ok), f"{d} subsequence classes vs {len(reg.accumulation)} points"
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -45,12 +46,6 @@ from .series import ProbPoly, _int_dtype, _numerators
 REGULAR_HORIZON = 500
 CESARO_HORIZON = 2000
 SCALAR_SUM_TOL = 1e-10
-# Coefficients empirical_cesaro gathers per block (CESARO_BLOCK // order
-# steps, at least one): a 32 kB buffer, small enough to stay out of the
-# peak memory of a verify, large enough that numpy's per-call cost is a
-# small part of each block; 2^16 coefficients gave most of the memory
-# saving back.
-CESARO_BLOCK = 4096
 
 
 class LimitReport(Record):
@@ -252,30 +247,17 @@ def empirical_cesaro(trace: OrbitTrace, burn_in: int) -> ApproxElement:
     exactly, which the plain from-the-start average cannot do at any
     horizon reachable in tests.
 
-    The window reads the distinct states from min(burn_in, j) on, where
-    j is the state the orbit's first repeat returns to; they are stacked
-    once, and the window is summed in blocks of CESARO_BLOCK coefficients
-    (CESARO_BLOCK // order steps): each block's states are gathered into
-    one reused buffer whose first row carries the running sum, so memory
-    does not grow with the window past the repeat.  numpy reduces axis 0
-    of a C-contiguous array row by row, so the result is the mean of the
+    The window is summed in step order into one running vector, so
+    memory does not grow with the window.  numpy reduces axis 0 of a
+    C-contiguous array row by row, so the result is the mean of the
     stacked window bit for bit.
     """
     n = len(trace)
     if not 0 <= burn_in < n:
         raise ValueError(f"need 0 <= burn_in < n, got {burn_in}, {n}")
-    first = min(burn_in, trace.j)
-    states = np.array([y.coeffs for y in trace.elements[first:n]])
-    order = states.shape[1]
-    steps = max(1, CESARO_BLOCK // order)
-    buf = np.empty((min(n - burn_in, steps) + 1, order))
-    for lo in range(burn_in, n, steps):
-        hi = min(lo + steps, n)
-        # The indices lie in range by construction; mode "raise" would
-        # gather into a temporary block first.
-        states.take(trace.state_indices(lo, hi) - first, axis=0,
-                    out=buf[1:1 + hi - lo], mode="clip")
-        # The first block has no running sum yet in buf[0].
-        buf[0] = np.add.reduce(buf[1 if lo == burn_in else 0:1 + hi - lo], axis=0)
-    return ApproxElement(group=trace[0].group, coeffs=buf[0] / (n - burn_in),
+    window = islice(trace, burn_in, None)
+    total = next(window).coeffs.copy()
+    for y in window:
+        total += y.coeffs
+    return ApproxElement(group=trace[0].group, coeffs=total / (n - burn_in),
                          slack=ITERATION_SLACK_RATE * n)

@@ -7,11 +7,12 @@ import json
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from simplexdyn import parse_rational
-from simplexdyn.cli import _class_step, main
+from simplexdyn import AccumulationSet, delta, make_cyclic, parse_rational
+from simplexdyn.cli import _regular_oracle, main
 
 from conftest import count_calls
 
@@ -293,27 +294,46 @@ def test_verify_critical_series_is_inconclusive(tmp_path, capsys):
 
 
 def old_class_step(horizon, pre, d, i):
-    """The search loop _class_step replaced."""
+    """The last step n <= horizon of subsequence class i, the steps n > pre
+    with (n - pre - 1) % d == i; at most pre when the class has none."""
     n = horizon
     while n > pre and (n - pre - 1) % d != i:
         n -= 1
     return n
 
 
-def test_class_step_matches_the_search_loop():
+class RecordingTrace:
+    """A stand-in orbit whose every step is point; read records the step
+    n = index + 1 of each read."""
+
+    def __init__(self, point):
+        self.point = point
+        self.read = []
+
+    def __getitem__(self, m):
+        self.read.append(m + 1)
+        return self.point
+
+
+def test_regular_oracle_reads_the_last_step_of_each_class():
+    point = delta(make_cyclic(1), 0)
+    closed = AccumulationSet(points=(point,), source="closed_form")
     for horizon in range(1, 25):
         for pre in range(0, 8):
             for d in range(1, 9):
-                for i in range(d):
-                    want = old_class_step(horizon, pre, d, i)
-                    got = _class_step(horizon, pre, d, i)
-                    if want > pre:
-                        assert got == want
-                    else:
-                        # No step of the class by horizon: the loop stopped
-                        # at pre, and the arithmetic lands at or below it.
-                        assert got <= pre
-                        assert horizon < pre + 1 + i
+                report = SimpleNamespace(
+                    exists=False, accumulation=closed,
+                    diagnostics={"cycle_d": d, "cycle_preperiod": pre})
+                trace = RecordingTrace(point)
+                status, _ = _regular_oracle(SimpleNamespace(horizon=horizon, tol=None),
+                                            trace, report)
+                want = [old_class_step(horizon, pre, d, i) for i in range(d)]
+                if min(want) <= pre:
+                    # Some class has no step by horizon.
+                    assert status == "inconclusive" and trace.read == []
+                else:
+                    assert status == "pass"
+                    assert sorted(trace.read) == sorted(want)
 
 
 def test_verify_class_without_a_step_is_inconclusive(capsys):

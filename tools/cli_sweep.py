@@ -5,9 +5,10 @@
 
 `run` calls simplexdyn.cli.main in-process on every operation and every
 recorded-defect operation of each bench/workloads.py workload at each
-seed, and on all seven commands for every tests/golden config, and
+seed, on all seven commands for every tests/golden config, and on
+`verify` and `cesaro` for every golden config at each of HORIZONS, and
 writes {case: [exit code, stdout, stderr]} to OUT.json.  At the default
-seeds that is 272 cases.  simplexdyn is imported from sys.path, so
+seeds that is 405 cases.  simplexdyn is imported from sys.path, so
 PYTHONPATH picks the source tree under test; the workloads and golden
 configs always come from this checkout.  Configs are written to a
 temporary directory and passed by relative path, so no output depends
@@ -33,6 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("profile", "limit-set", "predict", "iterate", "cesaro", "scalar", "verify")
+# Short horizons, where the regular oracle's subsequence classes and the
+# Cesaro window's whole cycles run out, which the default horizons never
+# reach, and two long ones.
+HORIZONS = (1, 2, 3, 5, 7, 97, 1999)
 
 
 def _cases(seeds: list[int], work: Path):
@@ -58,6 +63,11 @@ def _cases(seeds: list[int], work: Path):
         for command in COMMANDS:
             yield (f"golden:{config.stem}:{command}",
                    [command, "--config", f"golden/{config.name}"])
+        for command in ("verify", "cesaro"):
+            for horizon in HORIZONS:
+                yield (f"golden:{config.stem}:{command}:horizon{horizon}",
+                       [command, "--config", f"golden/{config.name}",
+                        "--horizon", str(horizon)])
 
 
 def _call(main, argv: list[str]) -> list:
