@@ -270,6 +270,9 @@ def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
 
     x = cfg.require_element()
     p = cfg.require_series()
+    if p.is_pure_power:
+        raise ConfigError("series: the Cesaro oracle needs at least two terms; "
+                          "`predict` reports the Cesaro point of a pure power")
     _, rep = analyze(p, profile(x))
     _, _, evidence = _cesaro_oracle(cfg, p, x, rep)
     _emit_json(args, {

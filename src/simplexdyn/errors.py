@@ -33,6 +33,7 @@ class InconclusiveError(RuntimeError):
 class PurePowerError(ValueError):
     """A pure power t^r was passed to an operation that excludes it.
 
-    Pure powers have their own closed-form treatment; callers should use
-    the dedicated pure-power prediction path instead.
+    analyze and iterate_coeffs raise it.  pure_power_report gives the
+    closed forms of a pure power: the same quotient solve and synthesis
+    as analyze, on the unreduced profile.
     """

@@ -2,11 +2,13 @@
 
 Identifying t^k with t^(k mod m) turns iterated composition into a
 dynamical system on the simplex of Z_m.  Its limit behaviour is decided
-by two pieces of integer data: the subgroup of Z_m generated by the
-offsets of p, and the eventual cycle of r^n mod m where r is the minimal
-exponent of p.  The limit (when the coset criterion grants one) and the
-Cesaro average both have closed forms built from the uniform measure on
-that subgroup, plus the extinction value a of p on the identity.
+by two pieces of integer data: the subgroup <g> of Z_m generated by the
+offsets of p, g = gcd(m, offsets), and the eventual cycle of r^n mod m
+where r is the minimal exponent of p.  The limit (when the coset
+criterion grants one) and the Cesaro average mix uniform measures on
+cosets res + <g>, named by res mod g, plus a term in the extinction
+value a of p.  Points of the simplex of Z_m are tuples of m Fractions.
+A pure power t^r has subgroup (0,) and a = 0.
 
 a is found in exact arithmetic only: bisection on dyadics by the sign of
 an integer polynomial, then one rational-root candidate checked by
@@ -17,14 +19,12 @@ within 2^-65 of it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-from .algebra import SimplexPoint
-from .dynamics import AccumulationSet
-from .errors import InternalConsistencyError, PurePowerError
-from .groups import ElementSet, generated_subgroup, make_cyclic
+from .errors import InternalConsistencyError
 from .record import Record
-from .series import ProbPoly
+from .series import ProbPoly, _numerators
 
 # Bisection width 2^-EXTINCTION_BITS: an irrational a is returned within
 # 2^-65, below half the float64 spacing of every a >= 2^-11, so float(a)
@@ -89,46 +89,61 @@ def residue_cycle(r: int, m: int) -> ResidueCycle:
                         residues=tuple(seq[start:]))
 
 
-def series_group(p: ProbPoly, m: int) -> ElementSet:
-    """Subgroup of Z_m generated by the offsets of p.
+def series_group(p: ProbPoly, m: int) -> tuple[int, ...]:
+    """Residues of the subgroup of Z_m generated by the offsets of p.
 
-    Equals the multiples of gcd(q_1, ..., q_{l-1}, m); cross-checked
-    against breadth-first closure seeded with every offset (the zero
-    offset alone would only ever generate the trivial subgroup).
+    Equals the multiples of g = gcd(q_1, ..., q_{l-1}, m), (0,) for a pure
+    power; cross-checked against the residues reached from 0 by adding
+    offsets (the zero offset alone would only ever reach 0).
     """
-    if p.is_pure_power:
-        raise PurePowerError("a pure power has no offset subgroup; "
-                             "use the pure-power prediction path")
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    g = math.gcd(m, *[q for q in p.offsets if q])
-    group = make_cyclic(m)
-    members = tuple(range(0, m, g))
-    closure = generated_subgroup(group, [q % m for q in p.offsets if q])
-    expected = ElementSet(group=group, members=members)
-    if closure.members != expected.members:
+    steps = [q % m for q in p.offsets if q]
+    members = tuple(range(0, m, math.gcd(m, *steps)))
+    closure = _closure(steps, m)
+    if closure != members:
         raise InternalConsistencyError(
-            f"gcd subgroup {expected.members} disagrees with closure {closure.members}")
-    return expected
+            f"gcd subgroup {members} disagrees with closure {closure}")
+    return members
+
+
+def _closure(steps: list[int], m: int) -> tuple[int, ...]:
+    """Sorted residues reached from 0 by adding steps mod m, in O(m * len(steps))."""
+    seen = [True] + [False] * (m - 1)
+    queue = [0]
+    for res in queue:
+        for q in steps:
+            nxt = (res + q) % m
+            if not seen[nxt]:
+                seen[nxt] = True
+                queue.append(nxt)
+    return tuple(i for i in range(m) if seen[i])
 
 
 class ModMReport(Record):
     """Limit data of p^[n] on R[Z_m]: existence, limit, accumulation, Cesaro,
-    and the exact extinction value a that every closed form carries."""
+    and the exact extinction value a that every closed form carries.
+    Points are tuples of m Fractions, series_group a tuple of residues."""
 
     _fields = ("m", "series_group", "cycle", "exists", "limit", "accumulation",
                "cesaro", "a")
 
-    def __init__(self, m: int, series_group: ElementSet, cycle: ResidueCycle,
-                 exists: bool, limit: SimplexPoint | None,
-                 accumulation: AccumulationSet, cesaro: SimplexPoint,
-                 a: Fraction) -> None:
+    def __init__(self, m: int, series_group: tuple[int, ...], cycle: ResidueCycle,
+                 exists: bool, limit: tuple[Fraction, ...] | None,
+                 accumulation: tuple[tuple[Fraction, ...], ...],
+                 cesaro: tuple[Fraction, ...], a: Fraction) -> None:
         if exists != (limit is not None):
             raise ValueError("limit must be present exactly when the limit exists")
         if cycle.modulus != m:
             raise ValueError("cycle modulus disagrees with report modulus")
-        if exists and len(accumulation) != 1:
-            raise ValueError("a convergent trace has a single accumulation point")
+        if exists and accumulation != (limit,):
+            raise ValueError("a convergent trace has its limit as its single "
+                             "accumulation point")
+        for pt in (*accumulation, cesaro):
+            _, u, den = _numerators(pt)  # m Fraction sums would outcost the solve
+            if len(pt) != m or min(u, default=0) < 0 or sum(u) != den:
+                raise InternalConsistencyError(
+                    f"a quotient point of length {len(pt)} is off the simplex of Z_{m}")
         self._set(m=m, series_group=series_group, cycle=cycle, exists=exists,
                   limit=limit, accumulation=accumulation, cesaro=cesaro, a=a)
 
@@ -196,39 +211,29 @@ def extinction_fraction(p: ProbPoly) -> Fraction:
 def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:
     """Decide lim p^[n](t mod t^m - 1) and build the closed forms.
 
-    The limit exists iff all cosets residues[i] + G coincide; it is then
-    delta_{t^(m_0)} * c_G + (delta_e - c_G) * a.  Otherwise the distinct
-    coset points form the accumulation set, one per subsequence class.
-    The Cesaro point is the mean of the d class points.
+    Subsequence class i lands on the coset residues[i] + G, G the series
+    group, named by residues[i] mod g (G = <g>).  The limit exists iff
+    all d classes land on one coset res + G; it is then
+    c_(res + G) + (delta_0 - c_G) * a, c uniform.  Otherwise the distinct
+    coset points, in order of first appearance, form the accumulation
+    set.  The Cesaro point weights each coset by its share of the d
+    classes.
     """
-    if p.is_pure_power:
-        raise PurePowerError("pure powers follow the support rotation only; "
-                             "use the pure-power prediction path")
     sub = series_group(p, m)
-    group = sub.group
+    g, size = m // len(sub), len(sub)
     cycle = residue_cycle(p.shift, m)
-    members = set(sub.members)
-    base = cycle.residues[0]
-    exists = all((res - base) % m in members for res in cycle.residues)
     a = extinction_fraction(p)
-    size = len(sub.members)
-    points = []
-    for res in cycle.residues:
+    classes = Counter(res % g for res in cycle.residues)
+
+    def point(weights: dict[int, Fraction]) -> tuple[Fraction, ...]:
         coeffs = [Fraction(0)] * m
-        for g in sub.members:
-            coeffs[(res + g) % m] += Fraction(1, size)
-        extinction_correction(coeffs, group.identity, sub.members, a)
-        points.append(SimplexPoint(group=group, coeffs=tuple(coeffs)))
-    distinct = {pt.coeffs: pt for pt in points}
-    accumulation = AccumulationSet(points=tuple(distinct.values()),
-                                   source="closed_form")
-    # Repeated cosets keep their multiplicity: the average weights each
-    # subsequence class equally, not each distinct limit point.
-    d = cycle.d
-    cesaro = SimplexPoint(group=group, coeffs=tuple(
-        sum(col) / d for col in zip(*(pt.coeffs for pt in points))))
+        for coset, w in weights.items():
+            coeffs[coset::g] = [w] * size
+        return tuple(extinction_correction(coeffs, 0, sub, a))
+
+    accumulation = tuple(point({coset: Fraction(1, size)}) for coset in classes)
+    cesaro = point({coset: Fraction(n, cycle.d * size) for coset, n in classes.items()})
+    exists = len(classes) == 1
     return ModMReport(m=m, series_group=sub, cycle=cycle, exists=exists,
-                      limit=points[0] if exists else None,
+                      limit=accumulation[0] if exists else None,
                       accumulation=accumulation, cesaro=cesaro, a=a)
-
-

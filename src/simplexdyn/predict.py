@@ -21,7 +21,9 @@ identity, so one formula covers both branches.  The limit, when it
 exists, is the single accumulation point.  Divergence is decided by the
 exact coset criterion on the quotient, never by failed numerics; a
 float-iteration oracle is provided separately for cross-checking.  The
-pure-power report indexes the same cycle by residue.
+pure-power report of t^r makes steps 2 and 3 on the unreduced profile:
+on Z_m its cosets are single residues and a = 0, so its points are
+entries of the profile's cycle.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .algebra import (ITERATION_SLACK_RATE, ApproxElement, OrbitTrace,
 from .dynamics import (AccumulationSet, DynamicsProfile, profile,
                        reduce_to_stable)
 from .errors import InternalConsistencyError, PurePowerError
-from .modm import (ModMReport, extinction_correction, regularity_mod_m,
-                   residue_cycle)
+from .modm import ModMReport, extinction_correction, regularity_mod_m
 from .record import Record
 from .series import ProbPoly, _int_dtype, _numerators
 
@@ -151,9 +152,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
             "use pure_power_report")
     stable, steps = reduce_to_stable(prof)
     rep = regularity_mod_m(p, stable.period)
-    *points, cesaro = _synthesize(
-        stable, [pt.coeffs for pt in rep.accumulation.points] + [rep.cesaro.coeffs],
-        rep.a)
+    *points, cesaro = _synthesize(stable, [*rep.accumulation, rep.cesaro], rep.a)
     shared = {"digest": _digest(str(p), prof.point), "profile": stable,
               "reduction_steps": steps, "cesaro": cesaro, "a": float(rep.a)}
     regular = LimitReport(
@@ -161,8 +160,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
         exists=rep.exists,
         limit=points[0] if rep.exists else None,
         accumulation=AccumulationSet(points=tuple(points), source="closed_form"),
-        scalar_limits=(tuple(float(c) for c in rep.limit.coeffs)
-                       if rep.exists else None),
+        scalar_limits=(tuple(map(float, rep.limit)) if rep.exists else None),
         diagnostics=_diagnostics(rep, REGULAR_HORIZON),
     )
     ces = LimitReport(
@@ -170,7 +168,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
         exists=True,
         limit=cesaro,
         accumulation=AccumulationSet(points=(cesaro,), source="closed_form"),
-        scalar_limits=tuple(float(c) for c in rep.cesaro.coeffs),
+        scalar_limits=tuple(map(float, rep.cesaro)),
         diagnostics=_diagnostics(rep, CESARO_HORIZON),
     )
     return regular, ces
@@ -191,42 +189,31 @@ def pure_power_report(r: int, prof: DynamicsProfile) -> LimitReport:
     r^n mod m_x, with the divisibility test for it being a singleton,
     where x is the point prof describes.
 
-    The points are read from prof.cycle.  The singleton criterion (m_x
+    The quotient solve of t^r on Z_(m_x) and the synthesis are those of
+    analyze, on the unreduced profile.  The singleton criterion (m_x
     divides r^k (r - 1) for some k <= m_x) is evaluated independently
     and must agree with d = 1.
     """
     if r < 2:
         raise ValueError(f"pure-power exponent must be >= 2, got {r}")
-    x = prof.point
     m = prof.period
-    cycle = residue_cycle(r, m)
-    points = tuple(prof.cycle[res] for res in cycle.residues)
+    rep = regularity_mod_m(ProbPoly.pure_power(r), m)
+    cycle = rep.cycle
     divisible = any(r ** k * (r - 1) % m == 0 for k in range(m + 1))
     if divisible != (cycle.d == 1):
         raise InternalConsistencyError(
             f"divisibility test ({divisible}) disagrees with cycle length "
             f"d={cycle.d} for r={r}, m={m}")
-    d = cycle.d
-    coeffs = [sum(pt.coeffs[g] for pt in points) / d
-              for g in range(x.group.order)]
-    cesaro = SimplexPoint(group=x.group, coeffs=tuple(coeffs))
-    exists = d == 1
+    *points, cesaro = _synthesize(prof, [*rep.accumulation, rep.cesaro], rep.a)
     return LimitReport(
-        digest=_digest(f"pure-power:{r}", x),
-        profile=prof,
-        reduction_steps=0,
-        exists=exists,
-        limit=points[0] if exists else None,
-        accumulation=AccumulationSet(points=points, source="closed_form"),
-        cesaro=cesaro,
-        a=0.0,
-        scalar_limits=None,
-        diagnostics={
-            "cycle_preperiod": cycle.preperiod,
-            "cycle_d": d,
-            "cycle_residues": list(cycle.residues),
-            "divisibility_singleton": divisible,
-        },
+        digest=_digest(f"pure-power:{r}", prof.point), profile=prof,
+        reduction_steps=0, exists=rep.exists,
+        limit=points[0] if rep.exists else None,
+        accumulation=AccumulationSet(points=tuple(points), source="closed_form"),
+        cesaro=cesaro, a=float(rep.a), scalar_limits=None,
+        diagnostics={"cycle_preperiod": cycle.preperiod, "cycle_d": cycle.d,
+                     "cycle_residues": list(cycle.residues),
+                     "divisibility_singleton": divisible},
     )
 
 

@@ -53,7 +53,7 @@ def test_divergent_worked_example_cyclic_12(announce):
         g = make_cyclic(12)
         x = delta(g, 1)
         assert EXAMPLE_SERIES.shift == 3
-        assert sorted(series_group(EXAMPLE_SERIES, 12).members) == [0, 4, 8]
+        assert series_group(EXAMPLE_SERIES, 12) == (0, 4, 8)
         rep = regular_limit(EXAMPLE_SERIES, x)
         assert not rep.exists
         assert rep.diagnostics["cycle_d"] == 2
@@ -75,7 +75,7 @@ def test_regular_worked_example_cyclic_10(announce):
         start = time.perf_counter()
         g = make_cyclic(10)
         x = delta(g, 1)
-        assert sorted(series_group(EXAMPLE_SERIES, 10).members) == [0, 2, 4, 6, 8]
+        assert series_group(EXAMPLE_SERIES, 10) == (0, 2, 4, 6, 8)
         cycle = residue_cycle(3, 10)
         assert cycle.residues == (3, 9, 7, 1)
         rep = regular_limit(EXAMPLE_SERIES, x)

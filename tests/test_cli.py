@@ -266,6 +266,14 @@ def test_cesaro_reports_agreement(tmp_path, capsys):
     assert payload["report"]["cesaro"]["exact"]["t^3"] == "1/6"
 
 
+def test_cesaro_on_a_pure_power_names_the_series_and_predict(capsys):
+    code, out, err = run(capsys, "cesaro", "--config",
+                         str(GOLDEN / "c12-pure-power.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: series: ")
+    assert "`predict`" in err and "pure_power_report" not in err
+
+
 def test_verify_passes_on_examples(tmp_path, capsys):
     for example in (EXAMPLE_10, EXAMPLE_12):
         cfg = write_config(tmp_path, example)

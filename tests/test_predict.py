@@ -6,17 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simplexdyn import (ProbPoly, PurePowerError, cesaro_limit, delta,
-                        empirical_cesaro, iterate_map, make_cyclic,
-                        make_dihedral, make_symmetric, power, profile,
-                        pure_power_report, regular_limit, simplex_from_map,
-                        sup_distance, uniform_on)
+from simplexdyn import (ProbPoly, PurePowerError, SimplexPoint, analyze,
+                        cesaro_limit, delta, empirical_cesaro, iterate_map,
+                        make_cyclic, make_dihedral, make_symmetric, power,
+                        profile, pure_power_report, regular_limit,
+                        residue_cycle, simplex_from_map, sup_distance,
+                        uniform_on)
 from simplexdyn.algebra import ApproxElement, OrbitTrace
 from simplexdyn.groups import generated_subgroup
 from simplexdyn.modm import extinction_correction
 from simplexdyn.predict import _synthesize
 
-from conftest import random_simplex_point
+from conftest import count_calls, random_simplex_point
 
 HALF = Fraction(1, 2)
 EXAMPLE_SERIES = ProbPoly(((3, HALF), (7, HALF)))
@@ -148,6 +149,41 @@ def test_pure_power_interior_point():
     rep = pure_power_report(3, profile(x))
     assert rep.exists
     assert rep.limit == uniform_on(generated_subgroup(g, tuple(range(6))))
+
+
+def test_the_quotient_solve_builds_no_group(monkeypatch):
+    g = make_cyclic(60)
+    x = simplex_from_map(g, {"t^1": "1/2", "t^7": "1/2"})
+    prof = profile(x)
+    counts = count_calls(monkeypatch, "groups._validate_group")
+    analyze(ProbPoly(((0, Fraction(1, 3)), (3, Fraction(2, 3)))), prof)
+    analyze(EXAMPLE_SERIES, profile(delta(g, 1)))
+    pure_power_report(7, prof)
+    assert counts == {"groups._validate_group": 0}
+
+
+def _pure_power_by_indexing(r, prof):
+    """The points and Cesaro point as pure_power_report built them before it
+    shared the quotient solve: the profile's cycle indexed by the residues
+    of r^n, and their Fraction mean."""
+    points = tuple(prof.cycle[res] for res in residue_cycle(r, prof.period).residues)
+    g = prof.point.group
+    cesaro = tuple(sum(pt.coeffs[i] for pt in points) / len(points)
+                   for i in range(g.order))
+    return points, SimplexPoint(group=g, coeffs=cesaro)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_pure_power_report_matches_cycle_indexing(zoo, r):
+    rng = random.Random(r)
+    for name, g in sorted(zoo.items()):
+        for size in sorted({1, 2, min(3, g.order), g.order}):
+            prof = profile(random_simplex_point(g, rng, support_size=size))
+            rep = pure_power_report(r, prof)
+            points, cesaro = _pure_power_by_indexing(r, prof)
+            assert rep.accumulation.points == points, (name, size)
+            assert rep.cesaro == cesaro, (name, size)
+            assert rep.limit == (points[0] if len(points) == 1 else None)
 
 
 def test_pure_power_requires_square_or_higher():

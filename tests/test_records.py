@@ -71,11 +71,10 @@ CASES = [
      "ResidueCycle(modulus=6, base=2, preperiod=0, residues=(2, 4))", "value"),
     (ModMReport, lambda: regularity_mod_m(_series(), 2),
      ("m", "series_group", "cycle", "exists", "limit", "accumulation", "cesaro", "a"),
-     "ModMReport(m=2, series_group=ElementSet(group=FiniteGroup(order=2, "
-     "identity='t^0'), members=(0,)), cycle=ResidueCycle(modulus=2, base=0, "
-     "preperiod=0, residues=(0,)), exists=True, limit=SimplexPoint(t^0: 1), "
-     "accumulation=AccumulationSet(points=(SimplexPoint(t^0: 1),), "
-     "source='closed_form'), cesaro=SimplexPoint(t^0: 1), a=Fraction(1, 1))",
+     "ModMReport(m=2, series_group=(0,), cycle=ResidueCycle(modulus=2, base=0, "
+     "preperiod=0, residues=(0,)), exists=True, limit=(Fraction(1, 1), "
+     "Fraction(0, 1)), accumulation=((Fraction(1, 1), Fraction(0, 1)),), "
+     "cesaro=(Fraction(1, 1), Fraction(0, 1)), a=Fraction(1, 1))",
      "value"),
     (LimitReport, lambda: analyze(_series(), profile(_point()))[0],
      ("digest", "profile", "reduction_steps", "exists", "limit", "accumulation",

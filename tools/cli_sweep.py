@@ -5,10 +5,11 @@
 
 `run` calls simplexdyn.cli.main in-process on every operation and every
 recorded-defect operation of each bench/workloads.py workload at each
-seed, on all seven commands for every tests/golden config, and on
+seed, on all seven commands for every tests/golden config, on
 `verify` and `cesaro` for every golden config at each of HORIZONS, and
-writes {case: [exit code, stdout, stderr]} to OUT.json.  At the default
-seeds that is 405 cases.  simplexdyn is imported from sys.path, so
+on `predict` and `verify` for each LARGE_QUOTIENT config, and writes
+{case: [exit code, stdout, stderr]} to OUT.json.  At the default seeds
+that is 409 cases.  simplexdyn is imported from sys.path, so
 PYTHONPATH picks the source tree under test; the workloads and golden
 configs always come from this checkout.  Configs are written to a
 temporary directory and passed by relative path, so no output depends
@@ -38,6 +39,14 @@ COMMANDS = ("profile", "limit-set", "predict", "iterate", "cesaro", "scalar", "v
 # Cesaro window's whole cycles run out, which the default horizons never
 # reach, and two long ones.
 HORIZONS = (1, 2, 3, 5, 7, 97, 1999)
+# The generator of C513 has period 513, so these reach the quotient solve
+# at modulus 513, above every benchmark config's: a shifted series with
+# offset subgroup <3> (two cosets, d = 18) and t^3 (preperiod 2, d = 18).
+LARGE_QUOTIENT = {
+    f"c513-{name}": {"group": {"kind": "cyclic", "n": 513},
+                     "element": "point-mass:t^1", "series": series}
+    for name, series in (("shifted", {"2": "1/2", "5": "1/2"}),
+                         ("pure-power", "pure-power:3"))}
 
 
 def _cases(seeds: list[int], work: Path):
@@ -68,6 +77,10 @@ def _cases(seeds: list[int], work: Path):
                 yield (f"golden:{config.stem}:{command}:horizon{horizon}",
                        [command, "--config", f"golden/{config.name}",
                         "--horizon", str(horizon)])
+    for name, raw in LARGE_QUOTIENT.items():
+        (work / f"{name}.json").write_text(json.dumps(raw))
+        for command in ("predict", "verify"):
+            yield f"large:{name}:{command}", [command, "--config", f"{name}.json"]
 
 
 def _call(main, argv: list[str]) -> list:
