@@ -308,8 +308,11 @@ def cmd_scalar(cfg: ExperimentConfig, args) -> int:
 
 
 def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
-    from .algebra import multiply, sup_distance, support
-    from .dynamics import DEFAULT_MATCH_TOL, AccumulationSet, power_rank, profile
+    import numpy as np
+
+    from .algebra import float_coeffs, multiply, support
+    from .dynamics import (DEFAULT_MATCH_TOL, AccumulationSet, _within, power_rank,
+                           profile)
     from .predict import analyze, iterate_map, pure_power_report
     from .series import iterate_coeffs, recursion_coeffs
 
@@ -348,12 +351,13 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
         rep = pure_power_report(p.shift, prof)
         tol = cfg.tol or DEFAULT_MATCH_TOL
-        hits = [False] * len(rep.accumulation)
+        rows = np.array([float_coeffs(pt) for pt in rep.accumulation.points])
+        hits = [False] * len(rows)
         for approx in iterate_map(p, x, max(12, 3 * prof.period)):
-            dists = [sup_distance(approx, pt) for pt in rep.accumulation.points]
-            best = min(range(len(dists)), key=dists.__getitem__)
-            if dists[best] <= tol:
-                hits[best] = True
+            # The nearest predicted point within tol, the first on a tie.
+            near, dists = _within(rows, np.arange(len(rows)), approx.coeffs, tol)
+            if len(near):
+                hits[near[np.argmin(dists)]] = True
         checks.append(_check("power-accumulation-oracle", _verdict(all(hits)),
                              f"{sum(hits)}/{len(hits)} predicted points visited"))
         return checks

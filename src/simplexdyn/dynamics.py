@@ -10,11 +10,13 @@ integers and one idempotent computed here describe that cycle exactly:
                  always divides return_time
   idempotent     uniform distribution on support_group; commutes with x
 
-The accumulation set of the powers is {idempotent * x^r : 0 <= r < period}.
-Every analysis of x takes the DynamicsProfile that profile(x) returns; it
-walks that chain (cycle) and takes the absorption step x -> x * idempotent
-(absorbed) once each, on first use.  empirical_limit_set recovers the set
-from a float trace for cross-checking.
+The accumulation set of the powers is {idempotent * x^r : 0 <= r < period},
+and idempotent * x^r is uniform on the coset s^r H of H = support_group,
+for any s in Supp(x).  Every analysis of x takes the DynamicsProfile that
+profile(x) returns; it lists those cosets (cosets), builds the chain from
+them with no product (cycle) and takes the absorption step
+x -> x * idempotent (absorbed) once each, on first use.
+empirical_limit_set recovers the set from a float trace for cross-checking.
 """
 
 from __future__ import annotations
@@ -52,12 +54,30 @@ class DynamicsProfile(Record):
         return self._format(self._fields[:-1])  # the point itself stays out
 
     @cached_property
-    def cycle(self) -> tuple[SimplexPoint, ...]:
-        """idempotent * x^r for r = 0 .. period-1, one multiply per step."""
-        points = [self.idempotent]
+    def cosets(self) -> np.ndarray:
+        """The period x |H| array of element indices whose row r is the
+        coset s^r H of H = support_group, s the first element of Supp(x):
+        idempotent * x^r is uniform on row r (Kawada and Ito 1940, finite
+        case).  With n the return time and S = Supp(x), e is in S^n, inside
+        H, so for s, s' in S and t in S^(n-1) both st and s't lie in H:
+        s s'^-1 and likewise s^-1 s' are in H.  s S^n lies in S^(n+1),
+        inside Hs, so s normalizes H, S lies in sH = Hs and S^r in s^r H.
+        The rows are distinct, as the period is the least k with s^k in H.
+        """
+        g = self.point.group
+        s = int(self.point.numerators[0][0])
+        heads = [g.identity]
         for _ in range(1, self.period):
-            points.append(multiply(points[-1], self.point))
-        return tuple(points)
+            heads.append(g.mul(heads[-1], s))
+        rows = g.table[np.ix_(heads, self.support_group.members)]
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def cycle(self) -> tuple[SimplexPoint, ...]:
+        """idempotent * x^r for r = 0 .. period-1, uniform on cosets[r]."""
+        return tuple(uniform_on(ElementSet(self.point.group, row))
+                     for row in self.cosets.tolist())
 
     @cached_property
     def absorbed(self) -> DynamicsProfile:

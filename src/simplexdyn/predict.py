@@ -11,10 +11,10 @@ point x:
    L_r = lim_n sum_k a^[n]_{k m + r}; the same solve yields the exact
    extinction value a, every accumulation point and the Cesaro point
    (the mean of the d subsequence-class points).
-3. pull every quotient answer back to the group from the chain
-   c_y * y^r, r < m (the profile's cycle, walked once per point),
-   adding each point into a running sum per answer:
-   c_y * sum_r y^r L_r + (e - c_y) * a.
+3. pull every quotient answer back to the group along the chain
+   c_y * y^r, r < m, to c_y * sum_r y^r L_r + (e - c_y) * a.  Each
+   c_y * y^r is uniform on the coset prof.cosets[r] of the support
+   group, so this writes one share L_r / |H| per coset, with no product.
 
 The last term vanishes identically when c_y is the point mass at the
 identity, so one formula covers both branches.  The limit, when it
@@ -23,16 +23,13 @@ exact coset criterion on the quotient, never by failed numerics; a
 float-iteration oracle is provided separately for cross-checking.  The
 pure-power report of t^r makes steps 2 and 3 on the unreduced profile:
 on Z_m its cosets are single residues and a = 0, so its points are
-entries of the profile's cycle.
+entries of the profile's cycle, each uniform on one coset.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import islice
-
-import numpy as np
 
 from . import algebra
 from .algebra import (ITERATION_SLACK_RATE, ApproxElement, OrbitTrace,
@@ -42,7 +39,7 @@ from .dynamics import (AccumulationSet, DynamicsProfile, profile,
 from .errors import InternalConsistencyError, PurePowerError
 from .modm import ModMReport, extinction_correction, regularity_mod_m
 from .record import Record
-from .series import ProbPoly, _int_dtype, _numerators
+from .series import ProbPoly
 
 REGULAR_HORIZON = 500
 CESARO_HORIZON = 2000
@@ -88,42 +85,27 @@ def _synthesize(prof: DynamicsProfile,
                 quotients: list[tuple[Fraction, ...]],
                 a: Fraction) -> list[SimplexPoint]:
     """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients,
-    exactly, where y is the point prof describes.
-
-    On integers: the quotient points give the rows w of W, numerators
-    over one common denominator, the chain c_y * y^r, r < m (prof.cycle)
-    the rows of U over another, and every sum is one vector-matrix
-    product w @ U, in int64 unless a sum of m products could overflow it.
-    """
+    exactly, where y is the point prof describes.  c_y * y^r is uniform
+    on the coset prof.cosets[r] of the support group H, and the cosets
+    are disjoint, so the sum puts L_r / |H| on each member of row r."""
     group = prof.point.group
-    chain = [pt.numerators for pt in prof.cycle]
-    weights = [_numerators(L) for L in quotients]
-    den_u = math.lcm(*(d for _, _, d in chain))
-    den_w = math.lcm(*(d for _, _, d in weights))
-    u_rows = [(s, [k * (den_u // d) for k in u]) for s, u, d in chain]
-    w_rows = [(s, [k * (den_w // d) for k in w]) for s, w, d in weights]
-    dtype = _int_dtype(max(abs(k) for _, w in w_rows for k in w),
-                       max(abs(k) for _, u in u_rows for k in u), len(chain))
-    u_mat = _dense(u_rows, group.order, dtype)
-    den, zero = den_w * den_u, Fraction(0)
     members = prof.support_group.members
-    try:
-        return [SimplexPoint(group=group, coeffs=tuple(extinction_correction(
-                    [Fraction(k, den) if k else zero for k in (w @ u_mat).tolist()],
-                    group.identity, members, a)))
-                for w in _dense(w_rows, len(chain), dtype)]
-    except ValueError as exc:
-        raise InternalConsistencyError(
-            f"synthesized limit left the simplex: {exc}") from exc
-
-
-def _dense(rows: list[tuple[np.ndarray, list[int]]], width: int, dtype) -> np.ndarray:
-    """The matrix whose row i holds the values rows[i][1] at the indices
-    rows[i][0] and zeros elsewhere."""
-    out = np.zeros((len(rows), width), dtype=dtype)
-    for i, (index, values) in enumerate(rows):
-        out[i, index] = values
-    return out
+    rows = prof.cosets.tolist()
+    points = []
+    for L in quotients:
+        coeffs = [Fraction(0)] * group.order
+        for row, share in zip(rows, L):
+            if share:
+                share /= len(members)
+                for i in row:
+                    coeffs[i] = share
+        extinction_correction(coeffs, group.identity, members, a)
+        try:
+            points.append(SimplexPoint(group=group, coeffs=tuple(coeffs)))
+        except ValueError as exc:
+            raise InternalConsistencyError(
+                f"synthesized limit left the simplex: {exc}") from exc
+    return points
 
 
 def _diagnostics(rep: ModMReport, horizon: int) -> dict:

@@ -262,13 +262,6 @@ def _numerators(coeffs: Sequence[Fraction]
     return index, u, den
 
 
-def _int_dtype(mu: int, mv: int, terms: int):
-    """np.int64 when the integers of size at most mu and mv and every sum
-    of at most terms products of one of each stay below 2^63, object
-    (Python ints) otherwise: int64 wraps silently on overflow."""
-    return np.int64 if max(mu, mv, mu * mv * terms) < 2 ** 63 else object
-
-
 def _exact_product(a: tuple[np.ndarray, tuple[int, ...], int],
                    b: tuple[np.ndarray, tuple[int, ...], int], n: int,
                    product: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -280,12 +273,12 @@ def _exact_product(a: tuple[np.ndarray, tuple[int, ...], int],
     Fractions, u and v scattered into dense length-n operands.  product
     must sum, per output entry, at most one term u_i * v_j for each
     nonzero u_i.  u and v are int64 arrays when no such sum can reach
-    2^63 and object arrays of Python ints otherwise (_int_dtype), so the
-    result is exact.
+    2^63, where int64 would wrap silently, and object arrays of Python
+    ints otherwise, so the result is exact.
     """
     (sa, u, du), (sb, v, dv) = a, b
-    dtype = _int_dtype(max(map(abs, u), default=0), max(map(abs, v), default=0),
-                       len(u))
+    mu, mv = max(map(abs, u), default=0), max(map(abs, v), default=0)
+    dtype = np.int64 if max(mu, mv, mu * mv * len(u)) < 2 ** 63 else object
     ua = np.zeros(n, dtype=dtype)
     ua[sa] = u
     va = np.zeros(n, dtype=dtype)

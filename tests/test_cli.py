@@ -218,10 +218,24 @@ def test_pure_power_verify_walks_the_cycle_once(capsys, monkeypatch):
                        str(GOLDEN / "c12-pure-power.json"))
     assert code == 0, out
     # Return time 4, period 2: 3 multiplies for profile consistency and
-    # the absorption step, 3 for the power rank, 1 for the cycle and 1 for
-    # its wrap check.  A second walk of the cycle would make 9.
-    assert counts["algebra.multiply"] == 8
+    # the absorption step, 3 for the power rank and 1 for the cycle's wrap
+    # check.  The cycle itself is read off the support group's cosets, so
+    # building it takes no product.
+    assert counts["algebra.multiply"] == 7
     assert counts["dynamics.profile"] <= 2
+
+
+def test_predict_reads_the_cycle_off_its_cosets(tmp_path, capsys, monkeypatch):
+    # The generator of C200 has period 200.  Only the absorption steps
+    # multiply; a walk of the cycle would add 199 products.
+    cfg = write_config(tmp_path, {"group": {"kind": "cyclic", "n": 200},
+                                  "element": "point-mass:t^1",
+                                  "series": {"2": "1/2", "5": "1/2"}})
+    counts = count_calls(monkeypatch, "algebra.multiply")
+    code, out, _ = run(capsys, "predict", "--config", cfg)
+    assert code == 0, out
+    steps = json.loads(out)["regular"]["reduction_steps"]
+    assert counts["algebra.multiply"] <= steps + 1
 
 
 def test_verify_rejects_a_nan_tolerance(capsys):

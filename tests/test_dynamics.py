@@ -299,3 +299,28 @@ def test_profile_walks_its_cycle_and_absorption_once():
     assert prof.cycle == tuple(multiply(prof.idempotent, power(x, r))
                                for r in range(prof.period))
     assert prof.absorbed == profile(multiply(x, prof.idempotent))
+
+
+def test_cycle_is_uniform_on_the_cosets_of_the_support_group():
+    # The reference walks the chain c * x^r by exact products.
+    rng = random.Random(41)
+    zoo = build_zoo()
+    for _ in range(120):
+        name = rng.choice(sorted(zoo))
+        g = zoo[name]
+        x = random_simplex_point(g, rng, support_size=rng.randint(1, min(3, g.order)))
+        first = profile(x)
+        for prof in (first, reduce_to_stable(first)[0]):
+            pts = [prof.idempotent]
+            for _ in range(1, prof.period):
+                pts.append(multiply(pts[-1], prof.point))
+            assert prof.cycle == tuple(pts), name
+            assert prof.cosets is prof.cosets
+            h = prof.support_group.members
+            assert prof.cosets.shape == (prof.period, len(h)), name
+            rows = [set(row) for row in prof.cosets.tolist()]
+            assert all(len(row) == len(h) for row in rows), name
+            assert len(set().union(*rows)) == prof.period * len(h), name
+            for r, row in enumerate(rows):
+                supp = support(power(prof.point, r)).members
+                assert row == {g.mul(s, k) for s in supp for k in h}, (name, r)

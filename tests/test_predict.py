@@ -8,7 +8,7 @@ import pytest
 
 from simplexdyn import (ProbPoly, PurePowerError, SimplexPoint, analyze,
                         cesaro_limit, delta, empirical_cesaro, iterate_map,
-                        make_cyclic, make_dihedral, make_symmetric, power,
+                        make_cyclic, make_dihedral, make_symmetric, multiply, power,
                         profile, pure_power_report, regular_limit,
                         residue_cycle, simplex_from_map, sup_distance,
                         uniform_on)
@@ -281,13 +281,16 @@ def test_cesaro_equals_average_of_accumulation_points():
 
 
 def _synthesize_by_fractions(prof, quotients, a):
-    """The pair-by-pair Fraction sum that the integer synthesis replaced."""
+    """The pair-by-pair Fraction sum over the chain c * x^r, walked by
+    exact products."""
     group = prof.point.group
     sums = [[Fraction(0)] * group.order for _ in quotients]
-    for r, cur in enumerate(prof.cycle):
+    cur = prof.idempotent
+    for r in range(prof.period):
         for L, acc in zip(quotients, sums):
             for g, c in enumerate(cur.coeffs):
                 acc[g] += L[r] * c
+        cur = multiply(cur, prof.point)
     return [tuple(extinction_correction(acc, group.identity,
                                         prof.support_group.members, a))
             for acc in sums]
@@ -295,7 +298,7 @@ def _synthesize_by_fractions(prof, quotients, a):
 
 @pytest.mark.parametrize("top", [20, 2 ** 62], ids=["int64", "python-int"])
 def test_synthesis_matches_the_fraction_sums(top):
-    # weights up to 2^62 over a common denominator push W @ U past int64
+    # small weights, and weights up to 2^62 over a common denominator
     rng = random.Random(top)
     for g in (make_cyclic(12), make_dihedral(6), make_symmetric(4)):
         for size in (1, 2, g.order):

@@ -7,9 +7,9 @@
 recorded-defect operation of each bench/workloads.py workload at each
 seed, on all seven commands for every tests/golden config, on
 `verify` and `cesaro` for every golden config at each of HORIZONS, and
-on `predict` and `verify` for each LARGE_QUOTIENT config, and writes
-{case: [exit code, stdout, stderr]} to OUT.json.  At the default seeds
-that is 409 cases.  simplexdyn is imported from sys.path, so
+on `predict`, `verify` and `limit-set` for each LARGE_QUOTIENT config,
+and writes {case: [exit code, stdout, stderr]} to OUT.json.  At the
+default seeds that is 411 cases.  simplexdyn is imported from sys.path, so
 PYTHONPATH picks the source tree under test; the workloads and golden
 configs always come from this checkout.  Configs are written to a
 temporary directory and passed by relative path, so no output depends
@@ -42,6 +42,7 @@ HORIZONS = (1, 2, 3, 5, 7, 97, 1999)
 # The generator of C513 has period 513, so these reach the quotient solve
 # at modulus 513, above every benchmark config's: a shifted series with
 # offset subgroup <3> (two cosets, d = 18) and t^3 (preperiod 2, d = 18).
+# `limit-set` prints the 513 exact points of the generator's power cycle.
 LARGE_QUOTIENT = {
     f"c513-{name}": {"group": {"kind": "cyclic", "n": 513},
                      "element": "point-mass:t^1", "series": series}
@@ -79,7 +80,7 @@ def _cases(seeds: list[int], work: Path):
                         "--horizon", str(horizon)])
     for name, raw in LARGE_QUOTIENT.items():
         (work / f"{name}.json").write_text(json.dumps(raw))
-        for command in ("predict", "verify"):
+        for command in ("predict", "verify", "limit-set"):
             yield f"large:{name}:{command}", [command, "--config", f"{name}.json"]
 
 
