@@ -56,8 +56,11 @@ class AlgebraElement(Record):
 
     @cached_property
     def floats(self) -> np.ndarray:
-        """The coefficients as one read-only float64 vector, converted once."""
-        vec = np.array([float(c) for c in self.coeffs])
+        """The coefficients as one read-only float64 vector, converted once:
+        u_i / D is int true division, correctly rounded as float(Fraction) is."""
+        support, u, den = self.numerators
+        vec = np.zeros(self.group.order)
+        vec[support] = [n / den for n in u]
         vec.setflags(write=False)
         return vec
 

@@ -5,9 +5,9 @@ verify.  Each reads a JSON config (see config.py) naming a group, a
 starting element and/or a series, runs the requested computation, and
 writes JSON or CSV to --out or stdout.
 
-Exit codes: 0 success, 1 invalid input, 2 inconclusive numerics
-(iteration budget exhausted before the tolerance was met), 3
-verification failure (an oracle contradicted a closed form).
+Exit codes: 0 success or -h/--help, 1 invalid input or command line, 2
+inconclusive numerics (iteration budget exhausted before the tolerance
+was met), 3 verification failure (an oracle contradicted a closed form).
 
 Every command runs in a fresh process, which compiles each module it
 imports when no bytecode cache is at hand.  So this module imports only
@@ -15,7 +15,8 @@ the standard library, config and errors at its top, and each command
 imports the modules it runs at the top of its own body: `scalar` loads
 none of algebra, dynamics, predict and modm (config loads algebra only
 to build an element), and `profile` and `limit-set` load neither
-predict nor modm.
+predict nor modm.  parse_args reads the command line: argparse, with
+the gettext and locale it loads, cost each process 4-7 ms and 0.5 MB.
 
 main() is the process entry point.  Its first act is gc.freeze(): every
 object alive by then, numpy and this package's top-level imports
@@ -29,11 +30,11 @@ them gained nothing measurable, so main() freezes once.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import json
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .config import ConfigError, ExperimentConfig, read_config
@@ -410,26 +411,49 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simplexdyn",
-        description="Exact and empirical limit analysis of simplex dynamics "
-                    "on finite groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True,
-                         help="path to a JSON experiment config")
-        cmd.add_argument("--out", help="output file (default stdout)")
-        cmd.add_argument("--horizon", type=int, help="iteration horizon")
-        cmd.add_argument("--tol", type=float, help="comparison tolerance")
-        cmd.add_argument("--truncation", type=int,
-                         help="scalar truncation degree K")
-        cmd.add_argument("--seed", type=int,
-                         help="override the interior-random element seed")
-        cmd.add_argument("--format", choices=("json", "csv"),
-                         help="output format where a choice exists")
-    return parser
+# Each option's type or choices, placeholder and help; every command takes all.
+_OPTIONS = {
+    "--config": (str, "PATH", "path to a JSON experiment config (required)"),
+    "--out": (str, "FILE", "output file (default stdout)"),
+    "--horizon": (int, "N", "iteration horizon"),
+    "--tol": (float, "T", "comparison tolerance"),
+    "--truncation": (int, "K", "scalar truncation degree K"),
+    "--seed": (int, "S", "override the interior-random element seed"),
+    "--format": (("json", "csv"), "json|csv", "output format where a choice exists"),
+}
+_USAGE = ("usage: simplexdyn COMMAND --config PATH [--option VALUE | --option=VALUE ...]\n\n"
+          "Exact and empirical limit analysis of simplex dynamics on finite groups.\n\n"
+          f"commands: {', '.join(_COMMANDS)}\n\noptions (the last of a repeated one wins):\n"
+          + "".join(f"  {f + ' ' + m:<20}{h}\n" for f, (_, m, h) in _OPTIONS.items())
+          + f"  {'-h, --help':<20}print this text and exit\n")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command and options of a command line, or None when it asks
+    for help; raises ConfigError on a usage error."""
+    if {"-h", "--help"} & set(argv):
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise ConfigError(f"the first argument must be a command: {', '.join(_COMMANDS)}")
+    args = SimpleNamespace(command=argv[0], **{flag[2:]: None for flag in _OPTIONS})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in _OPTIONS:
+            raise ConfigError(f"unrecognized argument {token!r}")
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise ConfigError(f"{flag}: expected a value")
+        kind = _OPTIONS[flag][0]
+        if isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"{flag}: expected one of {', '.join(kind)}, got {value!r}")
+        try:
+            setattr(args, flag[2:], value if isinstance(kind, tuple) else kind(value))
+        except ValueError:
+            raise ConfigError(f"{flag}: expected {kind.__name__}, got {value!r}") from None
+    if args.config is None:
+        raise ConfigError("--config is required")
+    return args
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -451,8 +475,11 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     gc.freeze()
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_USAGE)
+            return EXIT_OK
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
     except (OSError, ValueError) as exc:

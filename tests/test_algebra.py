@@ -136,6 +136,32 @@ def test_float_coeffs_of_an_exact_element_is_one_read_only_vector():
 ZOO_GROUPS = [g for _, g in sorted(build_zoo().items())]
 
 
+def _floats_match_each_fraction(z) -> bool:
+    return z.floats.tobytes() == np.array([float(c) for c in z.coeffs]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_floats_from_numerators_match_float_of_each_fraction(data):
+    g = data.draw(st.sampled_from(ZOO_GROUPS))
+    x = AlgebraElement(g, tuple(data.draw(signed_coeff_lists(g.order))))
+    y = AlgebraElement(g, tuple(data.draw(signed_coeff_lists(g.order))))
+    w = data.draw(st.sampled_from([Fraction(-1), Fraction(-3, 2 ** 60 + 7)]))
+    for z in (x, add(x, y), scale(w, y), add(scale(w, x), y)):
+        assert _floats_match_each_fraction(z)
+
+
+def test_floats_round_quotients_above_two_to_the_53_like_fractions():
+    # Numerators and denominators beyond 2^53, whose int64 or float64
+    # forms would round before the division; the lcm D is above 2^150.
+    g = make_cyclic(4)
+    x = AlgebraElement(g, (Fraction(1, 2 ** 53 + 1), Fraction(-(2 ** 60 + 1), 3 ** 40),
+                           0, Fraction(2 ** 80 + 3, 5 ** 30)))
+    assert x.numerators[2] > 2 ** 150
+    for z in (x, add(x, scale(Fraction(-1, 7), x)), scale(Fraction(0), x)):
+        assert _floats_match_each_fraction(z)
+
+
 def series_by_definition(p, x) -> AlgebraElement:
     """p(x) with x^e from e - 1 successive exact products."""
     powers = [delta(x.group, x.group.identity), x]

@@ -410,6 +410,34 @@ def test_exit_code_invalid_inputs(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     assert run(capsys, "profile", "--config", str(notjson))[0] == 1
+    # Usage errors are invalid input too, never the "inconclusive" 2.
+    good = str(GOLDEN / "c10-regular.json")
+    for argv in ([], ["bogus", "--config", good], ["profile"],
+                 ["profile", "--config", good, "--horizon", "abc"],
+                 ["verify", "--config", good, "--tol", "x"],
+                 ["iterate", "--config", good, "--format", "xml"],
+                 ["profile", "--config", good, "--bogus", "1"],
+                 ["profile", "--config", good, "--out"],
+                 ["profile", "--conf", good]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_help_and_the_accepted_option_forms(capsys):
+    for argv in (["--help"], ["-h"], ["predict", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: simplexdyn COMMAND --config PATH")
+        assert all(name in out for name in ("limit-set", "--truncation K",
+                                            "scalar truncation degree K"))
+    good = str(GOLDEN / "c10-regular.json")
+    spaced = run(capsys, "verify", "--config", good, "--horizon", "97")
+    assert spaced[0] == 0
+    assert run(capsys, "verify", f"--config={good}", "--horizon=97") == spaced
+    assert run(capsys, "verify", "--config", good, "--horizon", "5",
+               "--horizon", "97") == spaced
+    assert run(capsys, "verify", "--config", good)[1] != spaced[1]
 
 
 def test_config_read_errors_name_the_config(tmp_path, capsys):

@@ -61,6 +61,17 @@ def test_each_command_loads_only_the_modules_it_runs(command, config, absent,
     assert set(loaded) == ALL - absent
 
 
+@pytest.mark.parametrize("command, config", [
+    ("scalar", "c12-divergent.json"), ("profile", "s6-odd-support.json"),
+    ("limit-set", "c10-regular.json"), ("verify", "c10-regular.json")])
+def test_no_command_loads_argparse_gettext_or_locale(command, config, tmp_path):
+    probe = ("import sys\nfrom simplexdyn.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, *[name for name in ('argparse', 'gettext', 'locale')\n"
+             "              if name in sys.modules])\n")
+    assert fresh_process("-c", probe, command, "--config", str(GOLDEN / config),
+                         "--out", str(tmp_path / "out.txt")) == ["0"]
+
+
 def test_every_export_is_the_object_its_module_defines():
     for name in simplexdyn.__all__:
         value = getattr(simplexdyn, name)

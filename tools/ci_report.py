@@ -4,8 +4,9 @@
 
 Prints, for the src/ tree of this checkout:
 - import cost: for scalar, profile and verify, the modules loaded, their
-  lines and the median wall time of 5 processes without bytecode caches
-  (src/simplexdyn/__pycache__ is removed first);
+  lines, the median wall time and peak RSS of 5 processes without
+  bytecode caches (src/simplexdyn/__pycache__ is removed first), and the
+  standard-library modules the command loads beyond a bare `import numpy`;
 - one S6 profile call's wall time next to a bare `import numpy`, and its
   peak RSS next to a bare `import simplexdyn.cli` (median of 5 processes);
 - one S4 verify call at 10,000 and 100,000 steps: its orbit repeats
@@ -36,11 +37,19 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN = ROOT / "tests" / "golden"
 CLI = [sys.executable, "-m", "simplexdyn.cli"]
+# Prints the standard-library modules loaded so far, on one line of stderr.
+STDLIB = ("print(*sorted(n for n in sys.modules\n"
+          "              if n.partition('.')[0] in sys.stdlib_module_names), file=sys.stderr)\n")
 LOADED = ("import sys\nfrom simplexdyn.cli import main\nmain(sys.argv[1:])\n"
           "mods = [m for n, m in sys.modules.items() if n.startswith('simplexdyn.')]\n"
           "lines = sum(len(open(m.__file__).readlines()) for m in mods)\n"
           "names = ' '.join(sorted(m.__name__.partition('.')[2] for m in mods))\n"
-          "print(f'{len(mods)} modules, {lines} lines: {names}', file=sys.stderr)\n")
+          "print(f'{len(mods)} modules, {lines} lines: {names}', file=sys.stderr)\n" + STDLIB)
+
+
+def stderr_of(code: str, argv: list[str], env: dict) -> str:
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, check=True).stderr
 
 
 def fresh(argv: list[str], runs: int, env: dict | None = None) -> tuple[float, float, int]:
@@ -63,17 +72,18 @@ def import_cost() -> None:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     series_only = json.loads((GOLDEN / "c12-divergent.json").read_text())
     del series_only["element"]
+    numpy_stdlib = set(stderr_of("import sys, numpy\n" + STDLIB, [], env).split())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c12-divergent-series.json"
         path.write_text(json.dumps(series_only))
         for argv in (["scalar", "--config", str(path)],
                      ["profile", "--config", str(GOLDEN / "s6-odd-support.json")],
                      ["verify", "--config", str(GOLDEN / "c10-regular.json")]):
-            wall, _, _ = fresh([*CLI, *argv], 5, env)
-            loaded = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
-                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                    text=True, check=True).stderr.strip()
-            print(f"{argv[0]:8} {wall:.3f} s (median of 5), {loaded}")
+            wall, peak, _ = fresh([*CLI, *argv], 5, env)
+            loaded, stdlib = stderr_of(LOADED, argv, env).strip().split("\n")
+            extra = " ".join(sorted(set(stdlib.split()) - numpy_stdlib)) or "none"
+            print(f"{argv[0]:8} {wall:.3f} s, {peak:.1f} MB peak RSS (median of 5), {loaded}")
+            print(f"{'':8} standard library beyond `import numpy`: {extra}")
 
 
 def source_size() -> None:

@@ -8,12 +8,13 @@ recorded-defect operation of each bench/workloads.py workload at each
 seed, on all seven commands for every tests/golden config, on
 `verify` and `cesaro` for every golden config at each of HORIZONS, and
 on `predict`, `verify` and `limit-set` for each LARGE_QUOTIENT config,
-and writes {case: [exit code, stdout, stderr]} to OUT.json.  At the
-default seeds that is 411 cases.  simplexdyn is imported from sys.path, so
-PYTHONPATH picks the source tree under test; the workloads and golden
-configs always come from this checkout.  Configs are written to a
-temporary directory and passed by relative path, so no output depends
-on where the sweep ran.  BLAS runs one thread, as in bench/run.py.
+and on each USAGE command line, and writes {case: [exit code, stdout,
+stderr]} to OUT.json.  At the default seeds that is 415 cases.
+simplexdyn is imported from sys.path, so PYTHONPATH picks the source
+tree under test; the workloads and golden configs always come from
+this checkout.  Configs are written to a temporary directory and passed
+by relative path, so no output depends on where the sweep ran.  BLAS
+runs one thread, as in bench/run.py.
 
 `compare` prints each case whose exit code, stdout or stderr differs
 between two sweeps, or that only one of them holds, and exits 1 if any.
@@ -48,6 +49,14 @@ LARGE_QUOTIENT = {
                      "element": "point-mass:t^1", "series": series}
     for name, series in (("shifted", {"2": "1/2", "5": "1/2"}),
                          ("pure-power", "pure-power:3"))}
+# Command lines on one golden config that the parser refuses (exit 1),
+# or answers with its usage text (exit 0).
+USAGE = {
+    "horizon-abc": ["profile", "--config", "golden/c10-regular.json", "--horizon", "abc"],
+    "bogus-option": ["profile", "--config", "golden/c10-regular.json", "--bogus", "1"],
+    "no-config": ["profile"],
+    "help": ["profile", "--config", "golden/c10-regular.json", "--help"],
+}
 
 
 def _cases(seeds: list[int], work: Path):
@@ -82,6 +91,8 @@ def _cases(seeds: list[int], work: Path):
         (work / f"{name}.json").write_text(json.dumps(raw))
         for command in ("predict", "verify", "limit-set"):
             yield f"large:{name}:{command}", [command, "--config", f"{name}.json"]
+    for name, argv in USAGE.items():
+        yield f"usage:{name}", argv
 
 
 def _call(main, argv: list[str]) -> list:
@@ -89,6 +100,8 @@ def _call(main, argv: list[str]) -> list:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
+        except SystemExit as exc:  # a source tree whose parser exits itself
+            code = exc.code
         except Exception:
             # Recorded, so one crash does not end the sweep; without its
             # frames, whose file paths differ between source trees.
