@@ -320,9 +320,11 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     x = cfg.require_element()
     prof = profile(x)
     c = prof.idempotent
-    prof_y = prof.absorbed
+    prof_y = profile(multiply(x, c))
     closed = AccumulationSet(points=prof.cycle, source="closed_form")
-    reduction = prof_y.return_time <= prof.period <= prof.return_time
+    # x * c is uniform on the coset s H (DynamicsProfile.cosets).
+    reduction = (prof_y.point == closed.points[1 % prof.period]
+                 and prof_y.return_time <= prof.period <= prof.return_time)
     if prof_y.return_time == prof.return_time:
         reduction = reduction and prof.return_time == prof.period == prof_y.period
     inside = all(i in prof.support_group for i in support(x).members)

@@ -13,9 +13,10 @@ integers and one idempotent computed here describe that cycle exactly:
 The accumulation set of the powers is {idempotent * x^r : 0 <= r < period},
 and idempotent * x^r is uniform on the coset s^r H of H = support_group,
 for any s in Supp(x).  Every analysis of x takes the DynamicsProfile that
-profile(x) returns; it lists those cosets (cosets), builds the chain from
-them with no product (cycle) and takes the absorption step
-x -> x * idempotent (absorbed) once each, on first use.
+profile(x) returns; it lists those cosets (cosets) and builds the chain
+from them with no product (cycle), once each, on first use.  The
+absorption step x -> x * idempotent lands on the uniform point of the
+coset s H, so reduce_to_stable reads it off the cosets too.
 empirical_limit_set recovers the set from a float trace for cross-checking.
 """
 
@@ -79,17 +80,12 @@ class DynamicsProfile(Record):
         return tuple(uniform_on(ElementSet(self.point.group, row))
                      for row in self.cosets.tolist())
 
-    @cached_property
-    def absorbed(self) -> DynamicsProfile:
-        """The profile of x * idempotent, x after one absorption step."""
-        return profile(multiply(self.point, self.idempotent))
-
 
 class AccumulationSet(Record):
     """Limit points of an iteration, exact (closed_form) or float (empirical).
 
     Closed-form points are pairwise distinct, checked by hashing their
-    exact coefficients.
+    numerators (support, u, D), which determine the exact coefficients.
     """
 
     _fields = ("points", "source")
@@ -98,7 +94,8 @@ class AccumulationSet(Record):
         if source == "closed_form":
             first: dict[tuple, int] = {}
             for j, pt in enumerate(points):
-                i = first.setdefault(pt.coeffs, j)
+                supp, u, den = pt.numerators
+                i = first.setdefault((supp.tobytes(), u, den), j)
                 if i != j:
                     raise InternalConsistencyError(
                         f"accumulation points {i} and {j} coincide")
@@ -264,23 +261,16 @@ def power_rank(prof: DynamicsProfile) -> int:
 
 
 def reduce_to_stable(prof: DynamicsProfile) -> tuple[DynamicsProfile, int]:
-    """Follow the absorption steps x -> x * idempotent until the return
-    time survives one more.
+    """(stable, steps): the profile of the point where the absorption
+    steps x -> x * idempotent stop lowering the return time, and the
+    number of steps, 0 or 1.
 
-    Returns (stable, steps) where stable profiles a point y with
-    return_time(y * idempotent(y)) = return_time(y).  Each step strictly
-    lowers the return time, so at most |G| steps can occur; the cap
-    raises InternalConsistencyError.
+    Supp(x) lies in the coset s H (see cosets), so x * idempotent is
+    uniform on cosets[1 % period]: its return time and period are both
+    the period of x, and it shares the support group and idempotent.
     """
-    order = prof.point.group.order
-    for steps in range(order + 1):
-        nxt = prof.absorbed
-        if nxt.return_time > prof.period:
-            raise InternalConsistencyError(
-                f"absorption raised the return time above the period "
-                f"({nxt.return_time} > {prof.period})")
-        if nxt.return_time == prof.return_time:
-            return prof, steps
-        prof = nxt
-    raise InternalConsistencyError(
-        f"absorption chain exceeded {order} steps without stabilizing")
+    m = prof.period
+    if prof.return_time == m:
+        return prof, 0
+    y = uniform_on(ElementSet(prof.point.group, prof.cosets[1 % m].tolist()))
+    return DynamicsProfile(m, m, prof.support_group, prof.idempotent, y), 1

@@ -3,9 +3,11 @@
 analyze(p, profile(x)) makes one pass for a series p and a starting
 point x:
 
-1. follow the profile's absorption steps x -> x * c_x until the return
-   time is stable; call the stabilized point y and let m be its period.
-   Each point on the way is profiled once.
+1. reduce x to its stable point y: x itself when its return time is its
+   period m, else x * c_x, the uniform point on the coset s H of Supp(x)
+   (reduce_to_stable).  y has the period m, the support group H, the
+   idempotent c_y = c_x and the cosets of x, so x is profiled once and
+   no product is made.
 2. solve the same series once on the cyclic quotient Z_m, where the
    limit coefficient at residue r is exactly the scalar limit
    L_r = lim_n sum_k a^[n]_{k m + r}; the same solve yields the exact
@@ -21,9 +23,9 @@ identity, so one formula covers both branches.  The limit, when it
 exists, is the single accumulation point.  Divergence is decided by the
 exact coset criterion on the quotient, never by failed numerics; a
 float-iteration oracle is provided separately for cross-checking.  The
-pure-power report of t^r makes steps 2 and 3 on the unreduced profile:
-on Z_m its cosets are single residues and a = 0, so its points are
-entries of the profile's cycle, each uniform on one coset.
+pure-power report of t^r makes steps 2 and 3 and reports the unreduced
+profile: on Z_m its cosets are single residues and a = 0, so its points
+are entries of the profile's cycle, each uniform on one coset.
 """
 
 from __future__ import annotations
@@ -132,9 +134,11 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
         raise PurePowerError(
             "pure powers t^r follow the support rotation alone; "
             "use pure_power_report")
+    # The stable point shares the period and cosets of x, so only the
+    # printed profile and the step count come from it.
     stable, steps = reduce_to_stable(prof)
-    rep = regularity_mod_m(p, stable.period)
-    *points, cesaro = _synthesize(stable, [*rep.accumulation, rep.cesaro], rep.a)
+    rep = regularity_mod_m(p, prof.period)
+    *points, cesaro = _synthesize(prof, [*rep.accumulation, rep.cesaro], rep.a)
     shared = {"digest": _digest(str(p), prof.point), "profile": stable,
               "reduction_steps": steps, "cesaro": cesaro, "a": float(rep.a)}
     regular = LimitReport(

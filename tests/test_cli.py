@@ -9,9 +9,10 @@ import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from simplexdyn import AccumulationSet, delta, make_cyclic, parse_rational
+from simplexdyn import AccumulationSet, DynamicsProfile, delta, make_cyclic, parse_rational
 from simplexdyn.cli import _regular_oracle, main
 
 from conftest import count_calls
@@ -205,11 +206,16 @@ def test_verify_builds_each_object_once(tmp_path, capsys, monkeypatch):
 
 
 def test_predict_profiles_each_point_once(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, S4_INTERIOR)
+    # d6-reduced takes one reduction step; its stable point is read off
+    # the cosets of x, not profiled again.
     counts = count_calls(monkeypatch, "dynamics.profile")
-    code, out, _ = run(capsys, "predict", "--config", cfg)
-    assert code == 0, out
-    assert counts["dynamics.profile"] <= 2
+    for command, cfg in (("predict", write_config(tmp_path, S4_INTERIOR)),
+                         ("predict", str(GOLDEN / "d6-reduced.json")),
+                         ("cesaro", str(GOLDEN / "d6-reduced.json"))):
+        counts["dynamics.profile"] = 0
+        code, out, _ = run(capsys, command, "--config", cfg)
+        assert code == 0, out
+        assert counts["dynamics.profile"] == 1, (command, cfg)
 
 
 def test_pure_power_verify_walks_the_cycle_once(capsys, monkeypatch):
@@ -226,16 +232,31 @@ def test_pure_power_verify_walks_the_cycle_once(capsys, monkeypatch):
 
 
 def test_predict_reads_the_cycle_off_its_cosets(tmp_path, capsys, monkeypatch):
-    # The generator of C200 has period 200.  Only the absorption steps
-    # multiply; a walk of the cycle would add 199 products.
+    # The generator of C200 has period 200; a walk of the cycle would
+    # make 199 products.  The reduction step of d6-reduced is read off
+    # the cosets too.
     cfg = write_config(tmp_path, {"group": {"kind": "cyclic", "n": 200},
                                   "element": "point-mass:t^1",
                                   "series": {"2": "1/2", "5": "1/2"}})
     counts = count_calls(monkeypatch, "algebra.multiply")
-    code, out, _ = run(capsys, "predict", "--config", cfg)
-    assert code == 0, out
-    steps = json.loads(out)["regular"]["reduction_steps"]
-    assert counts["algebra.multiply"] <= steps + 1
+    for cfg in (cfg, str(GOLDEN / "d6-reduced.json")):
+        code, out, _ = run(capsys, "predict", "--config", cfg)
+        assert code == 0, out
+        assert counts["algebra.multiply"] == 0, cfg
+
+
+def test_verify_fails_a_rotated_cycle(capsys, monkeypatch):
+    # The mutant's row r is s^(r+1) H.  Its cycle still wraps under x and
+    # matches the float powers as a set, so only the reduction check,
+    # x * c == cycle[1], tells it apart from the true cycle.
+    built = DynamicsProfile.__dict__["cosets"].func
+    monkeypatch.setattr(DynamicsProfile, "cosets",
+                        property(lambda prof: np.roll(built(prof), -1, axis=0)))
+    code, out, _ = run(capsys, "verify", "--config",
+                       str(GOLDEN / "s6-odd-support.json"))
+    assert code == 3
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL reduction-inequalities (absorbed return_time=2)"]
 
 
 def test_verify_rejects_a_nan_tolerance(capsys):

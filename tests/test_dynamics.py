@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from simplexdyn import (InconclusiveError, InternalConsistencyError, delta,
                         match_accumulation_sets, multiply, power, power_rank,
                         profile, reduce_to_stable, simplex_from_map,
                         sup_distance, support, uniform_on)
-from simplexdyn.algebra import ITERATION_SLACK_RATE, ApproxElement, float_coeffs
+from simplexdyn.algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint,
+                               float_coeffs)
 from simplexdyn.dynamics import MERGE_TOL, AccumulationSet, exact_rank
 
-from conftest import build_zoo, random_simplex_point
+from simplexdyn.modm import regularity_mod_m
+from simplexdyn.predict import _synthesize
+
+from conftest import build_zoo, random_prob_poly, random_simplex_point
 
 
 def test_point_mass_profile():
@@ -133,6 +138,9 @@ def test_closed_form_points_must_be_distinct():
     a, b = delta(g, 0), delta(g, 1)
     with pytest.raises(InternalConsistencyError, match="points 0 and 2 coincide"):
         AccumulationSet(points=(a, b, a), source="closed_form")
+    twin = SimplexPoint(g, a.coeffs)
+    with pytest.raises(InternalConsistencyError, match="points 0 and 2 coincide"):
+        AccumulationSet(points=(a, b, twin), source="closed_form")
     assert len(AccumulationSet(points=(a, b, a), source="empirical")) == 3
 
 
@@ -234,11 +242,11 @@ def test_reduction_shrinks_return_time():
     x = simplex_from_map(g, {"t^1": "1/2", "t^2": "1/2"})
     prof = profile(x)
     assert (prof.return_time, prof.period) == (2, 1)
-    assert prof.absorbed.point == multiply(x, prof.idempotent)
-    assert prof.absorbed.return_time == 1
+    absorbed = profile(multiply(x, prof.idempotent))
+    assert absorbed.return_time == 1
     stable, steps = reduce_to_stable(prof)
     assert steps == 1
-    assert stable is prof.absorbed
+    assert stable == absorbed
     assert stable.return_time == stable.period
     assert stable.point == uniform_on(prof.support_group)
 
@@ -250,6 +258,48 @@ def test_reduce_to_stable_is_idempotent_on_stable_points():
     stable, steps = reduce_to_stable(prof)
     assert steps == 0
     assert stable is prof
+
+
+def absorb_until_stable(prof):
+    """The absorption loop: x -> x * idempotent, by exact products, until
+    the return time survives one more step; (stable profile, steps)."""
+    for steps in range(prof.point.group.order + 1):
+        nxt = profile(multiply(prof.point, prof.idempotent))
+        assert nxt.return_time <= prof.period
+        if nxt.return_time == prof.return_time:
+            return prof, steps
+        prof = nxt
+    raise AssertionError("no stable point within |G| absorption steps")
+
+
+def test_closed_form_reduction_matches_the_absorption_loop():
+    # Every support of 1 to 3 elements in the zoo, with random weights:
+    # only 16 of these 1,225 supports take a step with period > 1, where
+    # x * c differs from c, so random supports would rarely reach one.
+    rng = random.Random(47)
+    seen = set()
+    for name, g in sorted(build_zoo().items()):
+        for supp in chain.from_iterable(combinations(range(g.order), k)
+                                        for k in (1, 2, 3)):
+            weights = {i: rng.randint(1, 20) for i in supp}
+            total = sum(weights.values())
+            x = SimplexPoint(g, tuple(Fraction(weights.get(i, 0), total)
+                                      for i in range(g.order)))
+            prof = profile(x)
+            stable, steps = reduce_to_stable(prof)
+            want, want_steps = absorb_until_stable(prof)
+            assert steps == want_steps, (name, supp)
+            assert ((stable.return_time, stable.period, stable.support_group,
+                     stable.idempotent, stable.point)
+                    == (want.return_time, want.period, want.support_group,
+                        want.idempotent, want.point)), (name, supp)
+            seen.add((steps, prof.period > 1))
+            # analyze synthesizes on x's own profile and prints stable.
+            rep = regularity_mod_m(random_prob_poly(rng), prof.period)
+            quotients = [*rep.accumulation, rep.cesaro]
+            assert (_synthesize(prof, quotients, rep.a)
+                    == _synthesize(stable, quotients, rep.a)), (name, supp)
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def test_exact_rank():
@@ -295,10 +345,10 @@ def test_profile_walks_its_cycle_and_absorption_once():
     x = simplex_from_map(g, {"t^1": "1/2", "t^4": "1/2"})
     prof = profile(x)
     assert prof.cycle is prof.cycle
-    assert prof.absorbed is prof.absorbed
     assert prof.cycle == tuple(multiply(prof.idempotent, power(x, r))
                                for r in range(prof.period))
-    assert prof.absorbed == profile(multiply(x, prof.idempotent))
+    # One absorption step lands on the cycle's point on the coset s H.
+    assert multiply(x, prof.idempotent) == prof.cycle[1 % prof.period]
 
 
 def test_cycle_is_uniform_on_the_cosets_of_the_support_group():

@@ -9,7 +9,7 @@ seed, on all seven commands for every tests/golden config, on
 `verify` and `cesaro` for every golden config at each of HORIZONS, and
 on `predict`, `verify` and `limit-set` for each LARGE_QUOTIENT config,
 and on each USAGE command line, and writes {case: [exit code, stdout,
-stderr]} to OUT.json.  At the default seeds that is 415 cases.
+stderr]} to OUT.json.  At the default seeds that is 418 cases.
 simplexdyn is imported from sys.path, so PYTHONPATH picks the source
 tree under test; the workloads and golden configs always come from
 this checkout.  Configs are written to a temporary directory and passed
@@ -44,11 +44,16 @@ HORIZONS = (1, 2, 3, 5, 7, 97, 1999)
 # at modulus 513, above every benchmark config's: a shifted series with
 # offset subgroup <3> (two cosets, d = 18) and t^3 (preperiod 2, d = 18).
 # `limit-set` prints the 513 exact points of the generator's power cycle.
+# {t^1, t^4} has return time 129, period 3 and a support group of order
+# 171, so it takes one reduction step; its `verify` exits 2 on the power
+# oracle's default budget of 600 steps.
 LARGE_QUOTIENT = {
     f"c513-{name}": {"group": {"kind": "cyclic", "n": 513},
-                     "element": "point-mass:t^1", "series": series}
-    for name, series in (("shifted", {"2": "1/2", "5": "1/2"}),
-                         ("pure-power", "pure-power:3"))}
+                     "element": element, "series": series}
+    for name, element, series in (
+        ("shifted", "point-mass:t^1", {"2": "1/2", "5": "1/2"}),
+        ("pure-power", "point-mass:t^1", "pure-power:3"),
+        ("reduced", {"t^1": "1/2", "t^4": "1/2"}, {"2": "1/2", "5": "1/2"}))}
 # Command lines on one golden config that the parser refuses (exit 1),
 # or answers with its usage text (exit 0).
 USAGE = {
