@@ -34,6 +34,7 @@ import gc
 import io
 import json
 import sys
+from functools import partial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -136,14 +137,14 @@ def _check(name: str, status: str, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def _power_oracle(cfg: ExperimentConfig, x, closed: AccumulationSet) -> tuple:
-    """The float powers of x, clustered, against the closed-form limit set:
+def _power_oracle(cfg: ExperimentConfig, closed: AccumulationSet, clusters) -> tuple:
+    """clusters(horizon=...), the clustered float orbit of the powers of x
+    or of x -> x^r (dynamics._clustered_cycle), against the closed set:
     (verdict, detail, the clusters, or None when inconclusive)."""
-    from .dynamics import (DEFAULT_HORIZON, DEFAULT_MATCH_TOL,
-                           empirical_limit_set, match_accumulation_sets)
+    from .dynamics import DEFAULT_HORIZON, DEFAULT_MATCH_TOL, match_accumulation_sets
 
     try:
-        observed = empirical_limit_set(x, horizon=cfg.horizon or DEFAULT_HORIZON)
+        observed = clusters(horizon=cfg.horizon or DEFAULT_HORIZON)
     except InconclusiveError as exc:
         return "inconclusive", str(exc), None
     matched = match_accumulation_sets(closed, observed,
@@ -168,7 +169,9 @@ def _cesaro_oracle(cfg: ExperimentConfig, p, x, rep: LimitReport) -> tuple:
 
 def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
     """The float orbit at the regular horizon against reg's limit, or its
-    last d steps against reg's accumulation set: (verdict, detail).
+    last d steps against reg's accumulation set, where each step must lie
+    within tol of its nearest point and every point must be the nearest
+    of some step: (verdict, detail).
 
     After the preperiod pre, step n belongs to subsequence class
     (n - pre - 1) % d, so d consecutive steps past pre hold the last step
@@ -187,9 +190,12 @@ def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
     if horizon - d + 1 <= pre:
         return "inconclusive", (f"{d} subsequence classes need horizon {pre + d} "
                                 f"for a step each, got {horizon}")
-    ok = all(min(sup_distance(trace[n - 1], q) for q in reg.accumulation.points) <= tol
-             for n in range(horizon - d + 1, horizon + 1))
-    return _verdict(ok), f"{d} subsequence classes vs {len(reg.accumulation)} points"
+    points = reg.accumulation.points
+    dists = [[sup_distance(trace[n - 1], q) for q in points]
+             for n in range(horizon - d + 1, horizon + 1)]
+    ok = (all(min(row) <= tol for row in dists)
+          and len({row.index(min(row)) for row in dists}) == len(points))
+    return _verdict(ok), f"{d} subsequence classes vs {len(points)} points"
 
 
 def cmd_profile(cfg: ExperimentConfig, args) -> int:
@@ -201,11 +207,11 @@ def cmd_profile(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
-    from .dynamics import limit_set, profile
+    from .dynamics import empirical_limit_set, limit_set, profile
 
     x = cfg.require_element()
     closed = limit_set(profile(x))
-    status, detail, observed = _power_oracle(cfg, x, closed)
+    status, detail, observed = _power_oracle(cfg, closed, partial(empirical_limit_set, x))
     payload = {"closed_form": [_point_record(pt) for pt in closed.points]}
     if observed is None:
         payload.update(status=status, detail=detail)
@@ -309,11 +315,9 @@ def cmd_scalar(cfg: ExperimentConfig, args) -> int:
 
 
 def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
-    import numpy as np
-
-    from .algebra import float_coeffs, multiply, support
-    from .dynamics import (DEFAULT_MATCH_TOL, AccumulationSet, _within, power_rank,
-                           profile)
+    from .algebra import multiply, support
+    from .dynamics import (AccumulationSet, _clustered_cycle, empirical_limit_set,
+                           power_rank, profile)
     from .predict import analyze, iterate_map, pure_power_report
     from .series import iterate_coeffs, recursion_coeffs
 
@@ -342,7 +346,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
          f"absorbed return_time={prof_y.return_time}"),
         ("singleton-criterion", (len(closed) == 1) == inside,
          f"support inside group: {inside}"))]
-    status, detail, _ = _power_oracle(cfg, x, closed)
+    status, detail, _ = _power_oracle(cfg, closed, partial(empirical_limit_set, x))
     checks.append(_check("limit-set-oracle", status, detail))
 
     p = cfg.series
@@ -353,16 +357,13 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
             raise ConfigError(
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
         rep = pure_power_report(p.shift, prof)
-        tol = cfg.tol or DEFAULT_MATCH_TOL
-        rows = np.array([float_coeffs(pt) for pt in rep.accumulation.points])
-        hits = [False] * len(rows)
-        for approx in iterate_map(p, x, max(12, 3 * prof.period)):
-            # The nearest predicted point within tol, the first on a tie.
-            near, dists = _within(rows, np.arange(len(rows)), approx.coeffs, tol)
-            if len(near):
-                hits[near[np.argmin(dists)]] = True
-        checks.append(_check("power-accumulation-oracle", _verdict(all(hits)),
-                             f"{sum(hits)}/{len(hits)} predicted points visited"))
+
+        def clusters(horizon: int) -> AccumulationSet:
+            trace = iterate_map(p, x, horizon)
+            states = [y.coeffs for y in trace.elements]
+            return _clustered_cycle(x.group, states, trace.j, horizon)
+        status, detail, _ = _power_oracle(cfg, rep.accumulation, clusters)
+        checks.append(_check("power-accumulation-oracle", status, detail))
         return checks
     reg, ces = analyze(p, prof)
     if p.shift == 0 and p.mean_exponent == 1:

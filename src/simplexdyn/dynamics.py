@@ -17,7 +17,8 @@ profile(x) returns; it lists those cosets (cosets) and builds the chain
 from them with no product (cycle), once each, on first use.  The
 absorption step x -> x * idempotent lands on the uniform point of the
 coset s H, so reduce_to_stable reads it off the cosets too.
-empirical_limit_set recovers the set from a float trace for cross-checking.
+empirical_limit_set recovers the set from the float powers for
+cross-checking; `verify` clusters the orbit of x -> x^r the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import algebra
 from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint, multiply,
                       support, uniform_on)
 from .errors import InconclusiveError, InternalConsistencyError
-from .groups import ElementSet, generated_subgroup
+from .groups import ElementSet, FiniteGroup, generated_subgroup
 from .record import Record
 
 DEFAULT_HORIZON = 600
@@ -170,25 +171,14 @@ def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
     return among[dists <= tol], dists[dists <= tol]
 
 
-def empirical_limit_set(x: SimplexPoint,
-                        horizon: int = DEFAULT_HORIZON) -> AccumulationSet:
-    """Brute-force oracle: cluster the cycle that the float powers close.
-
-    Multiplies out x, x^2, .. in floating point up to the first power
-    that repeats an earlier one bit for bit (algebra._float_orbit).  The
-    step is deterministic, so from there on the powers replay the states
-    between the two occurrences forever: that cycle is the whole float
-    orbit past its transient.  Its states are merged greedily, in order:
-    a state within MERGE_TOL (sup distance) of an earlier cluster joins
-    it, any other starts a new one.  If no power up to x^horizon repeats,
-    raises InconclusiveError rather than returning a guess.
+def _clustered_cycle(group: FiniteGroup, states: list, j: int,
+                     horizon: int) -> AccumulationSet:
+    """The cycle states[j:] that a float orbit closes (algebra._float_orbit,
+    states[k] is step k + 1), merged greedily in order: a state within
+    MERGE_TOL (sup distance) of an earlier cluster joins it, any other
+    starts a new one.  Raises InconclusiveError when no step up to
+    horizon repeated (j == len(states)) rather than returning a guess.
     """
-    g = x.group
-    right = algebra.float_coeffs(x)[g.conv_index]
-    one = np.zeros(g.order)
-    one[g.identity] = 1.0
-    # states[k - 1] is x^k; from x^(j + 1) on the powers cycle through states[j:].
-    states, j = algebra._float_orbit(lambda vec: vec @ right, one, horizon)
     if j == len(states):
         raise InconclusiveError(
             f"no power repeated an earlier one bit for bit by step {horizon} "
@@ -198,9 +188,28 @@ def empirical_limit_set(x: SimplexPoint,
     for i, vec in enumerate(cycle):
         if not len(_within(cycle, np.array(reps, dtype=int), vec, MERGE_TOL)[0]):
             reps.append(i)
-    points = tuple(ApproxElement(g, cycle[i], slack=ITERATION_SLACK_RATE * (j + 1 + i))
+    points = tuple(ApproxElement(group, cycle[i], slack=ITERATION_SLACK_RATE * (j + 1 + i))
                    for i in reps)
     return AccumulationSet(points=points, source="empirical")
+
+
+def empirical_limit_set(x: SimplexPoint,
+                        horizon: int = DEFAULT_HORIZON) -> AccumulationSet:
+    """Brute-force oracle: cluster the cycle that the float powers close.
+
+    Multiplies out x, x^2, .. in floating point up to the first power
+    that repeats an earlier one bit for bit (algebra._float_orbit).  The
+    step is deterministic, so from there on the powers replay the states
+    between the two occurrences forever: that cycle is the whole float
+    orbit past its transient (_clustered_cycle).  If no power up to
+    x^horizon repeats, raises InconclusiveError.
+    """
+    g = x.group
+    right = algebra.float_coeffs(x)[g.conv_index]
+    one = np.zeros(g.order)
+    one[g.identity] = 1.0
+    return _clustered_cycle(g, *algebra._float_orbit(lambda vec: vec @ right, one, horizon),
+                            horizon)
 
 
 def match_accumulation_sets(expected: AccumulationSet,

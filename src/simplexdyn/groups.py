@@ -141,9 +141,6 @@ class ElementSet(Record):
     def __len__(self) -> int:
         return len(self.members)
 
-    def __le__(self, other: "ElementSet") -> bool:
-        return self._member_set <= other._member_set
-
     @cached_property
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)

@@ -64,12 +64,6 @@ class ResidueCycle(Record):
     def d(self) -> int:
         return len(self.residues)
 
-    def class_of(self, n: int) -> int:
-        """Cycle slot of trace index n (n > preperiod)."""
-        if n <= self.preperiod:
-            raise ValueError(f"index {n} precedes the cycle")
-        return (n - self.preperiod - 1) % self.d
-
 
 def residue_cycle(r: int, m: int) -> ResidueCycle:
     """Detect the eventual cycle of r^n mod m by first-repeat search."""

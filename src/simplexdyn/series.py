@@ -115,10 +115,6 @@ class ProbPoly(Record):
         return self.terms[-1][0]
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.terms[0][1] if self.terms[0][0] == 0 else Fraction(0)
-
-    @property
     def mean_exponent(self) -> Fraction:
         """p'(1) = sum e * a_e, the mean exponent drawn from p."""
         return sum((c * e for e, c in self.terms), start=Fraction(0))

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from simplexdyn import AccumulationSet, DynamicsProfile, delta, make_cyclic, parse_rational
+from simplexdyn import (AccumulationSet, DynamicsProfile, ElementSet, LimitReport, delta,
+                        make_cyclic, parse_rational, predict, uniform_on)
 from simplexdyn.cli import _regular_oracle, main
 
 from conftest import count_calls
@@ -257,6 +258,61 @@ def test_verify_fails_a_rotated_cycle(capsys, monkeypatch):
     assert code == 3
     assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
         "FAIL reduction-inequalities (absorbed return_time=2)"]
+
+
+C46_SQUARING = {"group": {"kind": "cyclic", "n": 46}, "element": "point-mass:t^25",
+                "series": "pure-power:2"}
+
+
+def _with_accumulation(rep, points):
+    """rep with its accumulation set replaced by points."""
+    fields = {name: getattr(rep, name) for name in LimitReport._fields}
+    fields["accumulation"] = AccumulationSet(points=points, source="closed_form")
+    return LimitReport(**fields)
+
+
+def test_verify_fails_a_pure_power_report_missing_a_point(tmp_path, capsys, monkeypatch):
+    # t^25 generates C46, and 2^n mod 46 cycles through 11 residues, so
+    # x -> x^2 settles on 11 point masses.  A report that drops one of them
+    # is still visited at each of its points; the float orbit's cycle has 11.
+    original = predict.pure_power_report
+    monkeypatch.setattr(predict, "pure_power_report", lambda r, prof: _with_accumulation(
+        original(r, prof), original(r, prof).accumulation.points[:-1]))
+    code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, C46_SQUARING))
+    assert code == 3
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL power-accumulation-oracle (11 empirical clusters)"]
+
+
+def test_pure_power_oracle_spends_the_horizon_it_is_given(tmp_path, capsys):
+    # Three steps of x -> x^2 close no cycle, so no budget of the oracle's
+    # own may stand in for the horizon.
+    cfg = write_config(tmp_path, C46_SQUARING)
+    code, out, _ = run(capsys, "verify", "--config", cfg, "--horizon", "3")
+    assert code == 2
+    assert ("INCONCLUSIVE power-accumulation-oracle (no power repeated an earlier "
+            "one bit for bit by step 3 (3 distinct powers))\n") in out
+    code, out, _ = run(capsys, "verify", "--config", cfg)
+    assert code == 0
+    assert "PASS power-accumulation-oracle (11 empirical clusters)\n" in out
+
+
+def test_verify_fails_a_regular_report_with_an_unreached_point(capsys, monkeypatch):
+    # Every step of the C12 divergent orbit lies near one of its two
+    # accumulation points; a third point that no step comes near must fail.
+    original = predict.analyze
+
+    def analyze(p, prof):
+        reg, ces = original(p, prof)
+        g = prof.point.group
+        bogus = uniform_on(ElementSet(g, tuple(range(g.order))))
+        return _with_accumulation(reg, (*reg.accumulation.points, bogus)), ces
+
+    monkeypatch.setattr(predict, "analyze", analyze)
+    code, out, _ = run(capsys, "verify", "--config", str(GOLDEN / "c12-divergent.json"))
+    assert code == 3
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL regular-oracle (2 subsequence classes vs 3 points)"]
 
 
 def test_verify_rejects_a_nan_tolerance(capsys):

