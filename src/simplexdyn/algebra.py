@@ -6,7 +6,9 @@ on integer numerators over a common denominator (series._exact_product),
 which each element converts once and keeps, and rebuilds Fractions only
 for its result.  Floats appear only in ApproxElement, the carrier for
 long oracle iteration runs, which tracks an explicit slack bound instead
-of pretending to be exact.
+of pretending to be exact.  Every float oracle reads one OrbitTrace of
+such elements, built by _float_orbit, which states when an orbit stops
+being evaluated and how its later steps replay its cycle.
 """
 
 from __future__ import annotations
@@ -219,43 +221,15 @@ def evaluate_series_floats(group: FiniteGroup,
     return _power_sum(terms, one, xv, lambda u, v: u @ v[group.conv_index])
 
 
-def _float_orbit(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
-                 n: int) -> tuple[list[np.ndarray], int]:
-    """The first n states step(start), step(step(start)), .. of a
-    deterministic float map, evaluated only up to the first bitwise repeat.
-
-    Returns (states, j): the distinct states in order of appearance, and
-    the index j of the state that the first repeat equals, or len(states)
-    when none of the n steps repeats.  States are keyed by the hash of
-    their bytes and matched on the bytes, so -0.0 and 0.0 stay distinct.
-    When state i equals an earlier state j bit for bit, step maps it to
-    state j + 1 again, so the orbit replays states[j:] forever: state
-    m >= j is states[j + (m - j) % (i - j)], and nothing further is
-    evaluated.
-    """
-    states: list[np.ndarray] = []
-    first: dict[int, int] = {}
-    vec = start
-    for i in range(n):
-        vec = step(vec)
-        data = vec.tobytes()
-        j = first.setdefault(hash(data), i)
-        if j != i and states[j].tobytes() == data:
-            return states, j
-        states.append(vec)
-    return states, len(states)
-
-
 class OrbitTrace(Sequence):
     """Read-only view of the first n steps of a float orbit, held as its
-    distinct states only.
+    distinct states only (built by _float_orbit, which states the rule).
 
     elements holds one ApproxElement per distinct state, k of them, in
     order of appearance; j is the index of the state that the first
-    bitwise repeat equals, or k when none of the n steps repeats.  Step m
-    (0-based) is state m for m < k and state j + (m - j) % (k - j) after:
-    the cycle that repeat closes.  Supports len, indexing (negative too)
-    and iteration.
+    bitwise repeat equals, or k when none of the n steps repeats; step m
+    (0-based) past the repeat reads the cycle elements[j:].  Supports len,
+    indexing (negative too) and iteration.
     """
 
     __slots__ = ("elements", "j", "n")
@@ -280,36 +254,54 @@ class OrbitTrace(Sequence):
         return islice(chain(self.elements, cycle(self.elements[self.j:])), self.n)
 
 
+def _float_orbit(group: FiniteGroup, step: Callable[[np.ndarray], np.ndarray],
+                 start: np.ndarray, n: int) -> OrbitTrace:
+    """The first n states step(start), step(step(start)), .. of a
+    deterministic float map on group, evaluated only up to the first
+    bitwise repeat, as an OrbitTrace of n steps.
+
+    States are keyed by the hash of their bytes and matched on the bytes,
+    so -0.0 and 0.0 stay distinct.  When state i equals an earlier state
+    j bit for bit, step maps it to state j + 1 again, so the orbit replays
+    states[j:] forever: state m >= j is states[j + (m - j) % (i - j)], the
+    value the evaluation would have produced, and nothing further is
+    evaluated.  Each distinct state gets one ApproxElement, checked at
+    slack ITERATION_SLACK_RATE * k for the step k (1-based) it first
+    appears at, and every later step that replays it reads that element,
+    so memory does not grow with n past the repeat.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    states: list[ApproxElement] = []
+    first: dict[int, int] = {}
+    vec = start
+    for i in range(n):
+        vec = step(vec)
+        data = vec.tobytes()
+        j = first.setdefault(hash(data), i)
+        if j != i and states[j].coeffs.tobytes() == data:
+            return OrbitTrace(tuple(states), j, n)
+        states.append(ApproxElement(group, vec, slack=ITERATION_SLACK_RATE * (i + 1)))
+    return OrbitTrace(tuple(states), len(states), n)
+
+
 def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
                  start: np.ndarray, n: int) -> OrbitTrace:
-    """Float orbit y_1 = p(start), y_{k+1} = p(y_k) for p given by terms.
+    """Float orbit y_1 = p(start), y_{k+1} = p(y_k) for p given by terms,
+    n steps of it (_float_orbit).
 
     Each step renormalizes the total mass to 1.  The true orbit has mass
     exactly 1, but in floats the mass direction is a repelling mode with
     multiplier p'(1) whenever the mean exponent exceeds 1, so rounding
     noise in the sum would grow exponentially; dividing it out projects
     back onto the invariant simplex without changing the dynamics.
-
-    The step is deterministic in float64, so p is evaluated only until
-    the first state that repeats an earlier one bit for bit; every later
-    y_k is read from the cycle that repeat closes (_float_orbit), which
-    is the value the evaluation would have produced.  The result is an
-    OrbitTrace of n steps over the distinct states: each gets one
-    ApproxElement, checked at slack ITERATION_SLACK_RATE * k for the step
-    k it first appears at, and every later step that replays it reads
-    that element, so memory does not grow with n past the repeat.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
 
     def step(vec: np.ndarray) -> np.ndarray:
         vec = evaluate_series_floats(group, terms, vec)
         return vec / vec.sum()
 
-    states, j = _float_orbit(step, np.asarray(start, dtype=np.float64), n)
-    return OrbitTrace(tuple(ApproxElement(group=group, coeffs=vec,
-                                          slack=ITERATION_SLACK_RATE * k)
-                            for k, vec in enumerate(states, start=1)), j, n)
+    return _float_orbit(group, step, np.asarray(start, dtype=np.float64), n)
 
 
 def simplex_from_map(group: FiniteGroup,

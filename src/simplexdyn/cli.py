@@ -357,12 +357,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
             raise ConfigError(
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
         rep = pure_power_report(p.shift, prof)
-
-        def clusters(horizon: int) -> AccumulationSet:
-            trace = iterate_map(p, x, horizon)
-            states = [y.coeffs for y in trace.elements]
-            return _clustered_cycle(x.group, states, trace.j, horizon)
-        status, detail, _ = _power_oracle(cfg, rep.accumulation, clusters)
+        status, detail, _ = _power_oracle(
+            cfg, rep.accumulation, lambda horizon: _clustered_cycle(iterate_map(p, x, horizon)))
         checks.append(_check("power-accumulation-oracle", status, detail))
         return checks
     reg, ces = analyze(p, prof)

@@ -19,6 +19,8 @@ absorption step x -> x * idempotent lands on the uniform point of the
 coset s H, so reduce_to_stable reads it off the cosets too.
 empirical_limit_set recovers the set from the float powers for
 cross-checking; `verify` clusters the orbit of x -> x^r the same way.
+Both orbits come from algebra._float_orbit, which states when an orbit
+stops and how it replays its cycle.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra
-from .algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint, multiply,
-                      support, uniform_on)
+from .algebra import SimplexPoint, multiply, support, uniform_on
 from .errors import InconclusiveError, InternalConsistencyError
-from .groups import ElementSet, FiniteGroup, generated_subgroup
+from .groups import ElementSet, generated_subgroup
 from .record import Record
 
 DEFAULT_HORIZON = 600
@@ -171,45 +172,42 @@ def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
     return among[dists <= tol], dists[dists <= tol]
 
 
-def _clustered_cycle(group: FiniteGroup, states: list, j: int,
-                     horizon: int) -> AccumulationSet:
-    """The cycle states[j:] that a float orbit closes (algebra._float_orbit,
-    states[k] is step k + 1), merged greedily in order: a state within
+def _clustered_cycle(trace: algebra.OrbitTrace) -> AccumulationSet:
+    """The cycle trace.elements[j:] that a float orbit closes
+    (algebra._float_orbit), merged greedily in order: a state within
     MERGE_TOL (sup distance) of an earlier cluster joins it, any other
-    starts a new one.  Raises InconclusiveError when no step up to
-    horizon repeated (j == len(states)) rather than returning a guess.
+    starts a new one, and each cluster is its first state's element.
+    Raises InconclusiveError when none of the len(trace) steps repeated
+    rather than returning a guess.
     """
-    if j == len(states):
+    k = len(trace.elements)
+    if trace.j == k:
         raise InconclusiveError(
-            f"no power repeated an earlier one bit for bit by step {horizon} "
-            f"({len(states)} distinct powers)", iterations=horizon)
-    cycle = np.array(states[j:])
+            f"no power repeated an earlier one bit for bit by step {len(trace)} "
+            f"({k} distinct powers)", iterations=len(trace))
+    cycle = trace.elements[trace.j:]
+    rows = np.array([y.coeffs for y in cycle])
     reps: list[int] = []
-    for i, vec in enumerate(cycle):
-        if not len(_within(cycle, np.array(reps, dtype=int), vec, MERGE_TOL)[0]):
+    for i, vec in enumerate(rows):
+        if not len(_within(rows, np.array(reps, dtype=int), vec, MERGE_TOL)[0]):
             reps.append(i)
-    points = tuple(ApproxElement(group, cycle[i], slack=ITERATION_SLACK_RATE * (j + 1 + i))
-                   for i in reps)
-    return AccumulationSet(points=points, source="empirical")
+    return AccumulationSet(points=tuple(cycle[i] for i in reps), source="empirical")
 
 
 def empirical_limit_set(x: SimplexPoint,
                         horizon: int = DEFAULT_HORIZON) -> AccumulationSet:
-    """Brute-force oracle: cluster the cycle that the float powers close.
+    """Brute-force oracle: cluster the cycle that the float powers
+    x, x^2, .., x^horizon close (algebra._float_orbit, _clustered_cycle).
 
-    Multiplies out x, x^2, .. in floating point up to the first power
-    that repeats an earlier one bit for bit (algebra._float_orbit).  The
-    step is deterministic, so from there on the powers replay the states
-    between the two occurrences forever: that cycle is the whole float
-    orbit past its transient (_clustered_cycle).  If no power up to
-    x^horizon repeats, raises InconclusiveError.
+    That cycle is the whole float orbit past its transient.  Raises
+    ValueError for a horizon below 1 and InconclusiveError if no power up
+    to x^horizon repeats.
     """
     g = x.group
     right = algebra.float_coeffs(x)[g.conv_index]
     one = np.zeros(g.order)
     one[g.identity] = 1.0
-    return _clustered_cycle(g, *algebra._float_orbit(lambda vec: vec @ right, one, horizon),
-                            horizon)
+    return _clustered_cycle(algebra._float_orbit(g, lambda vec: vec @ right, one, horizon))
 
 
 def match_accumulation_sets(expected: AccumulationSet,

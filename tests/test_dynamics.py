@@ -7,18 +7,18 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from simplexdyn import (InconclusiveError, InternalConsistencyError, delta,
-                        direct_product, empirical_limit_set,
+from simplexdyn import (InconclusiveError, InternalConsistencyError, ProbPoly,
+                        delta, direct_product, empirical_limit_set, iterate_map,
                         limit_set, make_cyclic, make_dihedral, make_symmetric,
                         match_accumulation_sets, multiply, power, power_rank,
                         profile, reduce_to_stable, simplex_from_map,
                         sup_distance, support, uniform_on)
 from simplexdyn.algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint,
-                               float_coeffs)
-from simplexdyn.dynamics import MERGE_TOL, AccumulationSet, exact_rank
+                               evaluate_series_floats, float_coeffs)
+from simplexdyn.dynamics import MERGE_TOL, AccumulationSet, _clustered_cycle, exact_rank
 
 from simplexdyn.modm import regularity_mod_m
-from simplexdyn.predict import _synthesize
+from simplexdyn.predict import _synthesize, pure_power_report
 
 from conftest import build_zoo, random_prob_poly, random_simplex_point
 
@@ -151,18 +151,15 @@ def test_empirical_limit_set_inconclusive_window():
         empirical_limit_set(delta(g, 1), horizon=12)
 
 
-def plain_limit_set(x, horizon):
-    """The power oracle as a plain loop: one multiply per step and a bytes
-    dict to find the first power that repeats, then greedy clusters of the
-    cycle's states.  Returns (coefficient bytes, slack) per cluster, or the
-    message and iteration count of the InconclusiveError it would raise."""
-    g = x.group
-    right = float_coeffs(x)[g.conv_index]
-    vec = np.zeros(g.order)
-    vec[g.identity] = 1.0
+def plain_clustered_cycle(step, vec, horizon):
+    """A clustered float cycle as a plain loop: one step per iteration and
+    a bytes dict to find the first state that repeats, then greedy
+    clusters of the cycle's states.  Returns (coefficient bytes, slack)
+    per cluster, or the message and iteration count of the
+    InconclusiveError it would raise."""
     first, states = {}, []
     for k in range(1, horizon + 1):
-        vec = vec @ right
+        vec = step(vec)
         if vec.tobytes() in first:
             cycle = range(first[vec.tobytes()], len(states))
             break
@@ -175,8 +172,17 @@ def plain_limit_set(x, horizon):
     for i in cycle:
         if all(np.abs(states[r] - states[i]).max() > MERGE_TOL for r in reps):
             reps.append(i)
-    # states[i] is x^(i + 1).
+    # states[i] is step i + 1.
     return [(states[i].tobytes(), ITERATION_SLACK_RATE * (i + 1)) for i in reps]
+
+
+def plain_limit_set(x, horizon):
+    """The power oracle's clusters as a plain loop: one multiply per power."""
+    g = x.group
+    right = float_coeffs(x)[g.conv_index]
+    vec = np.zeros(g.order)
+    vec[g.identity] = 1.0
+    return plain_clustered_cycle(lambda vec: vec @ right, vec, horizon)
 
 
 def _interior(g, seed):
@@ -232,6 +238,56 @@ def test_empirical_limit_set_matches_a_plain_loop(case):
     else:
         assert [(pt.coeffs.tobytes(), pt.slack) for pt in got.points] == want
         assert match_accumulation_sets(limit_set(profile(x)), got)
+
+
+def _plain_pure_power(x, r, horizon):
+    """The clusters of x -> x^r as a plain loop, each step renormalized as
+    iterate_map's is."""
+    g = x.group
+
+    def step(vec):
+        vec = evaluate_series_floats(g, [(r, 1.0)], vec)
+        return vec / vec.sum()
+
+    return plain_clustered_cycle(step, float_coeffs(x), horizon)
+
+
+# Each case: the point, the exponent r, the horizon, and the number of
+# clusters (None when the oracle is inconclusive).
+PURE_POWER_CASES = {
+    # Squaring walks t^25 to t^4, t^8, .., t^2 and back to t^4 at step 12.
+    "C46 point mass": (lambda: delta(make_cyclic(46), 25), 2, 600, 11),
+    "C46 point mass, one step short": (lambda: delta(make_cyclic(46), 25), 2, 11, None),
+    # Cubing alternates between the cosets t^3<t^4> and t^1<t^4>.
+    "C12 coset": (_c12_coset, 3, 600, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PURE_POWER_CASES))
+def test_pure_power_clusters_match_a_plain_loop(case):
+    build, r, horizon, clusters = PURE_POWER_CASES[case]
+    x = build()
+    want = _plain_pure_power(x, r, horizon)
+    assert isinstance(want, tuple) if clusters is None else len(want) == clusters
+    trace = iterate_map(ProbPoly.pure_power(r), x, horizon)
+    try:
+        got = _clustered_cycle(trace)
+    except InconclusiveError as exc:
+        assert (str(exc), exc.iterations) == want
+    else:
+        assert [(pt.coeffs.tobytes(), pt.slack) for pt in got.points] == want
+        assert all(any(pt is y for y in trace.elements) for pt in got.points)
+        closed = pure_power_report(r, profile(x)).accumulation
+        assert match_accumulation_sets(closed, got)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_a_horizon_below_one_is_an_input_error_for_both_maps(horizon):
+    x = _c12_coset()
+    with pytest.raises(ValueError, match=f"need n >= 1, got {horizon}$"):
+        empirical_limit_set(x, horizon=horizon)
+    with pytest.raises(ValueError, match=f"need n >= 1, got {horizon}$"):
+        iterate_map(ProbPoly.pure_power(2), x, horizon)
 
 
 def test_reduction_shrinks_return_time():

@@ -6,10 +6,11 @@
 `run` calls simplexdyn.cli.main in-process on every operation and every
 recorded-defect operation of each bench/workloads.py workload at each
 seed, on all seven commands for every tests/golden config, on
-`verify` and `cesaro` for every golden config at each of HORIZONS, and
-on `predict`, `verify` and `limit-set` for each LARGE_QUOTIENT config,
-and on each USAGE command line, and writes {case: [exit code, stdout,
-stderr]} to OUT.json.  At the default seeds that is 418 cases.
+`verify`, `cesaro` and `limit-set` for every golden config at each of
+HORIZONS, and on `predict`, `verify` and `limit-set` for each
+LARGE_QUOTIENT config, and on each USAGE command line, and writes
+{case: [exit code, stdout, stderr]} to OUT.json.  At the default seeds
+that is 481 cases.
 simplexdyn is imported from sys.path, so PYTHONPATH picks the source
 tree under test; the workloads and golden configs always come from
 this checkout.  Configs are written to a temporary directory and passed
@@ -36,9 +37,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("profile", "limit-set", "predict", "iterate", "cesaro", "scalar", "verify")
-# Short horizons, where the regular oracle's subsequence classes and the
-# Cesaro window's whole cycles run out, which the default horizons never
-# reach, and two long ones.
+# Short horizons, where the regular oracle's subsequence classes, the
+# Cesaro window's whole cycles and the power oracle's repeat run out,
+# which the default horizons never reach, and two long ones.  `limit-set`
+# prints each cluster and the inconclusive message that `verify` sums up
+# in one line.
 HORIZONS = (1, 2, 3, 5, 7, 97, 1999)
 # The generator of C513 has period 513, so these reach the quotient solve
 # at modulus 513, above every benchmark config's: a shifted series with
@@ -87,7 +90,7 @@ def _cases(seeds: list[int], work: Path):
         for command in COMMANDS:
             yield (f"golden:{config.stem}:{command}",
                    [command, "--config", f"golden/{config.name}"])
-        for command in ("verify", "cesaro"):
+        for command in ("verify", "cesaro", "limit-set"):
             for horizon in HORIZONS:
                 yield (f"golden:{config.stem}:{command}:horizon{horizon}",
                        [command, "--config", f"golden/{config.name}",
