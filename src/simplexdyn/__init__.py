@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 # The module that defines each exported name.
 _HOME = {name: module for module, names in {
-    "algebra": ("AlgebraElement", "ApproxElement", "SimplexPoint", "add",
-                "delta", "element_to_map", "multiply", "power", "scale",
+    "algebra": ("AlgebraElement", "SimplexPoint", "add", "delta",
+                "element_to_map", "multiply", "power", "scale",
                 "simplex_from_map", "sup_distance", "support", "uniform_on"),
     "config": ("ConfigError", "ExperimentConfig"),
     "dynamics": ("AccumulationSet", "DynamicsProfile", "empirical_limit_set",

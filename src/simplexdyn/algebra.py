@@ -4,11 +4,11 @@ Exact rationals are the canonical representation; every invariant that
 feeds a support computation is threshold-free.  The exact product runs
 on integer numerators over a common denominator (series._exact_product),
 which each element converts once and keeps, and rebuilds Fractions only
-for its result.  Floats appear only in ApproxElement, the carrier for
-long oracle iteration runs, which tracks an explicit slack bound instead
-of pretending to be exact.  Every float oracle reads one OrbitTrace of
-such elements, built by _float_orbit, which states when an orbit stops
-being evaluated and how its later steps replay its cycle.
+for its result.  A float point is a read-only float64 vector of length
+|G|; an exact element gives its own through .floats.  Every float oracle
+reads one OrbitTrace of such vectors, built by _float_orbit, which
+states when an orbit stops being evaluated, how its later steps replay
+its cycle and how far from the simplex each state may drift.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .groups import ElementSet, FiniteGroup
 from .record import Record, parse_rational
 from .series import _exact_product, _numerators, _power_sum
 
-DEFAULT_APPROX_SLACK = 1e-12
 # Slack granted per float iteration step on oracle traces.
 ITERATION_SLACK_RATE = 1e-12
 
@@ -86,41 +85,6 @@ class SimplexPoint(AlgebraElement):
         if sum(u) != den:
             raise ValueError(f"simplex point coefficients sum to "
                              f"{Fraction(sum(u), den)}, not 1")
-
-
-class ApproxElement(Record):
-    """Float coefficient vector with an explicit slack bound.
-
-    Invariants: sum(coeffs) within [1 - slack, 1 + slack] and every
-    coefficient >= -slack.  Compares by identity.
-    """
-
-    _fields = ("group", "coeffs", "slack")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, group: FiniteGroup, coeffs,
-                 slack: float = DEFAULT_APPROX_SLACK) -> None:
-        vec = np.asarray(coeffs, dtype=np.float64)
-        vec.setflags(write=False)
-        if vec.shape != (group.order,):
-            raise ValueError(
-                f"expected {group.order} coefficients, got shape {vec.shape}")
-        if slack < 0:
-            raise ValueError("slack must be nonnegative")
-        # The ufunc reductions give vec.sum() and vec.min() bit for bit,
-        # without their Python-level wrappers: this runs once per oracle step.
-        total = float(np.add.reduce(vec))
-        if not (1 - slack <= total <= 1 + slack):
-            raise ValueError(
-                f"coefficient sum {total} outside 1 +/- {slack}")
-        if vec.size and float(np.minimum.reduce(vec)) < -slack:
-            raise ValueError(
-                f"coefficient {float(vec.min())} below -slack {-slack}")
-        # Not _set: per oracle step, each call counts.
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", vec)
-        object.__setattr__(self, "slack", slack)
 
 
 def delta(group: FiniteGroup, i: int) -> SimplexPoint:
@@ -193,17 +157,36 @@ def scale(q: RationalLike, x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.group, tuple(qq * c for c in x.coeffs))
 
 
-def sup_distance(a: ApproxElement | AlgebraElement,
-                 b: ApproxElement | AlgebraElement) -> float:
-    """max_g |a_g - b_g|; exact elements are converted to floats first."""
-    _same_group(a.group, b.group, "sup_distance")
-    return float(np.max(np.abs(float_coeffs(a) - float_coeffs(b))))
+def sup_distance(a: AlgebraElement | np.ndarray, b: AlgebraElement | np.ndarray) -> float:
+    """max_g |a_g - b_g| of two exact elements or float vectors; exact
+    elements are compared through their .floats.  Raises ValueError on
+    vectors of different shapes, which numpy would broadcast."""
+    if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
+        _same_group(a.group, b.group, "sup_distance")
+    u, v = _floats(a), _floats(b)
+    if u.shape != v.shape:
+        raise ValueError(f"sup_distance of vectors of shapes {u.shape} and {v.shape}")
+    return float(np.max(np.abs(u - v)))
 
 
-def float_coeffs(x: ApproxElement | AlgebraElement) -> np.ndarray:
-    """The read-only float64 coefficient vector of x; for an exact element
-    it is computed on first use and then shared."""
-    return x.coeffs if isinstance(x, ApproxElement) else x.floats
+def _floats(x: AlgebraElement | np.ndarray) -> np.ndarray:
+    """The float64 vector of x: an exact element's .floats, or x itself."""
+    return x.floats if isinstance(x, AlgebraElement) else x
+
+
+def _float_point(vec: np.ndarray, slack: float) -> np.ndarray:
+    """vec, made read-only in place, once it is checked to lie within
+    slack of the simplex: its sum within 1 +/- slack and no coefficient
+    below -slack (ValueError otherwise)."""
+    # The ufunc reductions give vec.sum() and vec.min() bit for bit,
+    # without their Python-level wrappers: this runs once per oracle state.
+    total = float(np.add.reduce(vec))
+    if not (1 - slack <= total <= 1 + slack):
+        raise ValueError(f"coefficient sum {total} outside 1 +/- {slack}")
+    if float(np.minimum.reduce(vec)) < -slack:
+        raise ValueError(f"coefficient {float(vec.min())} below -slack {-slack}")
+    vec.setflags(write=False)
+    return vec
 
 
 def evaluate_series_floats(group: FiniteGroup,
@@ -225,63 +208,64 @@ class OrbitTrace(Sequence):
     """Read-only view of the first n steps of a float orbit, held as its
     distinct states only (built by _float_orbit, which states the rule).
 
-    elements holds one ApproxElement per distinct state, k of them, in
-    order of appearance; j is the index of the state that the first
-    bitwise repeat equals, or k when none of the n steps repeats; step m
-    (0-based) past the repeat reads the cycle elements[j:].  Supports len,
-    indexing (negative too) and iteration.
+    states holds one read-only float64 vector per distinct state, k of
+    them, in order of appearance; j is the index of the state that the
+    first bitwise repeat equals, or k when none of the n steps repeats;
+    step m (0-based) past the repeat reads the cycle states[j:].  Supports
+    len, indexing (negative too) and iteration.
     """
 
-    __slots__ = ("elements", "j", "n")
+    __slots__ = ("states", "j", "n")
 
-    def __init__(self, elements: tuple[ApproxElement, ...], j: int, n: int) -> None:
-        self.elements = elements
+    def __init__(self, states: tuple[np.ndarray, ...], j: int, n: int) -> None:
+        self.states = states
         self.j = j
         self.n = n
 
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, m: int) -> ApproxElement:
+    def __getitem__(self, m: int) -> np.ndarray:
         if m < 0:
             m += self.n
         if not 0 <= m < self.n:
             raise IndexError(f"step {m} outside a trace of {self.n} steps")
-        k = len(self.elements)
-        return self.elements[m if m < k else self.j + (m - self.j) % (k - self.j)]
+        k = len(self.states)
+        return self.states[m if m < k else self.j + (m - self.j) % (k - self.j)]
 
     def __iter__(self):
-        return islice(chain(self.elements, cycle(self.elements[self.j:])), self.n)
+        return islice(chain(self.states, cycle(self.states[self.j:])), self.n)
 
 
-def _float_orbit(group: FiniteGroup, step: Callable[[np.ndarray], np.ndarray],
+def _float_orbit(step: Callable[[np.ndarray], np.ndarray],
                  start: np.ndarray, n: int) -> OrbitTrace:
     """The first n states step(start), step(step(start)), .. of a
-    deterministic float map on group, evaluated only up to the first
-    bitwise repeat, as an OrbitTrace of n steps.
+    deterministic float map, evaluated only up to the first bitwise
+    repeat, as an OrbitTrace of n steps.
 
     States are keyed by the hash of their bytes and matched on the bytes,
     so -0.0 and 0.0 stay distinct.  When state i equals an earlier state
     j bit for bit, step maps it to state j + 1 again, so the orbit replays
     states[j:] forever: state m >= j is states[j + (m - j) % (i - j)], the
     value the evaluation would have produced, and nothing further is
-    evaluated.  Each distinct state gets one ApproxElement, checked at
-    slack ITERATION_SLACK_RATE * k for the step k (1-based) it first
-    appears at, and every later step that replays it reads that element,
-    so memory does not grow with n past the repeat.
+    evaluated.  step must return a fresh array: each distinct state is
+    kept as that array, checked once and made read-only by _float_point
+    at slack ITERATION_SLACK_RATE * k for the step k (1-based) it first
+    appears at.  Every later step that replays it reads that array, so
+    memory does not grow with n past the repeat.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    states: list[ApproxElement] = []
+    states: list[np.ndarray] = []
     first: dict[int, int] = {}
     vec = start
     for i in range(n):
         vec = step(vec)
         data = vec.tobytes()
         j = first.setdefault(hash(data), i)
-        if j != i and states[j].coeffs.tobytes() == data:
+        if j != i and states[j].tobytes() == data:
             return OrbitTrace(tuple(states), j, n)
-        states.append(ApproxElement(group, vec, slack=ITERATION_SLACK_RATE * (i + 1)))
+        states.append(_float_point(vec, ITERATION_SLACK_RATE * (i + 1)))
     return OrbitTrace(tuple(states), len(states), n)
 
 
@@ -301,7 +285,7 @@ def series_trace(group: FiniteGroup, terms: Sequence[tuple[int, float]],
         vec = evaluate_series_floats(group, terms, vec)
         return vec / vec.sum()
 
-    return _float_orbit(group, step, np.asarray(start, dtype=np.float64), n)
+    return _float_orbit(step, np.asarray(start, dtype=np.float64), n)
 
 
 def simplex_from_map(group: FiniteGroup,

@@ -59,19 +59,17 @@ REGULAR_ORACLE_TOL = 1e-7
 CESARO_ORACLE_TOL = 1e-4
 
 
-def _decimal_map(x) -> dict:
-    from .algebra import float_coeffs
-
-    vec = float_coeffs(x)
-    return {label: float(v) for label, v in zip(x.group.labels, vec) if v}
+def _decimal_map(labels: tuple[str, ...], vec) -> dict:
+    return {label: float(v) for label, v in zip(labels, vec) if v}
 
 
-def _point_record(x) -> dict:
-    from .algebra import ApproxElement, element_to_map
+def _point_record(labels: tuple[str, ...], x) -> dict:
+    """An exact element's map and decimals, or a float vector's decimals."""
+    from .algebra import AlgebraElement, element_to_map
 
-    if isinstance(x, ApproxElement):
-        return {"decimal": _decimal_map(x)}
-    return {"exact": element_to_map(x), "decimal": _decimal_map(x)}
+    if isinstance(x, AlgebraElement):
+        return {"exact": element_to_map(x), "decimal": _decimal_map(labels, x.floats)}
+    return {"decimal": _decimal_map(labels, x)}
 
 
 def _profile_record(prof: DynamicsProfile) -> dict:
@@ -86,14 +84,15 @@ def _profile_record(prof: DynamicsProfile) -> dict:
 
 
 def _report_record(rep: LimitReport) -> dict:
+    record = partial(_point_record, rep.profile.point.group.labels)
     return {
         "digest": rep.digest,
         "profile": _profile_record(rep.profile),
         "reduction_steps": rep.reduction_steps,
         "exists": rep.exists,
-        "limit": _point_record(rep.limit) if rep.limit is not None else None,
-        "accumulation": [_point_record(pt) for pt in rep.accumulation.points],
-        "cesaro": _point_record(rep.cesaro),
+        "limit": record(rep.limit) if rep.limit is not None else None,
+        "accumulation": [record(pt) for pt in rep.accumulation.points],
+        "cesaro": record(rep.cesaro),
         "a": rep.a,
         "scalar_limits": list(rep.scalar_limits) if rep.scalar_limits else None,
         "diagnostics": rep.diagnostics,
@@ -123,7 +122,7 @@ def _emit_csv(args, header: list, rows) -> None:
 
 def _cesaro_burn_in(horizon: int, d: int) -> int:
     """Burn-in that leaves the largest whole number of d-cycles within
-    the second half of the horizon (at least one cycle)."""
+    the second half of the horizon (at least one cycle, if it holds one)."""
     window = max(d, (horizon // 2 // d) * d)
     return max(0, horizon - window)
 
@@ -155,16 +154,24 @@ def _power_oracle(cfg: ExperimentConfig, closed: AccumulationSet, clusters) -> t
 def _cesaro_oracle(cfg: ExperimentConfig, p, x, rep: LimitReport) -> tuple:
     """The mean of the float orbit p^[n](x), n the Cesaro horizon, over its
     last whole cycles against rep's Cesaro limit: (verdict, detail, a dict
-    of the orbit, the burn-in, the mean and its sup deviation)."""
+    of the orbit, the burn-in, the mean and its sup deviation).  The
+    verdict is inconclusive when the window starts inside the preperiod or
+    holds fewer than d steps, as its steps then miss some class."""
     from .algebra import sup_distance
     from .predict import CESARO_HORIZON, empirical_cesaro, iterate_map
 
     trace = iterate_map(p, x, cfg.horizon or CESARO_HORIZON)
-    burn_in = _cesaro_burn_in(len(trace), rep.diagnostics["cycle_d"])
+    n = len(trace)
+    d, pre = rep.diagnostics["cycle_d"], rep.diagnostics["cycle_preperiod"]
+    burn_in = _cesaro_burn_in(n, d)
     avg = empirical_cesaro(trace, burn_in)
     dev = sup_distance(avg, rep.cesaro)
-    return (_verdict(dev <= CESARO_ORACLE_TOL), f"sup deviation {dev:.2e}",
-            {"trace": trace, "burn_in": burn_in, "average": avg, "deviation": dev})
+    evidence = {"trace": trace, "burn_in": burn_in, "average": avg, "deviation": dev}
+    if burn_in < pre or n - burn_in < d:
+        return "inconclusive", (f"{d} subsequence classes need a window of whole "
+                                f"cycles past preperiod {pre}, got steps "
+                                f"{burn_in + 1}..{n}"), evidence
+    return _verdict(dev <= CESARO_ORACLE_TOL), f"sup deviation {dev:.2e}", evidence
 
 
 def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
@@ -212,11 +219,12 @@ def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
     x = cfg.require_element()
     closed = limit_set(profile(x))
     status, detail, observed = _power_oracle(cfg, closed, partial(empirical_limit_set, x))
-    payload = {"closed_form": [_point_record(pt) for pt in closed.points]}
+    record = partial(_point_record, x.group.labels)
+    payload = {"closed_form": [record(pt) for pt in closed.points]}
     if observed is None:
         payload.update(status=status, detail=detail)
     else:
-        payload.update(empirical=[_point_record(pt) for pt in observed.points],
+        payload.update(empirical=[record(pt) for pt in observed.points],
                        matched=status == "pass",
                        status="ok" if status == "pass" else "mismatch")
     _emit_json(args, payload)
@@ -262,11 +270,11 @@ def cmd_iterate(cfg: ExperimentConfig, args) -> int:
 
     if args.format == "json":
         _emit_json(args, {"trace": [
-            {"step": k, "coeffs": _decimal_map(t), "sup_delta": delta}
+            {"step": k, "coeffs": _decimal_map(x.group.labels, t), "sup_delta": delta}
             for k, t, delta in rows()]})
     else:
         _emit_csv(args, ["step", *x.group.labels, "sup_delta"],
-                  ([k, *map(repr, t.coeffs.tolist()), repr(delta)]
+                  ([k, *map(repr, t.tolist()), repr(delta)]
                    for k, t, delta in rows()))
     return EXIT_OK
 
@@ -284,7 +292,7 @@ def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
     _, _, evidence = _cesaro_oracle(cfg, p, x, rep)
     _emit_json(args, {
         "report": _report_record(rep),
-        "empirical": _decimal_map(evidence["average"]),
+        "empirical": _decimal_map(x.group.labels, evidence["average"]),
         "sup_distance": evidence["deviation"],
         "horizon": len(evidence["trace"]),
         "burn_in": evidence["burn_in"],

@@ -84,7 +84,8 @@ class DynamicsProfile(Record):
 
 
 class AccumulationSet(Record):
-    """Limit points of an iteration, exact (closed_form) or float (empirical).
+    """Limit points of an iteration: exact elements (closed_form) or
+    read-only float64 vectors (empirical), which do not hash.
 
     Closed-form points are pairwise distinct, checked by hashing their
     numerators (support, u, D), which determine the exact coefficients.
@@ -173,20 +174,20 @@ def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
 
 
 def _clustered_cycle(trace: algebra.OrbitTrace) -> AccumulationSet:
-    """The cycle trace.elements[j:] that a float orbit closes
+    """The cycle trace.states[j:] that a float orbit closes
     (algebra._float_orbit), merged greedily in order: a state within
     MERGE_TOL (sup distance) of an earlier cluster joins it, any other
-    starts a new one, and each cluster is its first state's element.
+    starts a new one, and each cluster is its first state's row.
     Raises InconclusiveError when none of the len(trace) steps repeated
     rather than returning a guess.
     """
-    k = len(trace.elements)
+    k = len(trace.states)
     if trace.j == k:
         raise InconclusiveError(
             f"no power repeated an earlier one bit for bit by step {len(trace)} "
             f"({k} distinct powers)", iterations=len(trace))
-    cycle = trace.elements[trace.j:]
-    rows = np.array([y.coeffs for y in cycle])
+    cycle = trace.states[trace.j:]
+    rows = np.array(cycle)
     reps: list[int] = []
     for i, vec in enumerate(rows):
         if not len(_within(rows, np.array(reps, dtype=int), vec, MERGE_TOL)[0]):
@@ -204,10 +205,10 @@ def empirical_limit_set(x: SimplexPoint,
     to x^horizon repeats.
     """
     g = x.group
-    right = algebra.float_coeffs(x)[g.conv_index]
+    right = x.floats[g.conv_index]
     one = np.zeros(g.order)
     one[g.identity] = 1.0
-    return _clustered_cycle(algebra._float_orbit(g, lambda vec: vec @ right, one, horizon))
+    return _clustered_cycle(algebra._float_orbit(lambda vec: vec @ right, one, horizon))
 
 
 def match_accumulation_sets(expected: AccumulationSet,
@@ -217,14 +218,15 @@ def match_accumulation_sets(expected: AccumulationSet,
 
     True when the sets have equal cardinality and each observed point,
     in order, is within tol (sup distance) of the nearest (first on a
-    tie) expected point not matched yet.
+    tie) expected point not matched yet.  Points may be exact elements
+    or float vectors (algebra.sup_distance).
     """
     if len(expected) != len(observed):
         return False
-    rows = np.array([algebra.float_coeffs(q) for q in expected.points])
+    rows = np.array([algebra._floats(q) for q in expected.points])
     remaining = np.arange(len(rows))
     for pt in observed.points:
-        near, dists = _within(rows, remaining, algebra.float_coeffs(pt), tol)
+        near, dists = _within(rows, remaining, algebra._floats(pt), tol)
         if not len(near):
             return False
         remaining = remaining[remaining != near[np.argmin(dists)]]

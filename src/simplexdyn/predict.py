@@ -33,9 +33,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
+
 from . import algebra
-from .algebra import (ITERATION_SLACK_RATE, ApproxElement, OrbitTrace,
-                      SimplexPoint, element_to_map)
+from .algebra import (ITERATION_SLACK_RATE, OrbitTrace, SimplexPoint,
+                      element_to_map)
 from .dynamics import (AccumulationSet, DynamicsProfile, profile,
                        reduce_to_stable)
 from .errors import InternalConsistencyError, PurePowerError
@@ -209,11 +211,13 @@ def iterate_map(p: ProbPoly, x: SimplexPoint, n: int) -> OrbitTrace:
     A read-only view of n steps over the orbit's distinct states
     (algebra.series_trace)."""
     terms = [(e, float(c)) for e, c in p.terms]
-    return algebra.series_trace(x.group, terms, algebra.float_coeffs(x), n)
+    return algebra.series_trace(x.group, terms, x.floats, n)
 
 
-def empirical_cesaro(trace: OrbitTrace, burn_in: int) -> ApproxElement:
-    """Average of an oracle trace of n steps over steps burn_in+1 .. n.
+def empirical_cesaro(trace: OrbitTrace, burn_in: int) -> np.ndarray:
+    """Average of an oracle trace of n steps over steps burn_in+1 .. n, as
+    a read-only float64 vector checked by algebra._float_point at slack
+    ITERATION_SLACK_RATE * n.
 
     A burn-in window discards the transient; choosing the window length
     as a multiple of the cycle length d balances the subsequence classes
@@ -229,8 +233,7 @@ def empirical_cesaro(trace: OrbitTrace, burn_in: int) -> ApproxElement:
     if not 0 <= burn_in < n:
         raise ValueError(f"need 0 <= burn_in < n, got {burn_in}, {n}")
     window = islice(trace, burn_in, None)
-    total = next(window).coeffs.copy()
+    total = next(window).copy()
     for y in window:
-        total += y.coeffs
-    return ApproxElement(group=trace[0].group, coeffs=total / (n - burn_in),
-                         slack=ITERATION_SLACK_RATE * n)
+        total += y
+    return algebra._float_point(total / (n - burn_in), ITERATION_SLACK_RATE * n)

@@ -9,13 +9,16 @@ test run is reproducible from its seed.
 import importlib
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
 from simplexdyn import (FiniteGroup, ProbPoly, SimplexPoint, direct_product,
                         make_cyclic, make_dihedral, make_symmetric)
+from simplexdyn import algebra
 
 WEIGHT_MAX = 20
 
@@ -119,3 +122,18 @@ def count_calls(monkeypatch, *names) -> dict:
                     and getattr(module, attr, None) is original):
                 monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+@contextmanager
+def recorded_mass_checks():
+    """Yield a list that gains (bytes, slack) for each float point that
+    algebra._float_point checks inside the block; each check still runs.
+    A context manager, not a fixture, so Hypothesis tests can use it."""
+    checks, original = [], algebra._float_point
+
+    def check(vec, slack):
+        checks.append((vec.tobytes(), slack))
+        return original(vec, slack)
+
+    with mock.patch.object(algebra, "_float_point", check):
+        yield checks

@@ -11,14 +11,14 @@ from simplexdyn import (ProbPoly, add, delta, direct_product, make_cyclic,
                         make_dihedral, make_symmetric, multiply, parse_rational,
                         power, profile, scale, simplex_from_map, sup_distance,
                         support, uniform_on, element_to_map)
+from simplexdyn import algebra
 from simplexdyn.algebra import (ITERATION_SLACK_RATE, AlgebraElement,
-                                ApproxElement, SimplexPoint,
-                                evaluate_series_floats, float_coeffs,
+                                SimplexPoint, evaluate_series_floats,
                                 series_trace)
 from simplexdyn.groups import generated_subgroup
 
 from conftest import (build_zoo, count_calls, prob_polys, random_simplex_point,
-                      signed_coeff_lists)
+                      recorded_mass_checks, signed_coeff_lists)
 
 
 def test_parse_and_format_rational():
@@ -117,20 +117,26 @@ def test_sup_distance_mixed_kinds():
     x = simplex_from_map(g, {"t^0": "1/2", "t^1": "1/2"})
     y = simplex_from_map(g, {"t^0": "1/4", "t^1": "3/4"})
     assert sup_distance(x, y) == 0.25
-    ax, ay = ApproxElement(g, x.floats), ApproxElement(g, y.floats)
-    assert sup_distance(x, ax) == 0.0
-    assert sup_distance(ax, ay) == pytest.approx(0.25)
+    assert sup_distance(x, x.floats) == 0.0
+    assert sup_distance(x.floats, y.floats) == pytest.approx(0.25)
 
 
-def test_float_coeffs_of_an_exact_element_is_one_read_only_vector():
+def test_sup_distance_rejects_vectors_of_different_shapes():
+    # numpy would broadcast the length-1 vector against the other.
+    x = simplex_from_map(make_cyclic(4), {"t^0": "1/2", "t^1": "1/2"})
+    for a, b in ((np.ones(1), x.floats), (x.floats, np.ones(1)), (np.ones(1), x)):
+        with pytest.raises(ValueError, match="shapes"):
+            sup_distance(a, b)
+
+
+def test_floats_of_an_exact_element_is_one_read_only_vector():
     x = random_simplex_point(make_dihedral(5), random.Random(11))
-    vec = float_coeffs(x)
-    assert float_coeffs(x) is vec
+    vec = x.floats
+    assert x.floats is vec
     assert vec.dtype == np.float64 and not vec.flags.writeable
     with pytest.raises(ValueError):
         vec[0] = 0.0
     assert vec.tobytes() == np.array([float(c) for c in x.coeffs]).tobytes()
-    assert ApproxElement(x.group, x.floats).coeffs.tobytes() == vec.tobytes()
 
 
 ZOO_GROUPS = [g for _, g in sorted(build_zoo().items())]
@@ -181,8 +187,8 @@ def series_by_definition(p, x) -> AlgebraElement:
 def test_evaluate_series_floats_matches_exact(g, p, seed):
     x = random_simplex_point(g, random.Random(seed))
     terms = [(e, float(c)) for e, c in p.terms]
-    got = evaluate_series_floats(g, terms, float_coeffs(x))
-    exact = float_coeffs(series_by_definition(p, x))
+    got = evaluate_series_floats(g, terms, x.floats)
+    exact = series_by_definition(p, x).floats
     assert np.max(np.abs(got - exact)) < 1e-14
 
 
@@ -190,12 +196,12 @@ def test_series_trace_stays_on_simplex():
     g = make_cyclic(5)
     x = delta(g, 1)
     terms = [(2, 0.5), (3, 0.5)]
-    trace = series_trace(g, terms, float_coeffs(x), 300)
+    trace = series_trace(g, terms, x.floats, 300)
     assert len(trace) == 300
     for t in trace:
-        assert abs(float(t.coeffs.sum()) - 1.0) < 1e-9
+        assert abs(float(t.sum()) - 1.0) < 1e-9
     with pytest.raises(ValueError):
-        series_trace(g, terms, float_coeffs(x), 0)
+        series_trace(g, terms, x.floats, 0)
 
 
 def test_series_trace_matches_exact_composition():
@@ -203,11 +209,11 @@ def test_series_trace_matches_exact_composition():
     rng = random.Random(21)
     x = random_simplex_point(g, rng)
     half = Fraction(1, 2)
-    trace = series_trace(g, [(0, 0.5), (2, 0.5)], float_coeffs(x), 6)
+    trace = series_trace(g, [(0, 0.5), (2, 0.5)], x.floats, 6)
     y = x
     for k in range(6):
         y = add(scale(half, power(y, 0)), scale(half, power(y, 2)))
-        assert np.max(np.abs(float_coeffs(y) - trace[k].coeffs)) < 1e-12
+        assert np.max(np.abs(y.floats - trace[k])) < 1e-12
 
 
 def plain_series_trace(g, terms, start, n) -> list[tuple[np.ndarray, float]]:
@@ -230,14 +236,17 @@ def plain_series_trace(g, terms, start, n) -> list[tuple[np.ndarray, float]]:
 def test_series_trace_matches_a_plain_loop(g, p, seed, n):
     # The near-critical example never repeats a state within 400 steps, so
     # it evaluates every step; most other orbits repeat within a few dozen.
-    start = float_coeffs(random_simplex_point(g, random.Random(seed)))
+    start = random_simplex_point(g, random.Random(seed)).floats
     terms = [(e, float(c)) for e, c in p.terms]
-    got = series_trace(g, terms, start, n)
+    with recorded_mass_checks() as checks:
+        got = series_trace(g, terms, start, n)
     want = plain_series_trace(g, terms, start, n)
     assert len(got) == n
-    for y, (coeffs, slack) in zip(got, want):
-        assert y.coeffs.tobytes() == coeffs.tobytes()
-        assert y.slack == slack
+    for y, (coeffs, _) in zip(got, want):
+        assert y.tobytes() == coeffs.tobytes()
+        assert y.dtype == np.float64 and not y.flags.writeable
+    # Each distinct state is checked once, at the slack of its first step.
+    assert checks == list({coeffs.tobytes(): slack for coeffs, slack in want}.items())
 
 
 def test_series_trace_stops_evaluating_at_the_first_repeat(monkeypatch):
@@ -246,26 +255,49 @@ def test_series_trace_stops_evaluating_at_the_first_repeat(monkeypatch):
     # t^1<t^4> by step 6.
     g = make_cyclic(12)
     counts = count_calls(monkeypatch, "algebra.evaluate_series_floats")
-    trace = series_trace(g, [(3, 0.5), (7, 0.5)], float_coeffs(delta(g, 1)),
-                         10_000)
+    with recorded_mass_checks() as checks:
+        trace = series_trace(g, [(3, 0.5), (7, 0.5)], delta(g, 1).floats, 10_000)
     assert counts["algebra.evaluate_series_floats"] < 20
     assert len(trace) == 10_000
-    # One element per distinct state: y_5 and y_6 alternate from step 5 on,
-    # and every step that replays one shares its element and first slack.
+    # One row per distinct state: y_5 and y_6 alternate from step 5 on,
+    # and every step that replays one shares its row and its one check.
     assert len({id(y) for y in trace}) == 6
     assert trace[-1] is trace[5] and trace[-2] is trace[4]
-    assert trace[-1].slack == ITERATION_SLACK_RATE * 6
-    assert trace[-1].coeffs.tobytes() != trace[-2].coeffs.tobytes()
+    assert [slack for _, slack in checks] == [ITERATION_SLACK_RATE * k for k in range(1, 7)]
+    assert trace[-1].tobytes() != trace[-2].tobytes()
 
 
-def test_approx_element_validation():
-    g = make_cyclic(3)
-    with pytest.raises(ValueError):
-        ApproxElement(g, np.array([0.5, 0.6, 0.2]), slack=1e-12)
-    with pytest.raises(ValueError):
-        ApproxElement(g, np.array([1.5, -0.5, 0.0]), slack=1e-12)
-    ok = ApproxElement(g, np.array([0.5, 0.25, 0.25]), slack=1e-12)
-    assert ok.coeffs.flags.writeable is False
+def _orbit_with(k, state, n=10):
+    """algebra._float_orbit of n steps on two coordinates whose step k
+    (1-based) returns state and whose step i != k returns (1 - i/64, i/64),
+    so that no step repeats."""
+    steps = iter(range(1, n + 1))
+
+    def step(vec):
+        i = next(steps)
+        return np.array(state if i == k else [1 - i / 64, i / 64])
+
+    return algebra._float_orbit(step, np.zeros(2), n)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_a_state_may_leak_the_slack_of_its_first_step(k):
+    # slack = ITERATION_SLACK_RATE * k, not that of the budget n = 10 or
+    # of the 0-based index k - 1.
+    slack = ITERATION_SLACK_RATE * k
+    for leak in (slack, -slack):
+        trace = _orbit_with(k, [1 - k / 64 + 0.99 * leak, k / 64])
+        assert abs(float(trace[k - 1].sum()) - 1) > 0.98 * slack
+        with pytest.raises(ValueError, match=f"outside 1 \\+/- {slack}$"):
+            _orbit_with(k, [1 - k / 64 + 1.01 * leak, k / 64])
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_a_state_may_not_fall_below_minus_the_slack(k):
+    slack = ITERATION_SLACK_RATE * k
+    assert _orbit_with(k, [1 + 0.5 * slack, -0.5 * slack])[k - 1][1] < 0
+    with pytest.raises(ValueError, match=f"below -slack {-slack}$"):
+        _orbit_with(k, [1 + 1.5 * slack, -1.5 * slack])
 
 
 # Cyclic, dihedral and symmetric groups up to S5, and products of them.

@@ -450,6 +450,35 @@ def test_verify_class_without_a_step_is_inconclusive(capsys):
     assert "INCONCLUSIVE regular-oracle" not in out
 
 
+@pytest.mark.parametrize("config, horizon, code", [
+    ("c12-divergent", 1, 2), ("c10-regular", 1, 3), ("c10-regular", 3, 3)])
+def test_a_cesaro_window_short_of_a_cycle_is_inconclusive(config, horizon, code, capsys):
+    # Both have preperiod 0; C12 has d = 2 and C10 d = 4, so the window of
+    # every step up to the horizon holds fewer than d steps.  The C10
+    # regular oracle still fails at these horizons, so its verify exits 3.
+    path = str(GOLDEN / f"{config}.json")
+    got, out, _ = run(capsys, "verify", "--config", path, "--horizon", str(horizon),
+                      "--format", "json")
+    assert got == code
+    d = 2 if config == "c12-divergent" else 4
+    assert {c["name"]: c for c in json.loads(out)["checks"]}["cesaro-oracle"] == {
+        "name": "cesaro-oracle", "status": "inconclusive",
+        "detail": f"{d} subsequence classes need a window of whole cycles past "
+                  f"preperiod 0, got steps 1..{horizon}"}
+    # The cesaro command still prints the mean of that window.
+    assert run(capsys, "cesaro", "--config", path, "--horizon", str(horizon))[0] == 0
+
+
+def test_a_cesaro_window_of_whole_cycles_is_compared(capsys):
+    # At horizons 2 and 3 the C12 window is one whole cycle past preperiod
+    # 0: too short for the tolerance, but its classes are balanced, so the
+    # oracle compares it.
+    path = str(GOLDEN / "c12-divergent.json")
+    for horizon, dev in (("2", "1.67e-01"), ("3", "2.02e-02")):
+        code, out, _ = run(capsys, "verify", "--config", path, "--horizon", horizon)
+        assert code == 3 and f"FAIL cesaro-oracle (sup deviation {dev})" in out
+
+
 def test_verify_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     # The orbit of this C24 interior point repeats bit for bit within a few
     # dozen steps, so past that repeat a longer horizon adds only steps read

@@ -13,8 +13,7 @@ from simplexdyn import (InconclusiveError, InternalConsistencyError, ProbPoly,
                         match_accumulation_sets, multiply, power, power_rank,
                         profile, reduce_to_stable, simplex_from_map,
                         sup_distance, support, uniform_on)
-from simplexdyn.algebra import (ITERATION_SLACK_RATE, ApproxElement, SimplexPoint,
-                               evaluate_series_floats, float_coeffs)
+from simplexdyn.algebra import SimplexPoint, evaluate_series_floats
 from simplexdyn.dynamics import MERGE_TOL, AccumulationSet, _clustered_cycle, exact_rank
 
 from simplexdyn.modm import regularity_mod_m
@@ -82,9 +81,8 @@ def test_match_rejects_perturbed_sets():
     x = delta(g, 1)
     closed = limit_set(profile(x))
     shifted = AccumulationSet(points=tuple(
-        ApproxElement(g, multiply(pt, simplex_from_map(
-            g, {"t^0": "9/10", "t^1": "1/10"})).floats) for pt in closed.points),
-        source="empirical")
+        multiply(pt, simplex_from_map(g, {"t^0": "9/10", "t^1": "1/10"})).floats
+        for pt in closed.points), source="empirical")
     assert not match_accumulation_sets(closed, shifted, tol=1e-8)
     dropped = AccumulationSet(points=closed.points[:-1], source="empirical")
     assert not match_accumulation_sets(closed, dropped, tol=1e-8)
@@ -116,16 +114,15 @@ def test_match_accumulation_sets_matches_a_plain_loop():
     tol = 1e-8
     outcomes = set()
     for _ in range(300):
-        base = [float_coeffs(random_simplex_point(g, rng)) for _ in range(4)]
+        base = [random_simplex_point(g, rng).floats for _ in range(4)]
         base.append(base[3] + np.eye(6)[0] * 0.7 * tol)
-        expected = AccumulationSet(points=tuple(
-            ApproxElement(g, v, slack=1e-6) for v in base), source="empirical")
+        expected = AccumulationSet(points=tuple(base), source="empirical")
         moved = []
         for i in rng.sample(range(5), 5):
             v = base[i].copy()
             v[rng.choice([0, int(np.argmax(v)), rng.randrange(6)])] += \
                 rng.choice([-1, 1]) * rng.choice([0.2, 0.5, 0.9, 1.5]) * tol
-            moved.append(ApproxElement(g, v, slack=1e-6))
+            moved.append(v)
         observed = AccumulationSet(points=tuple(moved), source="empirical")
         want = plain_match(expected, observed, tol)
         assert match_accumulation_sets(expected, observed, tol) == want
@@ -154,8 +151,8 @@ def test_empirical_limit_set_inconclusive_window():
 def plain_clustered_cycle(step, vec, horizon):
     """A clustered float cycle as a plain loop: one step per iteration and
     a bytes dict to find the first state that repeats, then greedy
-    clusters of the cycle's states.  Returns (coefficient bytes, slack)
-    per cluster, or the message and iteration count of the
+    clusters of the cycle's states.  Returns the coefficient bytes of
+    each cluster, or the message and iteration count of the
     InconclusiveError it would raise."""
     first, states = {}, []
     for k in range(1, horizon + 1):
@@ -172,14 +169,13 @@ def plain_clustered_cycle(step, vec, horizon):
     for i in cycle:
         if all(np.abs(states[r] - states[i]).max() > MERGE_TOL for r in reps):
             reps.append(i)
-    # states[i] is step i + 1.
-    return [(states[i].tobytes(), ITERATION_SLACK_RATE * (i + 1)) for i in reps]
+    return [states[i].tobytes() for i in reps]
 
 
 def plain_limit_set(x, horizon):
     """The power oracle's clusters as a plain loop: one multiply per power."""
     g = x.group
-    right = float_coeffs(x)[g.conv_index]
+    right = x.floats[g.conv_index]
     vec = np.zeros(g.order)
     vec[g.identity] = 1.0
     return plain_clustered_cycle(lambda vec: vec @ right, vec, horizon)
@@ -236,7 +232,7 @@ def test_empirical_limit_set_matches_a_plain_loop(case):
     except InconclusiveError as exc:
         assert (str(exc), exc.iterations) == want
     else:
-        assert [(pt.coeffs.tobytes(), pt.slack) for pt in got.points] == want
+        assert [pt.tobytes() for pt in got.points] == want
         assert match_accumulation_sets(limit_set(profile(x)), got)
 
 
@@ -249,7 +245,7 @@ def _plain_pure_power(x, r, horizon):
         vec = evaluate_series_floats(g, [(r, 1.0)], vec)
         return vec / vec.sum()
 
-    return plain_clustered_cycle(step, float_coeffs(x), horizon)
+    return plain_clustered_cycle(step, x.floats, horizon)
 
 
 # Each case: the point, the exponent r, the horizon, and the number of
@@ -275,8 +271,8 @@ def test_pure_power_clusters_match_a_plain_loop(case):
     except InconclusiveError as exc:
         assert (str(exc), exc.iterations) == want
     else:
-        assert [(pt.coeffs.tobytes(), pt.slack) for pt in got.points] == want
-        assert all(any(pt is y for y in trace.elements) for pt in got.points)
+        assert [pt.tobytes() for pt in got.points] == want
+        assert all(any(pt is y for y in trace.states) for pt in got.points)
         closed = pure_power_report(r, profile(x)).accumulation
         assert match_accumulation_sets(closed, got)
 

@@ -12,12 +12,12 @@ from simplexdyn import (ProbPoly, PurePowerError, SimplexPoint, analyze,
                         profile, pure_power_report, regular_limit,
                         residue_cycle, simplex_from_map, sup_distance,
                         uniform_on)
-from simplexdyn.algebra import ApproxElement, OrbitTrace
+from simplexdyn.algebra import ITERATION_SLACK_RATE, OrbitTrace
 from simplexdyn.groups import generated_subgroup
 from simplexdyn.modm import extinction_correction
 from simplexdyn.predict import _synthesize
 
-from conftest import count_calls, random_simplex_point
+from conftest import count_calls, random_simplex_point, recorded_mass_checks
 
 HALF = Fraction(1, 2)
 EXAMPLE_SERIES = ProbPoly(((3, HALF), (7, HALF)))
@@ -230,7 +230,8 @@ def synthetic_orbit(g, transient, period, n, seed):
     rng = np.random.default_rng(seed)
     rows = rng.random((transient + period, g.order))
     rows /= rows.sum(axis=1, keepdims=True)
-    return OrbitTrace(tuple(ApproxElement(g, row) for row in rows), transient, n)
+    rows.setflags(write=False)
+    return OrbitTrace(tuple(rows), transient, n)
 
 
 ORBIT_GROUPS = {1: make_cyclic(1), 2: make_cyclic(2), 24: make_cyclic(24),
@@ -246,15 +247,35 @@ def test_empirical_cesaro_is_the_stacked_mean_bit_for_bit(order, window):
     # from step 15 only the cycle.
     for burn_in in (3, 15):
         trace = synthetic_orbit(g, 5, 7, burn_in + window, seed=order + window)
-        want = np.mean(np.stack([t.coeffs for t in trace][burn_in:]), axis=0)
+        want = np.mean(np.stack(list(trace)[burn_in:]), axis=0)
         got = empirical_cesaro(trace, burn_in)
-        assert got.coeffs.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("offset", [(0, 2), (2, -2)], ids=["leak", "negative"])
+def test_a_cesaro_mean_off_the_simplex_raises(offset):
+    # Steps 3 and 4 of a 4-step orbit that alternates between (1, 0) and
+    # (1, 0) + scale * slack * offset: their mean leaks scale * slack of
+    # mass or has a coefficient of -scale * slack.  It is checked once, at
+    # slack ITERATION_SLACK_RATE * 4, not at that of its 2-step window.
+    slack = ITERATION_SLACK_RATE * 4
+    base = np.array([1.0, 0.0])
+    for scale in (0.99, 1.01):
+        trace = OrbitTrace((base, base + scale * slack * np.array(offset)), 0, 4)
+        if scale < 1:
+            with recorded_mass_checks() as checks:
+                empirical_cesaro(trace, 2)
+            assert [s for _, s in checks] == [slack]
+        else:
+            with pytest.raises(ValueError, match="outside 1|below -slack"):
+                empirical_cesaro(trace, 2)
 
 
 def test_orbit_trace_reads_steps_from_the_cycle():
     g = make_cyclic(3)
     trace = synthetic_orbit(g, 2, 3, 20, seed=1)
-    steps = [trace.elements[m if m < 5 else 2 + (m - 2) % 3] for m in range(20)]
+    steps = [trace.states[m if m < 5 else 2 + (m - 2) % 3] for m in range(20)]
     assert list(trace) == steps
     assert [trace[m] for m in range(-20, 20)] == steps + steps
     with pytest.raises(IndexError):

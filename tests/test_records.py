@@ -2,8 +2,8 @@
 
 Each case builds a fresh instance per call, so two calls give equal but
 distinct objects.  Value records compare equal only to an instance of
-the same class with the same field tuple and hash as that tuple; the
-float carriers compare by identity; FiniteGroup compares its table.
+the same class with the same field tuple and hash as that tuple;
+CoeffState compares by identity; FiniteGroup compares its table.
 """
 
 import os
@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import simplexdyn
-from simplexdyn import (AccumulationSet, AlgebraElement, ApproxElement,
-                        CoeffState, DynamicsProfile, ElementSet,
-                        ExperimentConfig, FiniteGroup, LimitReport, ModMReport,
-                        ProbPoly, ResidueCycle, SimplexPoint, limit_set,
-                        make_cyclic, profile, regularity_mod_m, residue_cycle)
+from simplexdyn import (AccumulationSet, AlgebraElement, CoeffState,
+                        DynamicsProfile, ElementSet, ExperimentConfig,
+                        FiniteGroup, LimitReport, ModMReport, ProbPoly,
+                        ResidueCycle, SimplexPoint, limit_set, make_cyclic,
+                        profile, regularity_mod_m, residue_cycle)
 from simplexdyn.predict import analyze
 
 C3 = "FiniteGroup(order=3, identity='t^0')"
@@ -41,10 +41,6 @@ CASES = [
      ("group", "coeffs"), "AlgebraElement(t^0: 1/2, t^2: 1/2)", "value"),
     (SimplexPoint, _point, ("group", "coeffs"),
      "SimplexPoint(t^0: 1/2, t^2: 1/2)", "value"),
-    (ApproxElement, lambda: ApproxElement(make_cyclic(3), [0.5, 0.25, 0.25]),
-     ("group", "coeffs", "slack"),
-     f"ApproxElement(group={C3}, coeffs=array([0.5 , 0.25, 0.25]), slack=1e-12)",
-     "identity"),
     (FiniteGroup, lambda: make_cyclic(3),
      ("order", "labels", "table", "identity", "inverses"), C3, "table"),
     (ElementSet, lambda: ElementSet(make_cyclic(3), (2, 0)), ("group", "members"),

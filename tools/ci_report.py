@@ -12,6 +12,9 @@ Prints, for the src/ tree of this checkout:
 - one S4 verify call at 10,000 and 100,000 steps: its orbit repeats
   within a few hundred steps, so the longer horizon should cost time for
   the Cesaro window only, and no memory (median of 3 processes);
+- one D60 limit-set call on a pair whose powers do not repeat within
+  600 steps (exit 2) and do within 2,000 (exit 0), so the orbit keeps
+  every state it evaluates (median of 3 processes);
 - the line count of src/ (ROADMAP aim 2) and the number of exported names;
 - group construction: in-process min of 5 builds, and the tracemalloc
   peak of one C2000 and one S6 build.
@@ -37,6 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN = ROOT / "tests" / "golden"
 CLI = [sys.executable, "-m", "simplexdyn.cli"]
+# Its powers repeat bit for bit only at x^1545, so the float orbit keeps
+# every state it evaluates: 600 steps are inconclusive, 2,000 close it.
+D60_PAIR = {"group": {"kind": "dihedral", "n": 30}, "element": {"r1": "1/2", "s0": "1/2"}}
 # Prints the standard-library modules loaded so far, on one line of stderr.
 STDLIB = ("print(*sorted(n for n in sys.modules\n"
           "              if n.partition('.')[0] in sys.stdlib_module_names), file=sys.stderr)\n")
@@ -129,6 +135,14 @@ def oracle_memory() -> None:
                                   "--horizon", horizon], 3)
         print(f"simplexdyn verify s4-supercritical --horizon {horizon:>6}: "
               f"{wall:.3f} s, {peak:.1f} MB peak RSS (median of 3, exit {code})")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d60-pair.json"
+        path.write_text(json.dumps(D60_PAIR))
+        for horizon in ("600", "2000"):
+            wall, peak, code = fresh([*CLI, "limit-set", "--config", str(path),
+                                      "--horizon", horizon], 3)
+            print(f"simplexdyn limit-set d60-pair --horizon {horizon:>4}:         "
+                  f"{wall:.3f} s, {peak:.1f} MB peak RSS (median of 3, exit {code})")
 
 
 def main() -> int:
