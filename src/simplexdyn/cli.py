@@ -146,8 +146,7 @@ def _power_oracle(cfg: ExperimentConfig, closed: AccumulationSet, clusters) -> t
         observed = clusters(horizon=cfg.horizon or DEFAULT_HORIZON)
     except InconclusiveError as exc:
         return "inconclusive", str(exc), None
-    matched = match_accumulation_sets(closed, observed,
-                                      tol=cfg.tol or DEFAULT_MATCH_TOL)
+    matched = match_accumulation_sets(closed, observed, DEFAULT_MATCH_TOL)
     return _verdict(matched), f"{len(observed)} empirical clusters", observed
 
 
@@ -177,8 +176,8 @@ def _cesaro_oracle(cfg: ExperimentConfig, p, x, rep: LimitReport) -> tuple:
 def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
     """The float orbit at the regular horizon against reg's limit, or its
     last d steps against reg's accumulation set, where each step must lie
-    within tol of its nearest point and every point must be the nearest
-    of some step: (verdict, detail).
+    within REGULAR_ORACLE_TOL of its nearest point and every point must be
+    the nearest of some step: (verdict, detail).
 
     After the preperiod pre, step n belongs to subsequence class
     (n - pre - 1) % d, so d consecutive steps past pre hold the last step
@@ -188,10 +187,9 @@ def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
     from .predict import REGULAR_HORIZON
 
     horizon = cfg.horizon or REGULAR_HORIZON
-    tol = cfg.tol or REGULAR_ORACLE_TOL
     if reg.exists:
         dev = sup_distance(trace[horizon - 1], reg.limit)
-        return _verdict(dev <= tol), f"sup deviation {dev:.2e}"
+        return _verdict(dev <= REGULAR_ORACLE_TOL), f"sup deviation {dev:.2e}"
     d = reg.diagnostics["cycle_d"]
     pre = reg.diagnostics["cycle_preperiod"]
     if horizon - d + 1 <= pre:
@@ -200,7 +198,7 @@ def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
     points = reg.accumulation.points
     dists = [[sup_distance(trace[n - 1], q) for q in points]
              for n in range(horizon - d + 1, horizon + 1)]
-    ok = (all(min(row) <= tol for row in dists)
+    ok = (all(min(row) <= REGULAR_ORACLE_TOL for row in dists)
           and len({row.index(min(row)) for row in dists}) == len(points))
     return _verdict(ok), f"{d} subsequence classes vs {len(points)} points"
 
@@ -224,7 +222,7 @@ def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
     if observed is None:
         payload.update(status=status, detail=detail)
     else:
-        payload.update(empirical=[record(pt) for pt in observed.points],
+        payload.update(empirical=[record(vec) for vec in observed],
                        matched=status == "pass",
                        status="ok" if status == "pass" else "mismatch")
     _emit_json(args, payload)
@@ -333,7 +331,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     prof = profile(x)
     c = prof.idempotent
     prof_y = profile(multiply(x, c))
-    closed = AccumulationSet(points=prof.cycle, source="closed_form")
+    closed = AccumulationSet(prof.cycle)
     # x * c is uniform on the coset s H (DynamicsProfile.cosets).
     reduction = (prof_y.point == closed.points[1 % prof.period]
                  and prof_y.return_time <= prof.period <= prof.return_time)
@@ -423,7 +421,6 @@ _OPTIONS = {
     "--config": (str, "PATH", "path to a JSON experiment config (required)"),
     "--out": (str, "FILE", "output file (default stdout)"),
     "--horizon": (int, "N", "iteration horizon"),
-    "--tol": (float, "T", "comparison tolerance"),
     "--truncation": (int, "K", "scalar truncation degree K"),
     "--seed": (int, "S", "override the interior-random element seed"),
     "--format": (("json", "csv"), "json|csv", "output format where a choice exists"),
@@ -473,7 +470,7 @@ def _load_config(args) -> ExperimentConfig:
                 raise ConfigError("--seed: only an 'interior-random:<seed>' "
                                   "element takes a seed")
             raw["element"] = f"interior-random:{args.seed}"
-        for name in ("horizon", "tol", "truncation"):
+        for name in ("horizon", "truncation"):
             value = getattr(args, name)
             if value is not None:
                 raw[name] = value

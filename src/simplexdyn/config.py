@@ -10,7 +10,6 @@ domain objects, and every failure names the offending field.
 from __future__ import annotations
 
 import json
-import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
@@ -149,13 +148,13 @@ def read_config(path: str):
 class ExperimentConfig(Record):
     """Validated experiment: group, optional element and series, parameters."""
 
-    _fields = ("group", "element", "series", "horizon", "tol", "truncation")
+    _fields = ("group", "element", "series", "horizon", "truncation")
 
     def __init__(self, group: FiniteGroup, element: SimplexPoint | None,
-                 series: ProbPoly | None, horizon: int | None, tol: float | None,
+                 series: ProbPoly | None, horizon: int | None,
                  truncation: int | None) -> None:
         self._set(group=group, element=element, series=series, horizon=horizon,
-                  tol=tol, truncation=truncation)
+                  truncation=truncation)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
@@ -178,19 +177,8 @@ class ExperimentConfig(Record):
                 raise ConfigError(f"{name}: must be >= 1, got {value}")
             return value
 
-        tol = None
-        if "tol" in raw:
-            if isinstance(raw["tol"], bool):
-                raise ConfigError(f"tol: expected a number, got {raw['tol']!r}")
-            try:
-                tol = float(raw["tol"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("tol: expected a number") from exc
-            if not 0 < tol < math.inf:
-                raise ConfigError(f"tol: must be positive and finite, got {tol}")
         return cls(group=group, element=element, series=series,
-                   horizon=opt_int("horizon"), tol=tol,
-                   truncation=opt_int("truncation"))
+                   horizon=opt_int("horizon"), truncation=opt_int("truncation"))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

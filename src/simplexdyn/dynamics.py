@@ -17,8 +17,11 @@ profile(x) returns; it lists those cosets (cosets) and builds the chain
 from them with no product (cycle), once each, on first use.  The
 absorption step x -> x * idempotent lands on the uniform point of the
 coset s H, so reduce_to_stable reads it off the cosets too.
-empirical_limit_set recovers the set from the float powers for
-cross-checking; `verify` clusters the orbit of x -> x^r the same way.
+limit_set returns that set as an AccumulationSet of exact points, and
+empirical_limit_set recovers it from the float powers as a tuple of
+float64 vectors, which match_accumulation_sets compares with it within
+the fixed DEFAULT_MATCH_TOL; `verify` clusters the orbit of x -> x^r the
+same way.
 Both orbits come from algebra._float_orbit, which states when an orbit
 stops and how it replays its cycle.
 """
@@ -84,25 +87,23 @@ class DynamicsProfile(Record):
 
 
 class AccumulationSet(Record):
-    """Limit points of an iteration: exact elements (closed_form) or
-    read-only float64 vectors (empirical), which do not hash.
-
-    Closed-form points are pairwise distinct, checked by hashing their
-    numerators (support, u, D), which determine the exact coefficients.
+    """The closed-form limit points of an iteration: pairwise distinct
+    exact elements, checked by hashing their numerators (support, u, D),
+    which determine the exact coefficients.  The float oracles' clusters
+    are a plain tuple of vectors (empirical_limit_set).
     """
 
-    _fields = ("points", "source")
+    _fields = ("points",)
 
-    def __init__(self, points: tuple, source: str) -> None:
-        if source == "closed_form":
-            first: dict[tuple, int] = {}
-            for j, pt in enumerate(points):
-                supp, u, den = pt.numerators
-                i = first.setdefault((supp.tobytes(), u, den), j)
-                if i != j:
-                    raise InternalConsistencyError(
-                        f"accumulation points {i} and {j} coincide")
-        self._set(points=points, source=source)
+    def __init__(self, points: tuple[SimplexPoint, ...]) -> None:
+        first: dict[tuple, int] = {}
+        for j, pt in enumerate(points):
+            supp, u, den = pt.numerators
+            i = first.setdefault((supp.tobytes(), u, den), j)
+            if i != j:
+                raise InternalConsistencyError(
+                    f"accumulation points {i} and {j} coincide")
+        self._set(points=points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -154,7 +155,7 @@ def limit_set(prof: DynamicsProfile) -> AccumulationSet:
     c, x = prof.idempotent, prof.point
     if multiply(c, x) != multiply(x, c):
         raise InternalConsistencyError("idempotent fails to commute with x")
-    return AccumulationSet(points=prof.cycle, source="closed_form")
+    return AccumulationSet(prof.cycle)
 
 
 def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
@@ -173,11 +174,12 @@ def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
     return among[dists <= tol], dists[dists <= tol]
 
 
-def _clustered_cycle(trace: algebra.OrbitTrace) -> AccumulationSet:
+def _clustered_cycle(trace: algebra.OrbitTrace) -> tuple[np.ndarray, ...]:
     """The cycle trace.states[j:] that a float orbit closes
     (algebra._float_orbit), merged greedily in order: a state within
     MERGE_TOL (sup distance) of an earlier cluster joins it, any other
-    starts a new one, and each cluster is its first state's row.
+    starts a new one, and each cluster is its first state's row, the
+    trace's own read-only array.
     Raises InconclusiveError when none of the len(trace) steps repeated
     rather than returning a guess.
     """
@@ -192,11 +194,11 @@ def _clustered_cycle(trace: algebra.OrbitTrace) -> AccumulationSet:
     for i, vec in enumerate(rows):
         if not len(_within(rows, np.array(reps, dtype=int), vec, MERGE_TOL)[0]):
             reps.append(i)
-    return AccumulationSet(points=tuple(cycle[i] for i in reps), source="empirical")
+    return tuple(cycle[i] for i in reps)
 
 
 def empirical_limit_set(x: SimplexPoint,
-                        horizon: int = DEFAULT_HORIZON) -> AccumulationSet:
+                        horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, ...]:
     """Brute-force oracle: cluster the cycle that the float powers
     x, x^2, .., x^horizon close (algebra._float_orbit, _clustered_cycle).
 
@@ -212,21 +214,21 @@ def empirical_limit_set(x: SimplexPoint,
 
 
 def match_accumulation_sets(expected: AccumulationSet,
-                            observed: AccumulationSet,
+                            observed: tuple[np.ndarray, ...],
                             tol: float = DEFAULT_MATCH_TOL) -> bool:
-    """Greedy nearest-neighbor matching of two accumulation sets.
+    """Greedy nearest-neighbor matching of a closed-form set and the
+    float clusters of an oracle.
 
-    True when the sets have equal cardinality and each observed point,
-    in order, is within tol (sup distance) of the nearest (first on a
-    tie) expected point not matched yet.  Points may be exact elements
-    or float vectors (algebra.sup_distance).
+    True when they have equal cardinality and each observed vector, in
+    order, is within tol (sup distance) of the nearest (first on a tie)
+    expected point not matched yet.
     """
     if len(expected) != len(observed):
         return False
-    rows = np.array([algebra._floats(q) for q in expected.points])
+    rows = np.array([q.floats for q in expected.points])
     remaining = np.arange(len(rows))
-    for pt in observed.points:
-        near, dists = _within(rows, remaining, algebra._floats(pt), tol)
+    for vec in observed:
+        near, dists = _within(rows, remaining, vec, tol)
         if not len(near):
             return False
         remaining = remaining[remaining != near[np.argmin(dists)]]

@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError
 from .record import Record, as_int
 
 MAX_SYMMETRIC_DEGREE = 6
@@ -93,18 +92,6 @@ class FiniteGroup(Record):
             return self._positions[label]
         except KeyError:
             raise ValueError(f"unknown element label {label!r}") from None
-
-    def element_order(self, i: int) -> int:
-        """Smallest k >= 1 with g_i^k = identity."""
-        column = self.table[:, i].tolist()
-        k, cur = 1, i
-        while cur != self.identity:
-            cur = column[cur]
-            k += 1
-            if k > self.order:
-                raise InternalConsistencyError(
-                    f"element {i} has no order <= group order {self.order}")
-        return k
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -147,7 +147,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
         **shared,
         exists=rep.exists,
         limit=points[0] if rep.exists else None,
-        accumulation=AccumulationSet(points=tuple(points), source="closed_form"),
+        accumulation=AccumulationSet(tuple(points)),
         scalar_limits=(tuple(map(float, rep.limit)) if rep.exists else None),
         diagnostics=_diagnostics(rep, REGULAR_HORIZON),
     )
@@ -155,7 +155,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
         **shared,
         exists=True,
         limit=cesaro,
-        accumulation=AccumulationSet(points=(cesaro,), source="closed_form"),
+        accumulation=AccumulationSet((cesaro,)),
         scalar_limits=tuple(map(float, rep.cesaro)),
         diagnostics=_diagnostics(rep, CESARO_HORIZON),
     )
@@ -197,7 +197,7 @@ def pure_power_report(r: int, prof: DynamicsProfile) -> LimitReport:
         digest=_digest(f"pure-power:{r}", prof.point), profile=prof,
         reduction_steps=0, exists=rep.exists,
         limit=points[0] if rep.exists else None,
-        accumulation=AccumulationSet(points=tuple(points), source="closed_form"),
+        accumulation=AccumulationSet(tuple(points)),
         cesaro=cesaro, a=float(rep.a), scalar_limits=None,
         diagnostics={"cycle_preperiod": cycle.preperiod, "cycle_d": cycle.d,
                      "cycle_residues": list(cycle.residues),

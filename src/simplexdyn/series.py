@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -86,10 +86,6 @@ class ProbPoly(Record):
         if len(cleaned) > 1 and any(c == 1 for _, c in cleaned):
             raise ValueError("coefficient 1 only allowed for a pure power")
         self._set(terms=tuple(cleaned))
-
-    @classmethod
-    def from_map(cls, mapping: Mapping[int | str, Fraction | int | str]) -> "ProbPoly":
-        return cls(tuple(mapping.items()))
 
     @classmethod
     def pure_power(cls, r: int) -> "ProbPoly":

@@ -70,6 +70,21 @@ def random_prob_poly(rng: random.Random, max_degree: int = 8,
         return p
 
 
+def element_order(group: FiniteGroup, i: int) -> int:
+    """Smallest k >= 1 with g_i^k = identity."""
+    k, cur = 1, i
+    while cur != group.identity:
+        cur = group.mul(cur, i)
+        k += 1
+        assert k <= group.order, f"element {i} has no order <= {group.order}"
+    return k
+
+
+def prob_poly(mapping: dict) -> ProbPoly:
+    """The series of an exponent -> coefficient map."""
+    return ProbPoly(tuple(mapping.items()))
+
+
 def random_group(zoo: dict, rng: random.Random) -> FiniteGroup:
     name = rng.choice(sorted(zoo))
     return zoo[name]

@@ -17,8 +17,8 @@ from simplexdyn.algebra import (ITERATION_SLACK_RATE, AlgebraElement,
                                 series_trace)
 from simplexdyn.groups import generated_subgroup
 
-from conftest import (build_zoo, count_calls, prob_polys, random_simplex_point,
-                      recorded_mass_checks, signed_coeff_lists)
+from conftest import (build_zoo, count_calls, prob_poly, prob_polys,
+                      random_simplex_point, recorded_mass_checks, signed_coeff_lists)
 
 
 def test_parse_and_format_rational():
@@ -183,7 +183,7 @@ def series_by_definition(p, x) -> AlgebraElement:
 @given(st.sampled_from(ZOO_GROUPS), prob_polys(max_exponent=130, max_shift=0),
        st.integers(0, 2 ** 32))
 @example(make_cyclic(6),
-         ProbPoly.from_map({0: "1/4", 2: "1/2", 3: "1/4"}), 9)
+         prob_poly({0: "1/4", 2: "1/2", 3: "1/4"}), 9)
 def test_evaluate_series_floats_matches_exact(g, p, seed):
     x = random_simplex_point(g, random.Random(seed))
     terms = [(e, float(c)) for e, c in p.terms]
@@ -231,7 +231,7 @@ def plain_series_trace(g, terms, start, n) -> list[tuple[np.ndarray, float]]:
 @given(st.sampled_from(ZOO_GROUPS),
        st.one_of(prob_polys(), st.integers(0, 6).map(ProbPoly.pure_power)),
        st.integers(0, 2 ** 32), st.integers(1, 400))
-@example(make_cyclic(6), ProbPoly.from_map({0: "4999/10000", 2: "5001/10000"}),
+@example(make_cyclic(6), prob_poly({0: "4999/10000", 2: "5001/10000"}),
          5, 400)
 def test_series_trace_matches_a_plain_loop(g, p, seed, n):
     # The near-critical example never repeats a state within 400 steps, so

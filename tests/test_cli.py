@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import random
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 from simplexdyn import (AccumulationSet, DynamicsProfile, ElementSet, LimitReport, delta,
-                        make_cyclic, parse_rational, predict, uniform_on)
+                        dynamics, make_cyclic, parse_rational, predict, uniform_on)
 from simplexdyn.cli import _regular_oracle, main
+from simplexdyn.config import build_group
 
-from conftest import count_calls
+from conftest import WEIGHT_MAX, build_zoo, count_calls
 
 EXAMPLE_12 = {
     "group": {"kind": "cyclic", "n": 12},
@@ -150,21 +152,21 @@ def test_limit_set_reads_the_cycle_the_orbit_closes(config, flags, clusters,
     assert len(payload["empirical"]) == clusters
 
 
-def test_a_limit_set_mismatch_fails_limit_set_and_verify(capsys):
+def test_a_limit_set_mismatch_fails_limit_set_and_verify(capsys, monkeypatch):
     # No float cluster of the S4 interior orbit lies within 1e-300 of the
     # closed form, so both commands report the power oracle's failure.
+    monkeypatch.setattr(dynamics, "DEFAULT_MATCH_TOL", 1e-300)
     config = str(GOLDEN / "s4-supercritical.json")
-    code, out, _ = run(capsys, "limit-set", "--config", config, "--tol", "1e-300")
+    code, out, _ = run(capsys, "limit-set", "--config", config)
     assert code == 3
     payload = json.loads(out)
     assert payload["status"] == "mismatch"
     assert payload["matched"] is False
     assert len(payload["empirical"]) == 1
-    code, out, _ = run(capsys, "verify", "--config", config, "--tol", "1e-300")
+    code, out, _ = run(capsys, "verify", "--config", config)
     assert code == 3
     assert "FAIL limit-set-oracle (1 empirical clusters)\n" in out
-    code, out, _ = run(capsys, "verify", "--config", config, "--tol", "1e-300",
-                       "--format", "json")
+    code, out, _ = run(capsys, "verify", "--config", config, "--format", "json")
     assert code == 3
     assert json.loads(out)["status"] == "fail"
 
@@ -267,7 +269,7 @@ C46_SQUARING = {"group": {"kind": "cyclic", "n": 46}, "element": "point-mass:t^2
 def _with_accumulation(rep, points):
     """rep with its accumulation set replaced by points."""
     fields = {name: getattr(rep, name) for name in LimitReport._fields}
-    fields["accumulation"] = AccumulationSet(points=points, source="closed_form")
+    fields["accumulation"] = AccumulationSet(points)
     return LimitReport(**fields)
 
 
@@ -315,14 +317,17 @@ def test_verify_fails_a_regular_report_with_an_unreached_point(capsys, monkeypat
         "FAIL regular-oracle (2 subsequence classes vs 3 points)"]
 
 
-def test_verify_rejects_a_nan_tolerance(capsys):
-    # Every deviation compares False against NaN, so a NaN tol once made
-    # the regular oracle fail while the limit-set oracle passed.
-    code, out, err = run(capsys, "verify", "--config",
-                         str(GOLDEN / "c10-regular.json"), "--tol", "nan")
-    assert code == 1
-    assert out == ""
-    assert "tol: must be positive and finite, got nan" in err
+def test_no_option_or_config_field_sets_a_tolerance(tmp_path, capsys):
+    # The oracles compare at fixed tolerances, so a FAIL never comes from
+    # a tolerance the caller chose.
+    good = GOLDEN / "c10-regular.json"
+    code, out, err = run(capsys, "verify", "--config", str(good), "--tol", "1e-8")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized argument '--tol'\n"
+    loose = write_config(tmp_path, {**json.loads(good.read_text()), "tol": 1e-8})
+    code, out, err = run(capsys, "verify", "--config", loose)
+    assert (code, out) == (1, "")
+    assert err == "error: config: unknown fields ['tol']\n"
 
 
 def test_iterate_csv_shape(tmp_path, capsys):
@@ -392,6 +397,37 @@ def test_verify_critical_series_is_inconclusive(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+ZOO_SPECS = {**{f"cyclic-{n}": {"kind": "cyclic", "n": n} for n in range(2, 13)},
+             "klein": {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 2},
+             "sym-3": {"kind": "symmetric", "n": 3},
+             "dihedral-4": {"kind": "dihedral", "n": 4}}
+
+
+def _weights(rng, keys):
+    """keys -> "w/total" for integer weights w in 1..20."""
+    weights = [rng.randint(1, WEIGHT_MAX) for _ in keys]
+    return {key: f"{w}/{sum(weights)}" for key, w in zip(keys, weights)}
+
+
+def test_verify_census_never_fails_a_closed_form(tmp_path, capsys):
+    # 150 seeded configs on the zoo: elements of 1-3 points, series of 2-3
+    # terms at exponents 0..6.  Every closed form is right, so an oracle
+    # may run out of budget (exit 2) but must never FAIL (exit 3).
+    zoo = build_zoo()
+    assert {name: build_group(spec) for name, spec in ZOO_SPECS.items()} == zoo
+    rng = random.Random(7)
+    for i in range(150):
+        name = rng.choice(sorted(zoo))
+        labels = zoo[name].labels
+        element = _weights(rng, rng.sample(labels, min(len(labels), rng.randint(1, 3))))
+        exponents = rng.sample(range(7), rng.randint(2, 3))
+        config = {"group": ZOO_SPECS[name], "element": element,
+                  "series": _weights(rng, [str(e) for e in exponents])}
+        code, out, _ = run(capsys, "verify", "--config",
+                           write_config(tmp_path, config, f"census-{i}.json"))
+        assert code in (0, 2), (config, out)
+
+
 def old_class_step(horizon, pre, d, i):
     """The last step n <= horizon of subsequence class i, the steps n > pre
     with (n - pre - 1) % d == i; at most pre when the class has none."""
@@ -416,7 +452,7 @@ class RecordingTrace:
 
 def test_regular_oracle_reads_the_last_step_of_each_class():
     point = delta(make_cyclic(1), 0)
-    closed = AccumulationSet(points=(point,), source="closed_form")
+    closed = AccumulationSet((point,))
     for horizon in range(1, 25):
         for pre in range(0, 8):
             for d in range(1, 9):
@@ -424,7 +460,7 @@ def test_regular_oracle_reads_the_last_step_of_each_class():
                     exists=False, accumulation=closed,
                     diagnostics={"cycle_d": d, "cycle_preperiod": pre})
                 trace = RecordingTrace(point)
-                status, _ = _regular_oracle(SimpleNamespace(horizon=horizon, tol=None),
+                status, _ = _regular_oracle(SimpleNamespace(horizon=horizon),
                                             trace, report)
                 want = [old_class_step(horizon, pre, d, i) for i in range(d)]
                 if min(want) <= pre:
@@ -520,7 +556,7 @@ def test_exit_code_invalid_inputs(tmp_path, capsys):
     good = str(GOLDEN / "c10-regular.json")
     for argv in ([], ["bogus", "--config", good], ["profile"],
                  ["profile", "--config", good, "--horizon", "abc"],
-                 ["verify", "--config", good, "--tol", "x"],
+                 ["verify", "--config", good, "--seed", "x"],
                  ["iterate", "--config", good, "--format", "xml"],
                  ["profile", "--config", good, "--bogus", "1"],
                  ["profile", "--config", good, "--out"],

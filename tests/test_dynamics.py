@@ -80,12 +80,12 @@ def test_match_rejects_perturbed_sets():
     g = make_cyclic(4)
     x = delta(g, 1)
     closed = limit_set(profile(x))
-    shifted = AccumulationSet(points=tuple(
-        multiply(pt, simplex_from_map(g, {"t^0": "9/10", "t^1": "1/10"})).floats
-        for pt in closed.points), source="empirical")
+    blur = simplex_from_map(g, {"t^0": "9/10", "t^1": "1/10"})
+    shifted = tuple(multiply(pt, blur).floats for pt in closed.points)
     assert not match_accumulation_sets(closed, shifted, tol=1e-8)
-    dropped = AccumulationSet(points=closed.points[:-1], source="empirical")
+    dropped = tuple(pt.floats for pt in closed.points[:-1])
     assert not match_accumulation_sets(closed, dropped, tol=1e-8)
+    assert match_accumulation_sets(closed, tuple(pt.floats for pt in closed.points))
 
 
 def plain_match(expected, observed, tol):
@@ -94,7 +94,7 @@ def plain_match(expected, observed, tol):
     if len(expected) != len(observed):
         return False
     remaining = list(expected.points)
-    for pt in observed.points:
+    for pt in observed:
         dists = [sup_distance(pt, q) for q in remaining]
         best = min(range(len(dists)), key=dists.__getitem__)
         if dists[best] > tol:
@@ -106,7 +106,7 @@ def plain_match(expected, observed, tol):
 def test_match_accumulation_sets_matches_a_plain_loop():
     # Points 3 and 4 lie within tol of each other, so which of them an
     # observed point takes decides the later matches (taking the first
-    # within tol instead of the nearest changes 7 of these verdicts);
+    # within tol instead of the nearest changes 10 of these verdicts);
     # observed points are moved by up to 1.5 tol, at coordinate 0, at
     # their largest coordinate or elsewhere.
     g = make_cyclic(6)
@@ -114,16 +114,23 @@ def test_match_accumulation_sets_matches_a_plain_loop():
     tol = 1e-8
     outcomes = set()
     for _ in range(300):
-        base = [random_simplex_point(g, rng).floats for _ in range(4)]
-        base.append(base[3] + np.eye(6)[0] * 0.7 * tol)
-        expected = AccumulationSet(points=tuple(base), source="empirical")
+        points = [random_simplex_point(g, rng, support_size=6) for _ in range(4)]
+        # Point 4 moves 0.7 tol of point 3's mass from its largest
+        # coordinate to coordinate 0 (or 1, when 0 is the largest).
+        coeffs = list(points[3].coeffs)
+        top = int(np.argmax(points[3].floats))
+        coeffs[top] -= Fraction(7, 10 ** 9)
+        coeffs[1 if top == 0 else 0] += Fraction(7, 10 ** 9)
+        points.append(SimplexPoint(g, tuple(coeffs)))
+        expected = AccumulationSet(tuple(points))
+        base = [pt.floats for pt in points]
         moved = []
         for i in rng.sample(range(5), 5):
             v = base[i].copy()
             v[rng.choice([0, int(np.argmax(v)), rng.randrange(6)])] += \
                 rng.choice([-1, 1]) * rng.choice([0.2, 0.5, 0.9, 1.5]) * tol
             moved.append(v)
-        observed = AccumulationSet(points=tuple(moved), source="empirical")
+        observed = tuple(moved)
         want = plain_match(expected, observed, tol)
         assert match_accumulation_sets(expected, observed, tol) == want
         outcomes.add(want)
@@ -134,11 +141,14 @@ def test_closed_form_points_must_be_distinct():
     g = make_cyclic(3)
     a, b = delta(g, 0), delta(g, 1)
     with pytest.raises(InternalConsistencyError, match="points 0 and 2 coincide"):
-        AccumulationSet(points=(a, b, a), source="closed_form")
+        AccumulationSet(points=(a, b, a))
     twin = SimplexPoint(g, a.coeffs)
     with pytest.raises(InternalConsistencyError, match="points 0 and 2 coincide"):
-        AccumulationSet(points=(a, b, twin), source="closed_form")
-    assert len(AccumulationSet(points=(a, b, a), source="empirical")) == 3
+        AccumulationSet(points=(a, b, twin))
+    # Closed sets compare and hash by the values of their points.
+    pair, twins = AccumulationSet((a, b)), AccumulationSet((twin, delta(g, 1)))
+    assert pair == twins and hash(pair) == hash(twins)
+    assert pair != AccumulationSet((b, a))
 
 
 def test_empirical_limit_set_inconclusive_window():
@@ -232,7 +242,7 @@ def test_empirical_limit_set_matches_a_plain_loop(case):
     except InconclusiveError as exc:
         assert (str(exc), exc.iterations) == want
     else:
-        assert [pt.tobytes() for pt in got.points] == want
+        assert [pt.tobytes() for pt in got] == want
         assert match_accumulation_sets(limit_set(profile(x)), got)
 
 
@@ -271,8 +281,8 @@ def test_pure_power_clusters_match_a_plain_loop(case):
     except InconclusiveError as exc:
         assert (str(exc), exc.iterations) == want
     else:
-        assert [pt.tobytes() for pt in got.points] == want
-        assert all(any(pt is y for y in trace.states) for pt in got.points)
+        assert [pt.tobytes() for pt in got] == want
+        assert all(any(pt is y for y in trace.states) for pt in got)
         closed = pure_power_report(r, profile(x)).accumulation
         assert match_accumulation_sets(closed, got)
 

@@ -59,9 +59,8 @@ CASES = [
      f"DynamicsProfile(return_time=1, period=1, support_group=ElementSet(group={C3}, "
      "members=(0, 1, 2)), idempotent=SimplexPoint(t^0: 1/3, t^1: 1/3, t^2: 1/3))",
      "value"),
-    (AccumulationSet, lambda: limit_set(profile(_point())), ("points", "source"),
-     "AccumulationSet(points=(SimplexPoint(t^0: 1/3, t^1: 1/3, t^2: 1/3),), "
-     "source='closed_form')", "value"),
+    (AccumulationSet, lambda: limit_set(profile(_point())), ("points",),
+     "AccumulationSet(points=(SimplexPoint(t^0: 1/3, t^1: 1/3, t^2: 1/3),))", "value"),
     (ResidueCycle, lambda: residue_cycle(2, 6),
      ("modulus", "base", "preperiod", "residues"),
      "ResidueCycle(modulus=6, base=2, preperiod=0, residues=(2, 4))", "value"),
@@ -80,17 +79,17 @@ CASES = [
      f"period=1, support_group=ElementSet(group={C3}, members=(0, 1, 2)), "
      "idempotent=SimplexPoint(t^0: 1/3, t^1: 1/3, t^2: 1/3)), reduction_steps=0, "
      "exists=True, limit=SimplexPoint(t^0: 1), accumulation=AccumulationSet("
-     "points=(SimplexPoint(t^0: 1),), source='closed_form'), "
+     "points=(SimplexPoint(t^0: 1),)), "
      "cesaro=SimplexPoint(t^0: 1), a=1.0, scalar_limits=(1.0,), "
      "diagnostics={'quotient_modulus': 1, 'cycle_preperiod': 0, 'cycle_d': 1, "
      "'cycle_residues': [0], 'extinction_value': 1.0, 'oracle_horizon': 500})",
      "value"),
     (ExperimentConfig,
      lambda: ExperimentConfig.from_dict({"group": {"kind": "cyclic", "n": 3},
-                                         "element": "point-mass:t^1", "tol": 0.5}),
-     ("group", "element", "series", "horizon", "tol", "truncation"),
+                                         "element": "point-mass:t^1", "horizon": 5}),
+     ("group", "element", "series", "horizon", "truncation"),
      f"ExperimentConfig(group={C3}, element=SimplexPoint(t^1: 1), series=None, "
-     "horizon=None, tol=0.5, truncation=None)", "value"),
+     "horizon=5, truncation=None)", "value"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 

@@ -14,7 +14,7 @@ from simplexdyn import (ProbPoly, PurePowerError, cesaro_coeffs, compose,
                         recursion_coeffs)
 from simplexdyn.series import CoeffState, _power_sum, _trunc_mul_exact
 
-from conftest import prob_polys, random_prob_poly, signed_coeff_lists
+from conftest import prob_poly, prob_polys, random_prob_poly, signed_coeff_lists
 
 HALF = Fraction(1, 2)
 
@@ -46,7 +46,7 @@ def test_prob_poly_rejects_fractional_and_bool_exponents(exponent):
     with pytest.raises(ValueError, match=message):
         ProbPoly(((exponent, HALF), (3, HALF)))
     with pytest.raises(ValueError, match=message):
-        ProbPoly.from_map({exponent: "1/2", 4: "1/2"})
+        prob_poly({exponent: "1/2", 4: "1/2"})
 
 
 def test_prob_poly_accessors():
@@ -60,7 +60,7 @@ def test_prob_poly_accessors():
     assert str(p) == "1/4*t^2 + 3/4*t^5"
     q = ProbPoly.pure_power(3)
     assert q.is_pure_power and q.shift == 3
-    assert ProbPoly.from_map({"0": "1/2", "2": "1/2"}) == two_type_poly()
+    assert prob_poly({"0": "1/2", "2": "1/2"}) == two_type_poly()
 
 
 def test_taylor_coefficient():
@@ -176,7 +176,7 @@ def test_power_sum_stops_at_the_first_vanished_power():
 
 
 def test_power_sum_builds_powers_by_squaring(monkeypatch):
-    p = ProbPoly.from_map({0: "5/13", 1: "17/52", 64: "15/52"})
+    p = prob_poly({0: "5/13", 1: "17/52", 64: "15/52"})
     state = initial_state(p, truncation=4096)
     calls = []
     convolve = np.convolve
@@ -280,17 +280,17 @@ def test_extinction_fraction_is_certified(p):
 
 
 def test_extinction_fraction_named_cases():
-    near = ProbPoly.from_map({0: Fraction(4999, 10000), 2: Fraction(5001, 10000)})
+    near = prob_poly({0: Fraction(4999, 10000), 2: Fraction(5001, 10000)})
     assert assert_certified_extinction(near) == Fraction(4999, 5001)
     assert assert_certified_extinction(
-        ProbPoly.from_map({0: Fraction(1, 3), 2: Fraction(2, 3)})) == HALF
+        prob_poly({0: Fraction(1, 3), 2: Fraction(2, 3)})) == HALF
     # a sits near 1, where limit_denominator rounds to the other root 1
-    assert_certified_extinction(ProbPoly.from_map(
+    assert_certified_extinction(prob_poly(
         {0: Fraction(20, 31), 1: Fraction(6, 31), 6: Fraction(5, 31)}))
     # irrational: (sqrt 3 - 1) / 2, (sqrt 17 - 3) / 4 and a degree-6 root
     for series in ({0: "1/3", 3: "2/3"}, {0: "1/4", 2: "1/4", 3: "1/2"},
                    {0: "5/11", 1: "13/44", 5: "5/44", 6: "3/22"}):
-        p = ProbPoly.from_map(series)
+        p = prob_poly(series)
         a = assert_certified_extinction(p)
         assert p.evaluate(a) != a
 

@@ -15,7 +15,8 @@ Prints, for the src/ tree of this checkout:
 - one D60 limit-set call on a pair whose powers do not repeat within
   600 steps (exit 2) and do within 2,000 (exit 0), so the orbit keeps
   every state it evaluates (median of 3 processes);
-- the line count of src/ (ROADMAP aim 2) and the number of exported names;
+- the line count of src/ (ROADMAP aim 2), the number of exported names,
+  and the knobs a user can turn: CLI options and config fields;
 - group construction: in-process min of 5 builds, and the tracemalloc
   peak of one C2000 and one S6 build.
 
@@ -94,9 +95,12 @@ def import_cost() -> None:
 
 def source_size() -> None:
     import simplexdyn
+    from simplexdyn.cli import _OPTIONS
+    from simplexdyn.config import ExperimentConfig
 
     lines = sum(len(p.read_text().splitlines()) for p in (SRC / "simplexdyn").glob("*.py"))
-    print(f"{lines} lines in src/, {len(simplexdyn.__all__)} exported names")
+    print(f"{lines} lines in src/, {len(simplexdyn.__all__)} exported names, "
+          f"{len(_OPTIONS)} CLI options, {len(ExperimentConfig._fields)} config fields")
 
 
 def group_construction() -> None:
