@@ -35,7 +35,7 @@ _HOME = {name: module for module, names in {
     "predict": ("LimitReport", "analyze", "cesaro_limit", "empirical_cesaro",
                 "iterate_map", "pure_power_report", "regular_limit"),
     "record": ("parse_rational",),
-    "series": ("CoeffState", "ProbPoly", "cesaro_coeffs", "compose",
+    "series": ("CoeffState", "ProbPoly", "compose",
                "composition_sum_check", "default_truncation",
                "initial_state", "iterate_coeffs", "recursion_coeffs"),
 }.items() for name in names}

@@ -299,24 +299,19 @@ def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_scalar(cfg: ExperimentConfig, args) -> int:
-    from .series import cesaro_coeffs, iterate_coeffs
+    from .series import SCALAR_COLUMNS, scalar_trace
 
     p = cfg.require_series()
     if p.is_pure_power:
         raise ConfigError("series: the scalar trace needs at least two terms; "
                           "pure powers keep all mass on one exponent")
-    horizon = cfg.horizon or DEFAULT_SCALAR_HORIZON
-    states = iterate_coeffs(p, horizon, cfg.truncation, mode="float")
-    rows = [{"n": st.n, "a0": float(st.a0), "sup": float(st.sup_nonconstant()),
-             "tail_mass": float(st.tail_mass), "avg_a0": float(av.a0),
-             "avg_sup": float(av.sup_nonconstant()),
-             "avg_tail_mass": float(av.tail_mass)}
-            for st, av in zip(states, cesaro_coeffs(states))]
+    trace = scalar_trace(p, cfg.horizon or DEFAULT_SCALAR_HORIZON, cfg.truncation)
+    header = ["n", *SCALAR_COLUMNS]
+    rows = [[n, *row] for n, row in enumerate(trace.tolist(), start=1)]
     if args.format == "json":
-        _emit_json(args, {"trace": rows})
+        _emit_json(args, {"trace": [dict(zip(header, row)) for row in rows]})
     else:
-        _emit_csv(args, list(rows[0]),
-                  [[repr(v) for v in row.values()] for row in rows])
+        _emit_csv(args, header, [[repr(v) for v in row] for row in rows])
     return EXIT_OK
 
 
@@ -325,7 +320,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     from .dynamics import (AccumulationSet, _clustered_cycle, empirical_limit_set,
                            power_rank, profile)
     from .predict import analyze, iterate_map, pure_power_report
-    from .series import iterate_coeffs, recursion_coeffs
+    from .series import compose, initial_state, recursion_coeffs
 
     x = cfg.require_element()
     prof = profile(x)
@@ -384,9 +379,11 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
 
     # Kept coefficients are exact at any truncation (series module doc), so
     # K = 8 checks the same coefficients k <= 8 as a larger K would.
-    exact_states = iterate_coeffs(p, 3, max(p.degree, 8), mode="exact")
-    ok = all(recursion_coeffs(p, st, k) == nxt.coeffs[k]
-             for st, nxt in zip(exact_states, exact_states[1:]) for k in range(9))
+    st, ok = initial_state(p, max(p.degree, 8), mode="exact"), True
+    for _ in range(2):
+        nxt = compose(p, st)
+        ok = ok and all(recursion_coeffs(p, st, k) == nxt.coeffs[k] for k in range(9))
+        st = nxt
     checks.append(_check("scalar-recursion", _verdict(ok),
                          "composition vs derivative recursion, exact"))
     return checks

@@ -14,8 +14,16 @@ coefficient of degree <= K depends only on input coefficients of degree
 
 A CoeffState holds its coefficients in one read-only ndarray: Fractions
 (dtype object) in exact mode, float64 in float mode.  The mode is read
-off the dtype, so the same code composes, averages and checks both; the
-modes differ only in their slack, which is zero when exact.
+off the dtype, so the same code composes and checks both; the modes
+differ only in their slack, which is zero when exact.
+
+One loop composes states, _state_blocks: it writes each state into a
+block of rows of at most 64 kB and checks a block's rows at once.
+compose is one step of it, iterate_coeffs keeps every row as a
+CoeffState, and scalar_trace, the float trace that `scalar` prints,
+keeps none: it reduces each block to its columns, with the running
+Cesaro sums carried from block to block, so its memory does not grow
+with the horizon beyond its (n, 6) result.
 
 p(x) = sum c x^e is evaluated by one loop, _power_sum, for the scalar
 shadow here and for float vectors of R[G] in algebra.  It builds each
@@ -38,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +58,10 @@ TRUNCATION_CAP = 4096
 FLOAT_COEFF_SLACK = 1e-15
 FLOAT_TAIL_SLACK = 1e-12
 FLOAT_A0_CHECK = 1e-12
+# A block of composed states holds at most this many coefficients: 64 kB
+# of float64.
+_BLOCK_ENTRIES = 8192
+SCALAR_COLUMNS = ("a0", "sup", "tail_mass", "avg_a0", "avg_sup", "avg_tail_mass")
 
 
 class ProbPoly(Record):
@@ -156,23 +168,11 @@ class CoeffState(Record):
             raise ValueError("truncation must hold at least degree 1")
         vec.setflags(write=False)
         self._set(n=n, coeffs=vec, tail_mass=vec.dtype.type(tail_mass))
-        coeff_slack, tail_slack, _ = self.slack
-        if vec.min() < -coeff_slack:
-            raise ValueError(f"negative coefficient {vec.min()} in state")
-        if self.tail_mass < -tail_slack:
-            raise ValueError(f"negative tail mass {self.tail_mass}")
+        _check_rows(vec[None], np.asarray([self.tail_mass]))
 
     @property
     def mode(self) -> str:
         return "exact" if self.coeffs.dtype == object else "float"
-
-    @property
-    def slack(self) -> tuple:
-        """Tolerated (negative coefficient, negative tail mass, drift of a0
-        from p(a0)); all zero in exact mode."""
-        if self.mode == "exact":
-            return 0, 0, 0
-        return FLOAT_COEFF_SLACK, FLOAT_TAIL_SLACK, FLOAT_A0_CHECK
 
     @property
     def truncation(self) -> int:
@@ -186,6 +186,29 @@ class CoeffState(Record):
     def sup_nonconstant(self):
         """Largest kept coefficient of positive degree, sup over 1 <= k <= K."""
         return self.coeffs[1:].max()
+
+
+def _check_rows(block: np.ndarray, tails: np.ndarray, drift=None) -> None:
+    """The checks of the states in the rows of block, with tail masses
+    tails: no coefficient and no tail mass below minus its slack, and,
+    when drift is given, no a0 farther than its slack from p of the a0
+    before; the slacks are zero in exact mode.  Raises at the first state
+    that fails, in that order, as a check of one state after another
+    would."""
+    coeff_slack, tail_slack, a0_slack = ((0, 0, 0) if block.dtype == object else
+                                         (FLOAT_COEFF_SLACK, FLOAT_TAIL_SLACK, FLOAT_A0_CHECK))
+    mins = block.min(axis=1)
+    bad = (mins < -coeff_slack) | (tails < -tail_slack) | (
+        False if drift is None else drift > a0_slack)
+    if not bad.any():
+        return
+    i = bad.argmax()  # the first state that fails
+    if mins[i] < -coeff_slack:
+        raise ValueError(f"negative coefficient {mins[i]} in state")
+    if tails[i] < -tail_slack:
+        raise ValueError(f"negative tail mass {tails[i]}")
+    raise InternalConsistencyError(
+        "composed constant term drifted from p(a0) beyond tolerance")
 
 
 def initial_state(p: ProbPoly, truncation: int | None = None,
@@ -216,17 +239,18 @@ def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
     dtype of one.  Float powers are added whole; Fraction powers only at
     their nonzero entries, since a Fraction product costs far more than
     the test.  Once a power vanishes every higher one does too, so the
-    sum is returned at the first square or product that does.
+    sum is returned at the first of x, a square or a product that does:
+    a vanished x costs no product at all.
     """
     out = 0 * one
     cast = one.dtype.type
     dense = one.dtype != object
-    squares = [x]
+    squares = []
     for e, c in terms:
         pw = one
         for i in range(e.bit_length()):
             if i == len(squares):
-                squares.append(mul(squares[-1], squares[-1]))
+                squares.append(mul(squares[-1], squares[-1]) if squares else x)
                 if not np.count_nonzero(squares[-1]):
                     return out
             if e >> i & 1:
@@ -288,54 +312,95 @@ def _trunc_mul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lambda u, v: np.convolve(u, v)[:a.size]), dtype=object)
 
 
+def _state_blocks(p: ProbPoly, state: CoeffState, n: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The n states after state, p(s), p(p(s)), ..., truncated at its
+    degree K, as (block, tails): consecutive states in the rows of a
+    read-only block of at most _BLOCK_ENTRIES entries, and their tail
+    masses.  Each row is _power_sum of the row before, with the product
+    np.convolve(a, b)[:K + 1] in float mode and _trunc_mul_exact in exact
+    mode; each block is checked at once (_check_rows).
+    """
+    s = state.coeffs
+    size = s.size
+    mul = _trunc_mul_exact if s.dtype == object else lambda a, b: np.convolve(a, b)[:size]
+    one = np.full_like(s, Fraction(0))
+    one[0] = Fraction(1)
+    terms = [(e, s.dtype.type(c)) for e, c in p.terms]
+    rows = max(1, _BLOCK_ENTRIES // size)
+    for start in range(0, n, rows):
+        block = np.empty((min(rows, n - start), size), dtype=s.dtype)
+        before = np.empty(len(block), dtype=s.dtype)
+        for i in range(len(block)):
+            before[i] = s[0]
+            s = block[i] = _power_sum(terms, one, s, mul)
+        tails = 1 - block.sum(axis=1)
+        _check_rows(block, tails, abs(block[:, 0] - sum(c * before ** e for e, c in terms)))
+        block.setflags(write=False)
+        yield block, tails
+
+
+def _first_state(p: ProbPoly, n: int, truncation: int | None,
+                 mode: str) -> CoeffState:
+    """initial_state of an iteration to p^[n].  Pure powers are rejected:
+    their mass rides a single exponent and belongs to the dedicated
+    pure-power prediction path."""
+    if p.is_pure_power:
+        raise PurePowerError("the coefficient iteration does not accept a pure "
+                             "power t^r; use the pure-power prediction path")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return initial_state(p, truncation, mode)
+
+
 def compose(p: ProbPoly, state: CoeffState) -> CoeffState:
     """Coefficients of p(s(t)) truncated at the state's degree K.
 
     Exact below K: output coefficients of degree <= K depend only on the
     kept input coefficients, so no truncation loss occurs below K.
     """
-    s = state.coeffs
-    if state.mode == "exact":
-        mul = _trunc_mul_exact
-    else:
-        def mul(a, b):
-            return np.convolve(a, b)[:s.size]
-    one = np.full_like(s, Fraction(0))
-    one[0] = Fraction(1)
-    out = _power_sum(p.terms, one, s, mul)
-    return CoeffState(n=state.n + 1, coeffs=out, tail_mass=1 - out.sum())
+    block, tails = next(_state_blocks(p, state, 1))
+    return CoeffState(n=state.n + 1, coeffs=block[0], tail_mass=tails[0])
 
 
 def iterate_coeffs(p: ProbPoly, n: int, truncation: int | None = None,
                    mode: str = "float") -> list[CoeffState]:
-    """States of p^[1] .. p^[n] under repeated composition.
-
-    Pure powers are rejected: their mass rides a single exponent and
-    belongs to the dedicated pure-power prediction path.
-    """
-    if p.is_pure_power:
-        raise PurePowerError(
-            "iterate_coeffs does not accept a pure power t^r; "
-            "use the pure-power prediction path")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    states = [initial_state(p, truncation, mode)]
-    for _ in range(n - 1):
-        prev = states[-1]
-        nxt = compose(p, prev)
-        _, _, a0_slack = prev.slack
-        if abs(nxt.a0 - p.evaluate(prev.a0)) > a0_slack:
-            raise InternalConsistencyError(
-                "composed constant term drifted from p(a0) beyond tolerance")
-        states.append(nxt)
+    """States of p^[1] .. p^[n] under repeated composition."""
+    states = [_first_state(p, n, truncation, mode)]
+    for block, tails in _state_blocks(p, states[0], n - 1):
+        for row, tail in zip(block, tails):
+            states.append(CoeffState(n=len(states) + 1, coeffs=row, tail_mass=tail))
     return states
 
 
-def _compositions(k: int, i: int) -> Iterable[tuple[int, ...]]:
-    """Ordered tuples of i positive integers summing to k."""
-    for cuts in itertools.combinations(range(1, k), i - 1):
-        bounds = (0,) + cuts + (k,)
-        yield tuple(bounds[j + 1] - bounds[j] for j in range(i))
+def scalar_trace(p: ProbPoly, n: int, truncation: int | None = None) -> np.ndarray:
+    """The float scalar trace of p^[1] .. p^[n]: an (n, 6) float64 array
+    whose row m - 1 holds the SCALAR_COLUMNS of step m, that is a0, the
+    sup of positive degree and the tail mass of the state of p^[m], and
+    the same three of the Cesaro mean of the states of p^[1] .. p^[m].
+
+    Equal bit for bit to those of iterate_coeffs and the running means
+    (1/m) sum of its first m states, summed in step order, but no state
+    is kept: each block of rows from _state_blocks is reduced to its
+    columns at once, and only the last running sums of the states and
+    of their tails carry over to the next block.  The running means pass
+    the checks of a state too.
+    """
+    first = _first_state(p, n, truncation, "float")
+    out = np.empty((n, len(SCALAR_COLUMNS)))
+    sums, tail_sums, done = np.zeros((1, first.coeffs.size)), np.zeros(1), 0
+    for block, tails in itertools.chain([(first.coeffs[None], np.zeros(1))],
+                                        _state_blocks(p, first, n - 1)):
+        steps = np.arange(done + 1, done + len(block) + 1)
+        sums = np.cumsum(np.concatenate((sums[-1:], block)), axis=0)[1:]
+        tail_sums = np.cumsum(np.concatenate((tail_sums[-1:], tails)))[1:]
+        means, mean_tails = sums / steps[:, None], tail_sums / steps
+        _check_rows(means, mean_tails)
+        out[done:done + len(block)] = np.column_stack((
+            block[:, 0], block[:, 1:].max(axis=1), tails,
+            means[:, 0], means[:, 1:].max(axis=1), mean_tails))
+        done += len(block)
+    return out
 
 
 def recursion_coeffs(p: ProbPoly, state: CoeffState, k: int):
@@ -346,6 +411,11 @@ def recursion_coeffs(p: ProbPoly, state: CoeffState, k: int):
 
     and a_0^[n+1] = p(a_0^[n]) for k = 0.  Must equal the compose result
     at the same degree (exactly so in exact mode).
+
+    The inner sum is [t^k] (s - a_0)^i, s the state's series: each power
+    is the one before times s - a_0, truncated at degree k and written
+    out over Python numbers (Fractions in exact mode), so the check
+    shares no kernel with compose.
     """
     if k < 0:
         raise ValueError("coefficient degree must be >= 0")
@@ -355,31 +425,20 @@ def recursion_coeffs(p: ProbPoly, state: CoeffState, k: int):
     if k == 0:
         return p.evaluate(a0)
     total = zero = a0 * 0
+    u = power = [zero] + state.coeffs[1:k + 1].tolist()
     for i in range(1, min(k, p.degree) + 1):
-        factor = p.taylor_coefficient(i, a0)
-        if not factor:
-            continue
-        inner = zero
-        for parts in _compositions(k, i):
-            prod = state.coeffs[parts[0]]
-            for j in parts[1:]:
-                prod = prod * state.coeffs[j]
-            inner += prod
-        total += factor * inner
+        if i > 1:
+            power = [sum((power[j] * u[m - j] for j in range(m) if power[j] and u[m - j]), zero)
+                     for m in range(k + 1)]
+        total += p.taylor_coefficient(i, a0) * power[k]
     return total
 
 
-def cesaro_coeffs(states: Sequence[CoeffState]) -> list[CoeffState]:
-    """Running averages q^(n)_i = (1/n) sum over m <= n of a^[m]_i, one
-    state of the same shape per n."""
-    if not states:
-        raise ValueError("cesaro_coeffs needs at least one state")
-    if len({(s.coeffs.dtype, s.truncation) for s in states}) > 1:
-        raise ValueError("states must share truncation and dtype")
-    sums = itertools.accumulate(s.coeffs for s in states)
-    tails = itertools.accumulate(s.tail_mass for s in states)
-    return [CoeffState(n=n, coeffs=acc / n, tail_mass=tail / n)
-            for n, (acc, tail) in enumerate(zip(sums, tails), start=1)]
+def _compositions(k: int, i: int) -> Iterable[tuple[int, ...]]:
+    """Ordered tuples of i positive integers summing to k."""
+    for cuts in itertools.combinations(range(1, k), i - 1):
+        bounds = (0,) + cuts + (k,)
+        yield tuple(bounds[j + 1] - bounds[j] for j in range(i))
 
 
 def composition_sum_check(a: Sequence[Fraction | int | str], k: int,

@@ -7,6 +7,7 @@ test run is reproducible from its seed.
 """
 
 import importlib
+import itertools
 import random
 import sys
 from contextlib import contextmanager
@@ -16,8 +17,8 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
-from simplexdyn import (FiniteGroup, ProbPoly, SimplexPoint, direct_product,
-                        make_cyclic, make_dihedral, make_symmetric)
+from simplexdyn import (CoeffState, FiniteGroup, ProbPoly, SimplexPoint,
+                        direct_product, make_cyclic, make_dihedral, make_symmetric)
 from simplexdyn import algebra
 
 WEIGHT_MAX = 20
@@ -83,6 +84,20 @@ def element_order(group: FiniteGroup, i: int) -> int:
 def prob_poly(mapping: dict) -> ProbPoly:
     """The series of an exponent -> coefficient map."""
     return ProbPoly(tuple(mapping.items()))
+
+
+def cesaro_coeffs(states) -> list:
+    """Running averages q^(n)_i = (1/n) sum over m <= n of a^[m]_i, one
+    CoeffState of the same shape per n, summed in step order: the
+    reference for the Cesaro columns of series.scalar_trace."""
+    if not states:
+        raise ValueError("cesaro_coeffs needs at least one state")
+    if len({(s.coeffs.dtype, s.truncation) for s in states}) > 1:
+        raise ValueError("states must share truncation and dtype")
+    sums = itertools.accumulate(s.coeffs for s in states)
+    tails = itertools.accumulate(s.tail_mass for s in states)
+    return [CoeffState(n=n, coeffs=acc / n, tail_mass=tail / n)
+            for n, (acc, tail) in enumerate(zip(sums, tails), start=1)]
 
 
 def random_group(zoo: dict, rng: random.Random) -> FiniteGroup:

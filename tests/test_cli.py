@@ -353,6 +353,28 @@ def test_scalar_csv_shape(tmp_path, capsys):
     assert float(rows[1][1]) == 0.0  # shifted series keeps a0 at zero
 
 
+def test_scalar_makes_no_product_of_a_vanished_power(tmp_path, capsys, monkeypatch):
+    # The state of p^[n] of the shifted series starts at t^(2^n), so from
+    # n = 9 it is zero below K = 384: the last 191 of 200 steps form no
+    # product.  c12-divergent's first power is odd and never squared a
+    # zero state.
+    shifted = write_config(tmp_path, {"group": {"kind": "cyclic", "n": 2},
+                                      "series": {"2": "11/39", "4": "1/3", "6": "5/13"}})
+    calls = []
+    convolve = np.convolve
+
+    def counting_convolve(a, b):
+        calls.append(1)
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", counting_convolve)
+    for cfg in (shifted, str(GOLDEN / "c12-divergent.json")):
+        calls.clear()
+        code, _, _ = run(capsys, "scalar", "--config", cfg)
+        assert code == 0
+        assert len(calls) == 21
+
+
 def test_cesaro_reports_agreement(tmp_path, capsys):
     cfg = write_config(tmp_path, EXAMPLE_12)
     code, out, _ = run(capsys, "cesaro", "--config", cfg)

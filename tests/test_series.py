@@ -1,20 +1,24 @@
 """Scalar coefficient dynamics: composition, recursion, extinction."""
 
+import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from simplexdyn import (ProbPoly, PurePowerError, cesaro_coeffs, compose,
+from simplexdyn import (ProbPoly, PurePowerError, compose,
                         composition_sum_check, default_truncation,
                         extinction_fraction, initial_state, iterate_coeffs,
                         recursion_coeffs)
-from simplexdyn.series import CoeffState, _power_sum, _trunc_mul_exact
+from simplexdyn.series import (_BLOCK_ENTRIES, SCALAR_COLUMNS, CoeffState, _compositions,
+                               _power_sum, _trunc_mul_exact, scalar_trace)
 
-from conftest import prob_poly, prob_polys, random_prob_poly, signed_coeff_lists
+from conftest import (cesaro_coeffs, prob_poly, prob_polys, random_prob_poly,
+                      signed_coeff_lists)
 
 HALF = Fraction(1, 2)
 
@@ -173,6 +177,10 @@ def test_power_sum_stops_at_the_first_vanished_power():
     out = _power_sum([(1, 0.5), (2, 0.25), (9, 0.25)], one, x, mul)
     assert out.tolist() == [0.0, 0.0, 0.5, 0.0, 0.25]
     assert len(calls) == 2  # t^4, then t^8, which vanishes
+    calls.clear()
+    out = _power_sum([(0, 0.5), (2, 0.5)], one, 0 * x, mul)
+    assert out.tolist() == [0.5, 0.0, 0.0, 0.0, 0.0]
+    assert not calls  # x itself vanished: x^2 is never formed
 
 
 def test_power_sum_builds_powers_by_squaring(monkeypatch):
@@ -188,6 +196,70 @@ def test_power_sum_builds_powers_by_squaring(monkeypatch):
     monkeypatch.setattr(np, "convolve", counting_convolve)
     compose(p, state)
     assert len(calls) <= 7  # x^64 is six squarings
+
+
+@st.composite
+def trace_cases(draw):
+    """A series of degree <= 9, shifted or not, a truncation K from its
+    degree to 4096, and a horizon of one step or up to three blocks of
+    rows and more."""
+    p = draw(prob_polys(max_exponent=7, max_shift=2))
+    K = draw(st.one_of(st.integers(p.degree, p.degree + 12), st.integers(p.degree, 4096)))
+    rows = max(1, _BLOCK_ENTRIES // (K + 1))
+    n = draw(st.one_of(st.just(1), st.integers(1, 3 * rows + 2)))
+    return p, K, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_cases())
+def test_scalar_trace_is_the_columns_of_the_states_and_their_means(case):
+    p, K, n = case
+    states = iterate_coeffs(p, n, truncation=K, mode="float")
+    state = states[0]
+    for nxt in states[1:]:  # block boundaries move no state
+        state = compose(p, state)
+        assert state.coeffs.tobytes() == nxt.coeffs.tobytes()
+    want = np.array([[st.a0, st.sup_nonconstant(), st.tail_mass,
+                      av.a0, av.sup_nonconstant(), av.tail_mass]
+                     for st, av in zip(states, cesaro_coeffs(states))])
+    got = scalar_trace(p, n, truncation=K)
+    assert got.shape == (n, len(SCALAR_COLUMNS))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scalar_trace_memory_does_not_grow_with_the_horizon():
+    # Beyond its (n, 6) result the trace holds one block of rows and the
+    # running sums, whatever the horizon; each state held would cost
+    # K + 1 = 129 floats, and its running mean as many again.
+    p = prob_poly({0: "1/3", 3: "2/3"})
+    scalar_trace(p, 10, truncation=128)
+    extra = {}
+    for n in (2000, 20000):
+        tracemalloc.start()
+        trace = scalar_trace(p, n, truncation=128)
+        extra[n] = tracemalloc.get_traced_memory()[1] - trace.nbytes
+        tracemalloc.stop()
+    assert abs(extra[20000] - extra[2000]) < 16 * 1024, extra
+
+
+def recursion_by_compositions(p, state, k):
+    """recursion_coeffs with its inner sum enumerated over the ordered
+    compositions of k into i positive parts."""
+    a0 = state.a0
+    if k == 0:
+        return p.evaluate(a0)
+    return sum((p.taylor_coefficient(i, a0)
+                * sum((math.prod((state.coeffs[j] for j in parts), start=Fraction(1))
+                       for parts in _compositions(k, i)), Fraction(0))
+                for i in range(1, min(k, p.degree) + 1)), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prob_polys(max_exponent=6, max_shift=2), st.integers(1, 3))
+def test_recursion_equals_the_composition_enumeration(p, n):
+    state = iterate_coeffs(p, n, truncation=max(p.degree, 8), mode="exact")[-1]
+    for k in range(state.truncation + 1):
+        assert recursion_coeffs(p, state, k) == recursion_by_compositions(p, state, k)
 
 
 def cauchy_product(a, b) -> list:

@@ -15,6 +15,9 @@ Prints, for the src/ tree of this checkout:
 - one D60 limit-set call on a pair whose powers do not repeat within
   600 steps (exit 2) and do within 2,000 (exit 0), so the orbit keeps
   every state it evaluates (median of 3 processes);
+- one C6 scalar call at 200 and 20,000 steps: the trace keeps no state,
+  so the longer horizon should cost time and only its output rows in
+  memory (median of 3 processes);
 - the line count of src/ (ROADMAP aim 2), the number of exported names,
   and the knobs a user can turn: CLI options and config fields;
 - group construction: in-process min of 5 builds, and the tracemalloc
@@ -149,13 +152,22 @@ def oracle_memory() -> None:
                   f"{wall:.3f} s, {peak:.1f} MB peak RSS (median of 3, exit {code})")
 
 
+def scalar_trace() -> None:
+    for horizon in ("200", "20000"):
+        wall, peak, code = fresh([*CLI, "scalar", "--config", str(GOLDEN / "c6-irrational.json"),
+                                  "--horizon", horizon], 3)
+        print(f"simplexdyn scalar c6-irrational --horizon {horizon:>5}: "
+              f"{wall:.3f} s, {peak:.1f} MB peak RSS (median of 3, exit {code})")
+
+
 def main() -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     sys.path.insert(0, str(SRC))
     # The sections that import the package in this process come last: a
     # child's ru_maxrss counts the pages it shares with this process at fork.
-    for section in (import_cost, cli_call, oracle_memory, source_size, group_construction):
+    for section in (import_cost, cli_call, oracle_memory, scalar_trace, source_size,
+                    group_construction):
         print(f"## {section.__name__.replace('_', ' ')}", flush=True)
         try:
             section()
