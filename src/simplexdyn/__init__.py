@@ -34,8 +34,9 @@ _HOME = {name: module for module, names in {
              "regularity_mod_m", "residue_cycle", "series_group"),
     "predict": ("LimitReport", "analyze", "cesaro_limit", "empirical_cesaro",
                 "iterate_map", "pure_power_report", "regular_limit"),
+    "poly": ("ProbPoly",),
     "record": ("parse_rational",),
-    "series": ("CoeffState", "ProbPoly", "compose",
+    "series": ("CoeffState", "compose",
                "composition_sum_check", "default_truncation",
                "initial_state", "iterate_coeffs", "recursion_coeffs"),
 }.items() for name in names}

@@ -2,7 +2,7 @@
 
 Exact rationals are the canonical representation; every invariant that
 feeds a support computation is threshold-free.  The exact product runs
-on integer numerators over a common denominator (series._exact_product),
+on integer numerators over a common denominator (poly._exact_product),
 which each element converts once and keeps, and rebuilds Fractions only
 for its result.  A float point is a read-only float64 vector of length
 |G|; an exact element gives its own through .floats.  Every float oracle
@@ -23,7 +23,7 @@ import numpy as np
 
 from .groups import ElementSet, FiniteGroup
 from .record import Record, parse_rational
-from .series import _exact_product, _numerators, _power_sum
+from .poly import _exact_product, _numerators, _power_sum
 
 # Slack granted per float iteration step on oracle traces.
 ITERATION_SLACK_RATE = 1e-12
@@ -195,7 +195,7 @@ def evaluate_series_floats(group: FiniteGroup,
     """Evaluate sum of c * x^k over (k, c) term pairs, in floats.
 
     Terms must be sorted by exponent.  Powers come by square-and-multiply
-    (series._power_sum); each product gathers its right factor into its
+    (poly._power_sum); each product gathers its right factor into its
     right multiplication matrix, so it costs one n^2 gather and one
     vector-matrix product.
     """

@@ -3,7 +3,7 @@
 Subcommands: profile | limit-set | predict | iterate | cesaro | scalar |
 verify.  Each reads a JSON config (see config.py) naming a group, a
 starting element and/or a series, runs the requested computation, and
-writes JSON or CSV to --out or stdout.
+writes JSON or CSV to --out or stdout, a trace a batch of rows at a time.
 
 Exit codes: 0 success or -h/--help, 1 invalid input or command line, 2
 inconclusive numerics (iteration budget exhausted before the tolerance
@@ -11,12 +11,15 @@ was met), 3 verification failure (an oracle contradicted a closed form).
 
 Every command runs in a fresh process, which compiles each module it
 imports when no bytecode cache is at hand.  So this module imports only
-the standard library, config and errors at its top, and each command
-imports the modules it runs at the top of its own body: `scalar` loads
-none of algebra, dynamics, predict and modm (config loads algebra only
-to build an element), and `profile` and `limit-set` load neither
-predict nor modm.  parse_args reads the command line: argparse, with
-the gettext and locale it loads, cost each process 4-7 ms and 0.5 MB.
+the standard library, config and errors at its top, main imports the
+module of a command's handler when the command runs, and each handler
+imports the modules it runs in its own body.  profile loads algebra and
+dynamics, predict also modm and predict, and scalar series (config loads
+groups, poly and record, and algebra for an element).  The handlers of
+limit-set, iterate, cesaro and verify live with the float oracles in
+oracles.py, which no other command loads; only verify loads series.
+parse_args reads the command line: argparse, with the gettext and
+locale it loads, cost each process 4-7 ms and 0.5 MB.
 
 main() is the process entry point.  Its first act is gc.freeze(): every
 object alive by then, numpy and this package's top-level imports
@@ -31,32 +34,26 @@ them gained nothing measurable, so main() freezes once.
 from __future__ import annotations
 
 import gc
-import io
+import importlib
+import itertools
 import json
 import sys
 from functools import partial
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .config import ConfigError, ExperimentConfig, read_config
 from .errors import InconclusiveError, InternalConsistencyError
 
 if TYPE_CHECKING:
-    from .dynamics import AccumulationSet, DynamicsProfile
+    from .dynamics import DynamicsProfile
     from .predict import LimitReport
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAILED = 3
-# The exit code of each oracle verdict.  The codes rise with severity, so
-# the worst of several verdicts is the one with the largest code.
-_EXIT_CODES = {"pass": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE,
-               "fail": EXIT_VERIFY_FAILED}
-
 DEFAULT_SCALAR_HORIZON = 200
-REGULAR_ORACLE_TOL = 1e-7
-CESARO_ORACLE_TOL = 1e-4
 
 
 def _decimal_map(labels: tuple[str, ...], vec) -> dict:
@@ -99,108 +96,37 @@ def _report_record(rep: LimitReport) -> dict:
     }
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write the strings of chunks to --out or stdout, one at a time."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _emit_csv(args, header: list, rows) -> None:
-    import csv as csv_mod
-    buf = io.StringIO()
-    writer = csv_mod.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(args, buf.getvalue())
+def _json_rows(key: str, rows: Iterable[dict]) -> Iterator[str]:
+    """The text _emit_json writes for {key: list(rows)}, 256 rows at a time:
+    each batch encoded as a list, its brackets cut off, one level deeper."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    sep = head = "{\n  " + json.dumps(key) + ": ["
+    rows = iter(rows)
+    for batch in iter(lambda: list(itertools.islice(rows, 256)), []):
+        yield sep + encode(batch)[1:-2].replace("\n", "\n  ")
+        sep = ","
+    yield head + "]\n}\n" if sep is head else "\n  ]\n}\n"
 
 
-def _cesaro_burn_in(horizon: int, d: int) -> int:
-    """Burn-in that leaves the largest whole number of d-cycles within
-    the second half of the horizon (at least one cycle, if it holds one)."""
-    window = max(d, (horizon // 2 // d) * d)
-    return max(0, horizon - window)
+def _emit_csv(args, header: list, rows: Iterable[list]) -> None:
+    """header and rows as CSV lines, one at a time: writerow returns what write does."""
+    import csv
 
-
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
-def _check(name: str, status: str, detail: str) -> dict:
-    """One verify line: a check's name, verdict and detail."""
-    return {"name": name, "status": status, "detail": detail}
-
-
-def _power_oracle(cfg: ExperimentConfig, closed: AccumulationSet, clusters) -> tuple:
-    """clusters(horizon=...), the clustered float orbit of the powers of x
-    or of x -> x^r (dynamics._clustered_cycle), against the closed set:
-    (verdict, detail, the clusters, or None when inconclusive)."""
-    from .dynamics import DEFAULT_HORIZON, DEFAULT_MATCH_TOL, match_accumulation_sets
-
-    try:
-        observed = clusters(horizon=cfg.horizon or DEFAULT_HORIZON)
-    except InconclusiveError as exc:
-        return "inconclusive", str(exc), None
-    matched = match_accumulation_sets(closed, observed, DEFAULT_MATCH_TOL)
-    return _verdict(matched), f"{len(observed)} empirical clusters", observed
-
-
-def _cesaro_oracle(cfg: ExperimentConfig, p, x, rep: LimitReport) -> tuple:
-    """The mean of the float orbit p^[n](x), n the Cesaro horizon, over its
-    last whole cycles against rep's Cesaro limit: (verdict, detail, a dict
-    of the orbit, the burn-in, the mean and its sup deviation).  The
-    verdict is inconclusive when the window starts inside the preperiod or
-    holds fewer than d steps, as its steps then miss some class."""
-    from .algebra import sup_distance
-    from .predict import CESARO_HORIZON, empirical_cesaro, iterate_map
-
-    trace = iterate_map(p, x, cfg.horizon or CESARO_HORIZON)
-    n = len(trace)
-    d, pre = rep.diagnostics["cycle_d"], rep.diagnostics["cycle_preperiod"]
-    burn_in = _cesaro_burn_in(n, d)
-    avg = empirical_cesaro(trace, burn_in)
-    dev = sup_distance(avg, rep.cesaro)
-    evidence = {"trace": trace, "burn_in": burn_in, "average": avg, "deviation": dev}
-    if burn_in < pre or n - burn_in < d:
-        return "inconclusive", (f"{d} subsequence classes need a window of whole "
-                                f"cycles past preperiod {pre}, got steps "
-                                f"{burn_in + 1}..{n}"), evidence
-    return _verdict(dev <= CESARO_ORACLE_TOL), f"sup deviation {dev:.2e}", evidence
-
-
-def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
-    """The float orbit at the regular horizon against reg's limit, or its
-    last d steps against reg's accumulation set, where each step must lie
-    within REGULAR_ORACLE_TOL of its nearest point and every point must be
-    the nearest of some step: (verdict, detail).
-
-    After the preperiod pre, step n belongs to subsequence class
-    (n - pre - 1) % d, so d consecutive steps past pre hold the last step
-    of each class by the horizon; the verdict is inconclusive when they
-    do not all lie past pre."""
-    from .algebra import sup_distance
-    from .predict import REGULAR_HORIZON
-
-    horizon = cfg.horizon or REGULAR_HORIZON
-    if reg.exists:
-        dev = sup_distance(trace[horizon - 1], reg.limit)
-        return _verdict(dev <= REGULAR_ORACLE_TOL), f"sup deviation {dev:.2e}"
-    d = reg.diagnostics["cycle_d"]
-    pre = reg.diagnostics["cycle_preperiod"]
-    if horizon - d + 1 <= pre:
-        return "inconclusive", (f"{d} subsequence classes need horizon {pre + d} "
-                                f"for a step each, got {horizon}")
-    points = reg.accumulation.points
-    dists = [[sup_distance(trace[n - 1], q) for q in points]
-             for n in range(horizon - d + 1, horizon + 1)]
-    ok = (all(min(row) <= REGULAR_ORACLE_TOL for row in dists)
-          and len({row.index(min(row)) for row in dists}) == len(points))
-    return _verdict(ok), f"{d} subsequence classes vs {len(points)} points"
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    _emit(args, map(writer.writerow, itertools.chain([header], rows)))
 
 
 def cmd_profile(cfg: ExperimentConfig, args) -> int:
@@ -209,24 +135,6 @@ def cmd_profile(cfg: ExperimentConfig, args) -> int:
     prof = profile(cfg.require_element())
     _emit_json(args, _profile_record(prof))
     return EXIT_OK
-
-
-def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
-    from .dynamics import empirical_limit_set, limit_set, profile
-
-    x = cfg.require_element()
-    closed = limit_set(profile(x))
-    status, detail, observed = _power_oracle(cfg, closed, partial(empirical_limit_set, x))
-    record = partial(_point_record, x.group.labels)
-    payload = {"closed_form": [record(pt) for pt in closed.points]}
-    if observed is None:
-        payload.update(status=status, detail=detail)
-    else:
-        payload.update(empirical=[record(vec) for vec in observed],
-                       matched=status == "pass",
-                       status="ok" if status == "pass" else "mismatch")
-    _emit_json(args, payload)
-    return _EXIT_CODES[status]
 
 
 def cmd_predict(cfg: ExperimentConfig, args) -> int:
@@ -252,52 +160,6 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_iterate(cfg: ExperimentConfig, args) -> int:
-    from .algebra import sup_distance
-    from .predict import REGULAR_HORIZON, iterate_map
-
-    x = cfg.require_element()
-    p = cfg.require_series()
-    trace = iterate_map(p, x, cfg.horizon or REGULAR_HORIZON)
-
-    def rows():
-        prev = x
-        for k, t in enumerate(trace, start=1):
-            yield k, t, sup_distance(t, prev)
-            prev = t
-
-    if args.format == "json":
-        _emit_json(args, {"trace": [
-            {"step": k, "coeffs": _decimal_map(x.group.labels, t), "sup_delta": delta}
-            for k, t, delta in rows()]})
-    else:
-        _emit_csv(args, ["step", *x.group.labels, "sup_delta"],
-                  ([k, *map(repr, t.tolist()), repr(delta)]
-                   for k, t, delta in rows()))
-    return EXIT_OK
-
-
-def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
-    from .dynamics import profile
-    from .predict import analyze
-
-    x = cfg.require_element()
-    p = cfg.require_series()
-    if p.is_pure_power:
-        raise ConfigError("series: the Cesaro oracle needs at least two terms; "
-                          "`predict` reports the Cesaro point of a pure power")
-    _, rep = analyze(p, profile(x))
-    _, _, evidence = _cesaro_oracle(cfg, p, x, rep)
-    _emit_json(args, {
-        "report": _report_record(rep),
-        "empirical": _decimal_map(x.group.labels, evidence["average"]),
-        "sup_distance": evidence["deviation"],
-        "horizon": len(evidence["trace"]),
-        "burn_in": evidence["burn_in"],
-    })
-    return EXIT_OK
-
-
 def cmd_scalar(cfg: ExperimentConfig, args) -> int:
     from .series import SCALAR_COLUMNS, scalar_trace
 
@@ -307,109 +169,24 @@ def cmd_scalar(cfg: ExperimentConfig, args) -> int:
                           "pure powers keep all mass on one exponent")
     trace = scalar_trace(p, cfg.horizon or DEFAULT_SCALAR_HORIZON, cfg.truncation)
     header = ["n", *SCALAR_COLUMNS]
-    rows = [[n, *row] for n, row in enumerate(trace.tolist(), start=1)]
+    rows = ([n, *row.tolist()] for n, row in enumerate(trace, start=1))
     if args.format == "json":
-        _emit_json(args, {"trace": [dict(zip(header, row)) for row in rows]})
+        _emit(args, _json_rows("trace", (dict(zip(header, row)) for row in rows)))
     else:
-        _emit_csv(args, header, [[repr(v) for v in row] for row in rows])
+        _emit_csv(args, header, ([repr(v) for v in row] for row in rows))
     return EXIT_OK
 
 
-def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
-    from .algebra import multiply, support
-    from .dynamics import (AccumulationSet, _clustered_cycle, empirical_limit_set,
-                           power_rank, profile)
-    from .predict import analyze, iterate_map, pure_power_report
-    from .series import compose, initial_state, recursion_coeffs
-
-    x = cfg.require_element()
-    prof = profile(x)
-    c = prof.idempotent
-    prof_y = profile(multiply(x, c))
-    closed = AccumulationSet(prof.cycle)
-    # x * c is uniform on the coset s H (DynamicsProfile.cosets).
-    reduction = (prof_y.point == closed.points[1 % prof.period]
-                 and prof_y.return_time <= prof.period <= prof.return_time)
-    if prof_y.return_time == prof.return_time:
-        reduction = reduction and prof.return_time == prof.period == prof_y.period
-    inside = all(i in prof.support_group for i in support(x).members)
-    checks = [_check(name, _verdict(ok), detail) for name, ok, detail in (
-        # prof_y.point is x * c: c * x == x * c is limit_set's commutation check.
-        ("profile-consistency",
-         prof.return_time % prof.period == 0 and multiply(c, c) == c
-         and multiply(c, x) == prof_y.point,
-         f"return_time={prof.return_time} period={prof.period}"),
-        ("power-independence", power_rank(prof) == prof.return_time,
-         f"rank of {prof.return_time} power vectors"),
-        ("limit-cycle-wraps", multiply(closed.points[-1], x) == closed.points[0],
-         f"{len(closed)} points on the cycle"),
-        ("reduction-inequalities", reduction,
-         f"absorbed return_time={prof_y.return_time}"),
-        ("singleton-criterion", (len(closed) == 1) == inside,
-         f"support inside group: {inside}"))]
-    status, detail, _ = _power_oracle(cfg, closed, partial(empirical_limit_set, x))
-    checks.append(_check("limit-set-oracle", status, detail))
-
-    p = cfg.series
-    if p is None:
-        return checks
-    if p.is_pure_power:
-        if p.shift < 2:
-            raise ConfigError(
-                f"series: pure-power verification needs exponent >= 2, got {p.shift}")
-        rep = pure_power_report(p.shift, prof)
-        status, detail, _ = _power_oracle(
-            cfg, rep.accumulation, lambda horizon: _clustered_cycle(iterate_map(p, x, horizon)))
-        checks.append(_check("power-accumulation-oracle", status, detail))
-        return checks
-    reg, ces = analyze(p, prof)
-    if p.shift == 0 and p.mean_exponent == 1:
-        checks += [
-            _check("regular-oracle", "inconclusive",
-                   "mean exponent is exactly 1; iterates approach the "
-                   "limit at rate 1/n, beyond any fixed float horizon"),
-            _check("cesaro-oracle", "inconclusive",
-                   "averages of a 1/n-converging trace need horizons "
-                   "beyond the float budget")]
-    else:
-        status, detail, evidence = _cesaro_oracle(cfg, p, x, ces)
-        trace = evidence["trace"]  # never shorter than the regular horizon
-        checks += [_check("regular-oracle", *_regular_oracle(cfg, trace, reg)),
-                   _check("cesaro-oracle", status, detail)]
-
-    # Kept coefficients are exact at any truncation (series module doc), so
-    # K = 8 checks the same coefficients k <= 8 as a larger K would.
-    st, ok = initial_state(p, max(p.degree, 8), mode="exact"), True
-    for _ in range(2):
-        nxt = compose(p, st)
-        ok = ok and all(recursion_coeffs(p, st, k) == nxt.coeffs[k] for k in range(9))
-        st = nxt
-    checks.append(_check("scalar-recursion", _verdict(ok),
-                         "composition vs derivative recursion, exact"))
-    return checks
-
-
-def cmd_verify(cfg: ExperimentConfig, args) -> int:
-    checks = _verify_checks(cfg)
-    overall = max((c["status"] for c in checks), key=_EXIT_CODES.__getitem__)
-    if args.format == "json":
-        _emit_json(args, {"checks": checks, "status": overall})
-    else:
-        _emit(args, "".join(
-            f"{c['status'].upper()} {c['name']}"
-            + (f" ({c['detail']})" if c["detail"] else "") + "\n"
-            for c in checks))
-    return _EXIT_CODES[overall]
-
-
+# Each command's module and handler; main imports the module when the command runs.
+_ORACLES = f"{__package__}.oracles"
 _COMMANDS = {
-    "profile": cmd_profile,
-    "limit-set": cmd_limit_set,
-    "predict": cmd_predict,
-    "iterate": cmd_iterate,
-    "cesaro": cmd_cesaro,
-    "scalar": cmd_scalar,
-    "verify": cmd_verify,
+    "profile": (__name__, "cmd_profile"),
+    "limit-set": (_ORACLES, "cmd_limit_set"),
+    "predict": (__name__, "cmd_predict"),
+    "iterate": (_ORACLES, "cmd_iterate"),
+    "cesaro": (_ORACLES, "cmd_cesaro"),
+    "scalar": (__name__, "cmd_scalar"),
+    "verify": (_ORACLES, "cmd_verify"),
 }
 
 
@@ -482,7 +259,8 @@ def main(argv=None) -> int:
             sys.stdout.write(_USAGE)
             return EXIT_OK
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        module, handler = _COMMANDS[args.command]
+        return getattr(importlib.import_module(module), handler)(cfg, args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

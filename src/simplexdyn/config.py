@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 from .groups import (FiniteGroup, direct_product, make_cyclic, make_dihedral,
                      make_symmetric, read_cayley_csv)
 from .record import Record, as_int, parse_rational
-from .series import ProbPoly
+from .poly import ProbPoly
 
 if TYPE_CHECKING:
     from .algebra import SimplexPoint

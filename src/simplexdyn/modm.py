@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError
 from .record import Record
-from .series import ProbPoly, _numerators
+from .poly import ProbPoly, _numerators
 
 # Bisection width 2^-EXTINCTION_BITS: an irrational a is returned within
 # 2^-65, below half the float64 spacing of every a >= 2^-11, so float(a)

@@ -43,7 +43,7 @@ from .dynamics import (AccumulationSet, DynamicsProfile, profile,
 from .errors import InternalConsistencyError, PurePowerError
 from .modm import ModMReport, extinction_correction, regularity_mod_m
 from .record import Record
-from .series import ProbPoly
+from .poly import ProbPoly
 
 REGULAR_HORIZON = 500
 CESARO_HORIZON = 2000

@@ -1,7 +1,6 @@
 """Finite-support probability power series and their iterated composition.
 
-A ProbPoly is a polynomial p(t) = sum a_k t^k with nonnegative rational
-coefficients summing to 1.  Iterating t -> p(t) drives the coefficient
+Iterating t -> p(t), p a ProbPoly (poly.py), drives the coefficient
 dynamics studied here: the constant term a_0^[n] climbs monotonically to
 the extinction value (the smallest fixed point of p at or above a_0),
 while the largest coefficient of positive degree decays to zero.
@@ -24,34 +23,19 @@ CoeffState, and scalar_trace, the float trace that `scalar` prints,
 keeps none: it reduces each block to its columns, with the running
 Cesaro sums carried from block to block, so its memory does not grow
 with the horizon beyond its (n, 6) result.
-
-p(x) = sum c x^e is evaluated by one loop, _power_sum, for the scalar
-shadow here and for float vectors of R[G] in algebra.  It builds each
-x^e by square-and-multiply from one shared table of squares, so t^64
-costs six squarings, not 64 products.  Its callers supply the product:
-an exact truncated product, a truncated np.convolve, or the float
-convolution of R[G].
-
-Exact products, the truncated one here and the group product in
-algebra, share one kernel, _exact_product: it takes both operands as
-integer numerators of their nonzero entries over a common denominator
-(_numerators, which an AlgebraElement computes once and keeps),
-scatters them into dense operands, multiplies those in int64 when no
-sum can overflow and as Python ints otherwise, and builds Fractions
-only for the result.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InternalConsistencyError, PurePowerError
-from .record import Record, as_int
+from .poly import ProbPoly, _exact_product, _numerators, _power_sum
+from .record import Record
 
 TRUNCATION_FACTOR = 64
 TRUNCATION_CAP = 4096
@@ -62,85 +46,6 @@ FLOAT_A0_CHECK = 1e-12
 # of float64.
 _BLOCK_ENTRIES = 8192
 SCALAR_COLUMNS = ("a0", "sup", "tail_mass", "avg_a0", "avg_sup", "avg_tail_mass")
-
-
-class ProbPoly(Record):
-    """Probability polynomial: sorted (exponent, coefficient) terms.
-
-    Coefficients are exact rationals in (0, 1) summing to 1, except for a
-    pure power t^r whose single coefficient is 1.
-    """
-
-    _fields = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[int, Fraction | int | str]]) -> None:
-        cleaned = []
-        seen = set()
-        for exponent, coeff in terms:
-            e = as_int(exponent, "exponent")
-            c = Fraction(coeff)
-            if e < 0:
-                raise ValueError(f"exponent {e} is negative")
-            if e in seen:
-                raise ValueError(f"exponent {e} listed twice")
-            seen.add(e)
-            if c == 0:
-                continue
-            if c < 0 or c > 1:
-                raise ValueError(f"coefficient {c} at t^{e} outside [0, 1]")
-            cleaned.append((e, c))
-        cleaned.sort()
-        if not cleaned:
-            raise ValueError("series needs at least one nonzero coefficient")
-        total = sum(c for _, c in cleaned)
-        if total != 1:
-            raise ValueError(f"coefficients sum to {total}, not 1")
-        if len(cleaned) > 1 and any(c == 1 for _, c in cleaned):
-            raise ValueError("coefficient 1 only allowed for a pure power")
-        self._set(terms=tuple(cleaned))
-
-    @classmethod
-    def pure_power(cls, r: int) -> "ProbPoly":
-        return cls(((r, 1),))
-
-    @property
-    def is_pure_power(self) -> bool:
-        return len(self.terms) == 1
-
-    @property
-    def shift(self) -> int:
-        """Minimal exponent r: p(t) = t^r * p0(t) with p0(0) != 0."""
-        return self.terms[0][0]
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        """Exponents of p0 = p / t^shift; the first offset is always 0."""
-        r = self.shift
-        return tuple(e - r for e, _ in self.terms)
-
-    @property
-    def degree(self) -> int:
-        return self.terms[-1][0]
-
-    @property
-    def mean_exponent(self) -> Fraction:
-        """p'(1) = sum e * a_e, the mean exponent drawn from p."""
-        return sum((c * e for e, c in self.terms), start=Fraction(0))
-
-    def evaluate(self, value):
-        """p(value); exact for Fraction input, float for float input."""
-        return sum(c * value ** e for e, c in self.terms)
-
-    def taylor_coefficient(self, i: int, at):
-        """p^(i)(at) / i! as an exact binomial-weighted sum over the terms."""
-        if i < 0:
-            raise ValueError("derivative order must be >= 0")
-        return sum((c * math.comb(e, i) * at ** (e - i)
-                    for e, c in self.terms if e >= i),
-                   start=Fraction(0) if isinstance(at, Fraction) else 0.0)
-
-    def __str__(self) -> str:
-        return " + ".join(f"{c}*t^{e}" for e, c in self.terms)
 
 
 def default_truncation(p: ProbPoly) -> int:
@@ -225,84 +130,6 @@ def initial_state(p: ProbPoly, truncation: int | None = None,
         dense[e] = c
     return CoeffState(n=1, tail_mass=Fraction(0),
                       coeffs=dense if mode == "exact" else dense.astype(np.float64))
-
-
-def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
-               x: np.ndarray,
-               mul: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """sum of c * x^e over terms sorted by exponent, where x^0 = one and
-    mul is a bilinear product under which the powers of x commute.
-
-    Each x^e is built by square-and-multiply from one table of squares
-    x, x^2, x^4, ... shared by all terms, so a term t^e costs at most
-    2 log2(e) products instead of e.  Each coefficient is cast to the
-    dtype of one.  Float powers are added whole; Fraction powers only at
-    their nonzero entries, since a Fraction product costs far more than
-    the test.  Once a power vanishes every higher one does too, so the
-    sum is returned at the first of x, a square or a product that does:
-    a vanished x costs no product at all.
-    """
-    out = 0 * one
-    cast = one.dtype.type
-    dense = one.dtype != object
-    squares = []
-    for e, c in terms:
-        pw = one
-        for i in range(e.bit_length()):
-            if i == len(squares):
-                squares.append(mul(squares[-1], squares[-1]) if squares else x)
-                if not np.count_nonzero(squares[-1]):
-                    return out
-            if e >> i & 1:
-                pw = squares[i] if pw is one else mul(pw, squares[i])
-                if not np.count_nonzero(pw):
-                    return out
-        if dense:
-            out += cast(c) * pw
-        else:
-            nz = pw.nonzero()
-            out[nz] += cast(c) * pw[nz]
-    return out
-
-
-def _numerators(coeffs: Sequence[Fraction]
-                ) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """(support, u, D): the indices of the nonzero coeffs, in order, and
-    their integer numerators u over D, the lcm of their denominators, so
-    coeffs[support] = u / D and every other entry is 0."""
-    support = [i for i, c in enumerate(coeffs) if c]
-    den = math.lcm(*(coeffs[i].denominator for i in support))
-    u = tuple(coeffs[i].numerator * (den // coeffs[i].denominator) for i in support)
-    index = np.array(support, dtype=np.intp)
-    index.setflags(write=False)
-    return index, u, den
-
-
-def _exact_product(a: tuple[np.ndarray, tuple[int, ...], int],
-                   b: tuple[np.ndarray, tuple[int, ...], int], n: int,
-                   product: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                   ) -> list[Fraction]:
-    """A bilinear product of two length-n Fraction vectors, computed on
-    integers from their _numerators triples.
-
-    With a = u / Du and b = v / Dv, returns product(u, v) / (Du * Dv) as
-    Fractions, u and v scattered into dense length-n operands.  product
-    must sum, per output entry, at most one term u_i * v_j for each
-    nonzero u_i.  u and v are int64 arrays when no such sum can reach
-    2^63, where int64 would wrap silently, and object arrays of Python
-    ints otherwise, so the result is exact.
-    """
-    (sa, u, du), (sb, v, dv) = a, b
-    mu, mv = max(map(abs, u), default=0), max(map(abs, v), default=0)
-    dtype = np.int64 if max(mu, mv, mu * mv * len(u)) < 2 ** 63 else object
-    ua = np.zeros(n, dtype=dtype)
-    ua[sa] = u
-    va = np.zeros(n, dtype=dtype)
-    va[sb] = v
-    out = product(ua, va)
-    den = du * dv
-    zero = Fraction(0)
-    return [Fraction(k, den) if k else zero for k in out.tolist()]
 
 
 def _trunc_mul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:

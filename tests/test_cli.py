@@ -15,8 +15,9 @@ import pytest
 
 from simplexdyn import (AccumulationSet, DynamicsProfile, ElementSet, LimitReport, delta,
                         dynamics, make_cyclic, parse_rational, predict, uniform_on)
-from simplexdyn.cli import _regular_oracle, main
+from simplexdyn.cli import main
 from simplexdyn.config import build_group
+from simplexdyn.oracles import _regular_oracle
 
 from conftest import WEIGHT_MAX, build_zoo, count_calls
 
@@ -351,6 +352,18 @@ def test_scalar_csv_shape(tmp_path, capsys):
                        "avg_a0", "avg_sup", "avg_tail_mass"]
     assert len(rows) == 13
     assert float(rows[1][1]) == 0.0  # shifted series keeps a0 at zero
+
+
+def test_scalar_json_is_written_in_row_batches_as_one_dump_would_be(capsys):
+    # 600 rows span three batches of 256 in cli._json_rows.
+    argv = ["--config", str(GOLDEN / "c6-irrational.json"), "--horizon", "600"]
+    code, out, _ = run(capsys, "scalar", *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _, csv_out, _ = run(capsys, "scalar", *argv)
+    header, *rows = csv.reader(io.StringIO(csv_out))
+    assert [[repr(row[k]) for k in header] for row in payload["trace"]] == rows
 
 
 def test_scalar_makes_no_product_of_a_vanished_power(tmp_path, capsys, monkeypatch):

@@ -2,8 +2,10 @@
 
 Every CLI call is a fresh process that compiles the modules it imports
 when no bytecode cache is at hand, so `import simplexdyn` loads no
-submodule and each command loads only the modules it runs.  The exported
-names resolve on first use to the objects their modules define.
+submodule and each command loads only the modules it runs: profile and
+predict load neither the coefficient iteration (series) nor the oracles,
+and scalar does not load the oracles.  The exported names resolve on
+first use to the objects their modules define.
 """
 
 import importlib
@@ -25,7 +27,7 @@ LOADED = ("import sys\nfrom simplexdyn.cli import main\ncode = main(sys.argv[1:]
           "print(code, *sorted(name.partition('.')[2] for name in sys.modules\n"
           "                    if name.startswith('simplexdyn.')))\n")
 ALL = {"algebra", "cli", "config", "dynamics", "errors", "groups", "modm",
-       "predict", "record", "series"}
+       "oracles", "poly", "predict", "record", "series"}
 
 
 def fresh_process(*args: str) -> list[str]:
@@ -43,9 +45,11 @@ def test_importing_the_package_loads_no_submodule():
 
 
 @pytest.mark.parametrize("command, config, absent", [
-    ("scalar", None, {"algebra", "dynamics", "predict", "modm"}),
-    ("profile", "s6-odd-support.json", {"predict", "modm"}),
-    ("limit-set", "c10-regular.json", {"predict", "modm"}),
+    ("scalar", None, {"algebra", "dynamics", "predict", "modm", "oracles"}),
+    ("profile", "s6-odd-support.json", {"predict", "modm", "series", "oracles"}),
+    ("limit-set", "c10-regular.json", {"predict", "modm", "series"}),
+    ("predict", "c10-regular.json", {"series", "oracles"}),
+    ("verify", "c10-regular.json", set()),
 ])
 def test_each_command_loads_only_the_modules_it_runs(command, config, absent,
                                                      tmp_path):

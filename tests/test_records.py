@@ -154,7 +154,7 @@ def test_importing_the_cli_does_not_load_dataclasses():
     package = Path(simplexdyn.__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, simplexdyn.cli\nfrom simplexdyn import *\n"
+    code = ("import sys, simplexdyn.cli, simplexdyn.oracles\nfrom simplexdyn import *\n"
             "print(*sorted(name for name in sys.modules\n"
             "              if name.startswith('simplexdyn.')))\n"
             "print('dataclasses' in sys.modules)\n")

@@ -3,9 +3,11 @@
     python3 tools/ci_report.py
 
 Prints, for the src/ tree of this checkout:
-- import cost: for scalar, profile and verify, the modules loaded, their
-  lines, the median wall time and peak RSS of 5 processes without
-  bytecode caches (src/simplexdyn/__pycache__ is removed first), and the
+- import cost: for scalar, profile, predict, limit-set and verify, the
+  modules loaded, their lines, the time to compile their sources (the
+  in-process min of COMPILE_RUNS passes of compile() over them), the
+  median wall time and peak RSS of 5 processes without bytecode caches
+  (src/simplexdyn/__pycache__ is removed first), and the
   standard-library modules the command loads beyond a bare `import numpy`;
 - one S6 profile call's wall time next to a bare `import numpy`, and its
   peak RSS next to a bare `import simplexdyn.cli` (median of 5 processes);
@@ -43,18 +45,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN = ROOT / "tests" / "golden"
-CLI = [sys.executable, "-m", "simplexdyn.cli"]
+# The console script's entry point.  Under `python -m simplexdyn.cli` the
+# oracle commands would import simplexdyn.cli a second time.
+CLI = [sys.executable, "-c", "import sys\nfrom simplexdyn.cli import main\nsys.exit(main())\n"]
+COMPILE_RUNS = 30
 # Its powers repeat bit for bit only at x^1545, so the float orbit keeps
 # every state it evaluates: 600 steps are inconclusive, 2,000 close it.
 D60_PAIR = {"group": {"kind": "dihedral", "n": 30}, "element": {"r1": "1/2", "s0": "1/2"}}
 # Prints the standard-library modules loaded so far, on one line of stderr.
 STDLIB = ("print(*sorted(n for n in sys.modules\n"
           "              if n.partition('.')[0] in sys.stdlib_module_names), file=sys.stderr)\n")
-LOADED = ("import sys\nfrom simplexdyn.cli import main\nmain(sys.argv[1:])\n"
+LOADED = ("import sys, time\nfrom simplexdyn.cli import main\nmain(sys.argv[1:])\n"
           "mods = [m for n, m in sys.modules.items() if n.startswith('simplexdyn.')]\n"
-          "lines = sum(len(open(m.__file__).readlines()) for m in mods)\n"
+          "sources = [(open(m.__file__).read(), m.__file__) for m in mods]\n"
+          "lines = sum(len(text.splitlines()) for text, _ in sources)\n"
+          "def compile_all():\n"
+          "    start = time.perf_counter()\n"
+          "    for text, path in sources:\n"
+          "        compile(text, path, 'exec')\n"
+          "    return time.perf_counter() - start\n"
+          f"best = min(compile_all() for _ in range({COMPILE_RUNS}))\n"
           "names = ' '.join(sorted(m.__name__.partition('.')[2] for m in mods))\n"
-          "print(f'{len(mods)} modules, {lines} lines: {names}', file=sys.stderr)\n" + STDLIB)
+          "print(f'{len(mods)} modules, {lines} lines, compiled in {1e3 * best:.1f} ms "
+          f"(min of {COMPILE_RUNS}): {{names}}', file=sys.stderr)\n" + STDLIB)
 
 
 def stderr_of(code: str, argv: list[str], env: dict) -> str:
@@ -88,12 +101,14 @@ def import_cost() -> None:
         path.write_text(json.dumps(series_only))
         for argv in (["scalar", "--config", str(path)],
                      ["profile", "--config", str(GOLDEN / "s6-odd-support.json")],
+                     ["predict", "--config", str(GOLDEN / "c10-regular.json")],
+                     ["limit-set", "--config", str(GOLDEN / "c10-regular.json")],
                      ["verify", "--config", str(GOLDEN / "c10-regular.json")]):
             wall, peak, _ = fresh([*CLI, *argv], 5, env)
             loaded, stdlib = stderr_of(LOADED, argv, env).strip().split("\n")
             extra = " ".join(sorted(set(stdlib.split()) - numpy_stdlib)) or "none"
-            print(f"{argv[0]:8} {wall:.3f} s, {peak:.1f} MB peak RSS (median of 5), {loaded}")
-            print(f"{'':8} standard library beyond `import numpy`: {extra}")
+            print(f"{argv[0]:9} {wall:.3f} s, {peak:.1f} MB peak RSS (median of 5), {loaded}")
+            print(f"{'':9} standard library beyond `import numpy`: {extra}")
 
 
 def source_size() -> None:
