@@ -100,7 +100,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
     On integer numerators u, v: (xy)_g is proportional to the sum over h
     in Supp(x) of u_h * v[h^-1 g], one matrix product over the rows
-    table[h^-1] of the group's int32 table, gathered for those h only.
+    table[h^-1] of the group's table, gathered for those h only.
     """
     _same_group(x.group, y.group, "multiply")
     g = x.group

@@ -273,4 +273,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    sys.modules[__spec__.name] = sys.modules[__name__]  # so oracles imports this copy
     sys.exit(main())

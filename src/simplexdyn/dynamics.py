@@ -117,13 +117,13 @@ def _support_powers(x: SimplexPoint) -> list[frozenset[int]]:
     product from the support.
     """
     g = x.group
-    base = support(x).members
-    cur = frozenset(base)
+    base = np.array(support(x).members)
+    cur = frozenset(base.tolist())
     powers = [cur]
     for _ in range(g.order):
         if g.identity in cur:
             return powers
-        cur = frozenset(g.table[np.ix_(list(cur), base)].ravel().tolist())
+        cur = frozenset(g.table.take(list(cur), axis=0).take(base, axis=1).ravel().tolist())
         powers.append(cur)
     raise InternalConsistencyError(
         f"no power up to {g.order} has the identity in its support")

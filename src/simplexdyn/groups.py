@@ -10,16 +10,16 @@ them.  Associativity is decided exactly at every order by Light's test
 x, y and every a of a greedy generating set, whose size a group keeps
 within floor(log2 n); the cost is O(n^2 log n) time and O(n^2) memory.
 
-A group holds one table, stored as int32: the builders write int32,
-FiniteGroup converts any other integer table once, after checking that
-its entries lie in [0, n) on the caller's dtype, so no entry can wrap.
-Every check reads that table in place, the row and column gathers by
-ndarray.take.  The Latin-square scatters, Light's test and each squaring
-of a closure handle one block of rows (_BLOCK entries) at a time, so
-besides the table (4n^2 bytes) validation holds the n^2-byte Latin mask
-or inverse scan and a few blocks: a tracemalloc peak of 0.64-0.77 int64
-tables of 8n^2 bytes for C2000, C30 x C40 and S6, where an intp table
-with an int32 working copy held 1.6-1.7.
+A group holds one table, uint16 for 257 to 65,536 elements and int32
+otherwise (_table_dtype): the builders write that dtype, FiniteGroup
+converts any other integer table once, after checking that its entries
+lie in [0, n) on the caller's dtype, so no entry can wrap.  Every check
+reads that table in place, the row and column gathers by ndarray.take.
+The Latin-square scatters, Light's test and each squaring of a closure
+handle one block of rows (_BLOCK entries) at a time, so besides the table
+validation holds the n^2-byte Latin mask or inverse scan and a few
+blocks: a tracemalloc peak of 0.39-0.45 int64 tables of 8n^2 bytes for
+C2000, C30 x C40 and S6, against 0.64-0.77 with an int32 table.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .record import Record, as_int
 
 MAX_SYMMETRIC_DEGREE = 6
 # Entries per block of rows that a gather over the table handles at once
-# (256 kB in int32): a table of up to 256 rows is a single block.
+# (256 kB in int32, 128 kB in uint16): up to 256 rows are a single block.
 _BLOCK = 1 << 16
 
 
@@ -43,16 +43,16 @@ class FiniteGroup(Record):
 
     FiniteGroup(labels, table) takes n distinct labels and an n x n
     integer table, checks every group axiom and derives the other fields
-    from the table.  An int32 array is kept and frozen in place, not
-    copied: hand over only a fresh array that no caller still writes
-    (the builders below make theirs; from_cayley_table copies).  Any
-    other integer array is converted to int32 once.
+    from the table.  An array of the order's dtype (_table_dtype) is
+    kept and frozen in place, not copied: hand over only a fresh array
+    that no caller still writes (the builders below make theirs;
+    from_cayley_table copies).  Any other integer array is converted once.
 
     Fields:
         order: number of elements n.
         labels: n distinct display strings, one per element index.
-        table: read-only n x n int32 array; table[i, j] is the index of
-            g_i * g_j.
+        table: read-only n x n uint16 (257 <= n <= 65,536) or int32
+            array; table[i, j] is the index of g_i * g_j.
         identity: index of the neutral element.
         inverses: inverses[i] is the index of g_i^{-1}.
 
@@ -137,10 +137,10 @@ class ElementSet(Record):
 
 
 def _as_table(table) -> np.ndarray:
-    """A read-only square int32 array of an integer table of element
-    indices, or ValueError; an int32 ndarray is kept and frozen in place,
-    not copied.  The entries are checked to lie in [0, n) before the
-    cast, so none wraps, and a table that fits in memory has n < 2**31."""
+    """A read-only square array of dtype _table_dtype(n) of an integer
+    table of element indices, or ValueError; an array of that dtype is kept
+    and frozen in place.  The entries are checked to lie in [0, n) before
+    the cast, so none wraps, and a table that fits in memory has n < 2**31."""
     arr = np.asarray(table)  # ragged rows raise ValueError
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"cayley table must be square, got shape {arr.shape}")
@@ -148,9 +148,15 @@ def _as_table(table) -> np.ndarray:
         raise ValueError(f"cayley table entries must be integers, got {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= len(arr)):
         raise ValueError("cayley table entries must be element indices in range")
-    arr = arr.astype(np.int32, copy=False)
+    arr = arr.astype(_table_dtype(len(arr)), copy=False)
     arr.setflags(write=False)
     return arr
+
+
+def _table_dtype(n: int) -> np.dtype:
+    """uint16 for a table of 257 to 65,536 elements, int32 otherwise: numpy's
+    uint16 code costs a smaller group's process more than its table saves."""
+    return np.dtype(np.uint16 if 256 < n <= 1 << 16 else np.int32)
 
 
 def _validate_group(labels: tuple[str, ...], table: np.ndarray
@@ -272,7 +278,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     n = as_int(n, "cyclic group order")
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    table = _rotations(np.arange(n, dtype=np.int32), left=True).copy()
+    table = _rotations(np.arange(n, dtype=_table_dtype(n)), left=True).copy()
     return FiniteGroup((f"t^{i}" for i in range(n)), table)
 
 
@@ -287,9 +293,10 @@ def make_dihedral(n: int) -> FiniteGroup:
     n = as_int(n, "dihedral parameter")
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    rotations = np.arange(n, dtype=np.int32)
-    reflections = np.arange(n, 2 * n, dtype=np.int32)
-    table = np.empty((2 * n, 2 * n), dtype=np.int32)
+    dtype = _table_dtype(2 * n)
+    rotations = np.arange(n, dtype=dtype)
+    reflections = np.arange(n, 2 * n, dtype=dtype)
+    table = np.empty((2 * n, 2 * n), dtype=dtype)
     table[:n, :n] = _rotations(rotations, left=True)
     table[n:, :n] = _rotations(reflections, left=True)
     table[:n, n:] = _rotations(reflections, left=False)
@@ -330,23 +337,27 @@ def make_symmetric(n: int) -> FiniteGroup:
     # A permutation's code is its images read as base-n digits w_k = n^(n-1-k);
     # index maps each of the n^n codes back to the permutation's rank.
     weights = n ** np.arange(n - 1, -1, -1)
-    index = np.zeros(n ** n, dtype=np.int32)
+    dtype = _table_dtype(len(perms))
+    index = np.zeros(n ** n, dtype=dtype)
     index[perms @ weights] = np.arange(len(perms))
     # The code of g_i g_j is sum_k w_k g_i(g_j(k)) = sum_m g_i(m) w_(g_j^-1(m)):
     # an n! x n! integer product, no (n!, n!, n) array of composed images,
     # formed and looked up one block of rows at a time.
     w_inv = weights[np.argsort(perms, axis=1)].T
-    table = np.empty((len(perms), len(perms)), dtype=np.int32)
+    table = np.empty((len(perms), len(perms)), dtype=dtype)
     for rows in _row_blocks(len(perms), len(perms)):
         table[rows] = index[perms[rows] @ w_inv]
-    del index  # validation, the peak of the build, need not hold its 4 n^n bytes
+    del index  # validation, the peak of the build, need not hold its n^n entries
     return FiniteGroup(map(_cycle_label, perms.tolist()), table)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with componentwise multiplication; index (i,j) -> i*|b|+j."""
     n, nb = a.order * b.order, b.order
-    table = a.table[:, None, :, None] * nb + b.table[None, :, None, :]
+    table = np.empty((a.order, nb, a.order, nb), dtype=_table_dtype(n))
+    offsets = (np.arange(a.order) * nb).astype(table.dtype)  # i * nb + j < n: none wraps
+    np.add(offsets[a.table][:, None, :, None], b.table[None, :, None, :],
+           out=table, casting="unsafe")
     return FiniteGroup((f"({la},{lb})" for la in a.labels for lb in b.labels),
                        table.reshape(n, n))
 

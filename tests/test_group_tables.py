@@ -5,13 +5,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simplexdyn import (delta, direct_product, from_cayley_table, make_cyclic,
                         make_dihedral, make_symmetric, multiply)
 
 
 @given(st.integers(1, 64))
+@example(257)  # the first uint16 table
 def test_cyclic_table_is_addition_mod_n(n):
     g = make_cyclic(n)
     assert g.table.tolist() == [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -32,6 +33,7 @@ def _dihedral_entry(n, i, j):
 
 
 @given(st.integers(1, 32))
+@example(129)
 def test_dihedral_table_follows_the_four_case_rule(n):
     g = make_dihedral(n)
     assert g.table.tolist() == [[_dihedral_entry(n, i, j) for j in range(2 * n)]
@@ -66,6 +68,9 @@ _FACTORS = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(_FACTORS, _FACTORS)
+@example(make_cyclic(2), make_dihedral(65))  # int32 factors, uint16 product
+@example(make_dihedral(130), make_cyclic(1))  # uint16 offsets plus an int32 table
+@example(make_cyclic(1), make_cyclic(257))
 def test_product_table_is_componentwise(a, b):
     g = direct_product(a, b)
     nb = b.order

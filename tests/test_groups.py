@@ -9,7 +9,7 @@ import pytest
 from simplexdyn import (FiniteGroup, direct_product, from_cayley_table,
                         generated_subgroup, make_cyclic, make_dihedral,
                         make_symmetric)
-from simplexdyn.groups import ElementSet, read_cayley_csv
+from simplexdyn.groups import ElementSet, _table_dtype, read_cayley_csv
 
 from conftest import element_order
 
@@ -112,16 +112,62 @@ def test_finite_group_freezes_the_array_it_is_handed():
     g = FiniteGroup(("e", "a"), wide)
     assert g.table is not wide and g.table.dtype == np.int32
     assert not g.table.flags.writeable and g.table.base is None
+    # above order 256 the group's dtype is uint16, kept in place likewise
+    labels = [f"g{i}" for i in range(300)]
+    arr = make_cyclic(300).table.copy()
+    g = FiniteGroup(labels, arr)
+    assert g.table is arr and arr.dtype == np.uint16 and not arr.flags.writeable
+    wide = arr.astype(np.int32)
+    g = FiniteGroup(labels, wide)
+    assert g.table is not wide and g.table.dtype == np.uint16
+    assert not g.table.flags.writeable and g.table.base is None
+
+
+@pytest.mark.parametrize("n, dtype", [
+    (1, np.int32), (256, np.int32), (257, np.uint16), (65_536, np.uint16),
+    (65_537, np.int32), (2 ** 31 - 1, np.int32),
+])
+def test_table_dtype_by_order(n, dtype):
+    # uint16 only where it pays: a table above 256 rows that it can index
+    assert _table_dtype(n) == dtype
+
+
+@pytest.mark.parametrize("build, dtype", [
+    (lambda: make_cyclic(256), np.int32),
+    (lambda: make_cyclic(257), np.uint16),
+    (lambda: make_dihedral(128), np.int32),
+    (lambda: make_dihedral(129), np.uint16),
+    (lambda: make_symmetric(5), np.int32),
+    (lambda: make_symmetric(6), np.uint16),
+    (lambda: direct_product(make_cyclic(16), make_cyclic(16)), np.int32),
+    (lambda: direct_product(make_cyclic(17), make_cyclic(17)), np.uint16),
+    (lambda: direct_product(make_cyclic(300), make_cyclic(1)), np.uint16),
+    (lambda: from_cayley_table(make_cyclic(300).table.tolist()), np.uint16),
+], ids=["C256", "C257", "D128", "D129", "S5", "S6", "C16xC16", "C17xC17",
+        "C300xC1", "from-list-300"])
+def test_builders_write_the_dtype_of_the_order(build, dtype):
+    assert build().table.dtype == dtype
+
+
+def _c300_with_a_wrapping_entry() -> np.ndarray:
+    idx = np.arange(300, dtype=np.int64)
+    table = (idx[:, None] + idx) % 300
+    table[1, 299] += 1 << 16  # 0 + 65,536: uint16 would wrap it back to 0
+    return table
 
 
 @pytest.mark.parametrize("table", [
     np.array([[0, 1], [1, 2 ** 32]], dtype=np.int64),
     np.array([[0, 2 ** 32 + 1], [1, 0]], dtype=np.uint64),
-], ids=["int64", "uint64"])
+    _c300_with_a_wrapping_entry(),
+], ids=["int64", "uint64", "int64-order-300"])
 def test_entries_are_range_checked_before_the_int32_cast(table):
-    # cast to int32 first, both would wrap to the valid Z_2 table [[0, 1], [1, 0]]
-    assert table.astype(np.int32).tolist() == [[0, 1], [1, 0]]
-    for build in (from_cayley_table, lambda t: FiniteGroup(("e", "a"), t)):
+    # cast to the group's dtype first (int32 for Z_2, uint16 for order
+    # 300), each would wrap to the valid cyclic table of its order
+    cyclic = make_cyclic(len(table)).table
+    assert table.astype(cyclic.dtype).tolist() == cyclic.tolist()
+    labels = [f"g{i}" for i in range(len(table))]
+    for build in (from_cayley_table, lambda t: FiniteGroup(labels, t)):
         with pytest.raises(ValueError,
                            match="cayley table entries must be element indices in range"):
             build(table)
@@ -158,17 +204,18 @@ def test_from_cayley_table_rejects_nonassociative_order_128():
     (lambda: make_symmetric(6), 720),
 ], ids=["C2000", "C30xC40", "S6"])
 def test_construction_memory_is_bounded(build, n):
-    # Building and validating holds the int32 table, the n^2-byte Latin
-    # mask or inverse scan and one row block at a time: under one n x n
-    # int64 table.  An intp table with an int32 working copy held about
-    # 1.7 tables, and whole-table gathers about 2.7.
-    assert _traced_peak(build) <= 1 * n * n * 8
+    # Building and validating holds the uint16 table (orders 257 to
+    # 65,536), the n^2-byte Latin mask or inverse scan and one row block at
+    # a time: 0.39-0.45 of an n x n int64 table.  An int32 table held
+    # 0.64-0.77, an intp table with an int32 working copy about 1.7, and
+    # whole-table gathers about 2.7.
+    assert _traced_peak(build) <= 0.5 * n * n * 8
 
 
 def test_subgroup_closure_memory_is_bounded():
     # The closure gathers S x S one block of rows at a time on the group's
-    # int32 table; gathering all |S| x n rows first added 0.75 of an int64
-    # table for the index-2 subgroup of S6.
+    # table; gathering all |S| x n rows first added 0.75 of an int64 table
+    # for the index-2 subgroup of S6.
     g = make_symmetric(6)
     seed = (g.index_of("(0 1 2)"), g.index_of("(1 2 3 4 5)"))
     peak = _traced_peak(lambda: generated_subgroup(g, seed))

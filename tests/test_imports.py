@@ -97,3 +97,17 @@ def test_an_unknown_name_raises_attribute_error_naming_the_module():
         simplexdyn.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from simplexdyn import no_such_name", {})
+
+
+def test_python_dash_m_compiles_the_cli_once():
+    # The oracle commands import from .cli; under `python -m` that must
+    # find the running __main__ module, not import simplexdyn.cli again.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "simplexdyn.cli",
+                           "verify", "--config", str(GOLDEN / "c10-regular.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "simplexdyn.algebra" in imported and "simplexdyn.cli" not in imported

@@ -22,8 +22,11 @@ Prints, for the src/ tree of this checkout:
   memory (median of 3 processes);
 - the line count of src/ (ROADMAP aim 2), the number of exported names,
   and the knobs a user can turn: CLI options and config fields;
-- group construction: in-process min of 5 builds, and the tracemalloc
-  peak of one C2000 and one S6 build.
+- group construction: the peak RSS of a fresh process that builds S6 and
+  of one that builds C2000, next to a bare `import simplexdyn.cli` (median
+  of 5 processes; the benchmark gates RSS, which tracemalloc does not
+  predict); in-process min of 5 builds with each table's dtype and bytes,
+  and the tracemalloc peak of one C2000 and one S6 build.
 
 Each section that fails prints its error and the report goes on; the
 exit code is always 0.
@@ -122,6 +125,15 @@ def source_size() -> None:
 
 
 def group_construction() -> None:
+    # The fresh processes run before this one imports numpy (see main).
+    for name, code in [("import simplexdyn.cli", ""),
+                       ("make_symmetric(6)", "make_symmetric(6)\n"),
+                       ("make_cyclic(2000)", "make_cyclic(2000)\n")]:
+        code = ("import simplexdyn.cli\n"
+                "from simplexdyn.groups import make_cyclic, make_symmetric\n" + code)
+        _, peak, _ = fresh([sys.executable, "-c", code], 5)
+        print(f"{name:21} {peak:5.1f} MB peak RSS of a fresh process (median of 5)")
+
     from simplexdyn import make_cyclic, make_symmetric
 
     for name, build in [("make_symmetric(6)", lambda: make_symmetric(6)),
@@ -130,9 +142,10 @@ def group_construction() -> None:
         times = []
         for _ in range(5):
             start = time.perf_counter()
-            build()
+            table = build().table
             times.append(time.perf_counter() - start)
-        print(f"{name:18} {1e3 * min(times):7.1f} ms (min of 5)")
+        print(f"{name:18} {1e3 * min(times):7.1f} ms (min of 5), "
+              f"{table.dtype} table of {table.nbytes / 1e6:.2f} MB")
     for name, build in [("make_cyclic(2000)", lambda: make_cyclic(2000)),
                         ("make_symmetric(6)", lambda: make_symmetric(6))]:
         tracemalloc.start()
@@ -181,8 +194,8 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     # The sections that import the package in this process come last: a
     # child's ru_maxrss counts the pages it shares with this process at fork.
-    for section in (import_cost, cli_call, oracle_memory, scalar_trace, source_size,
-                    group_construction):
+    for section in (import_cost, cli_call, oracle_memory, scalar_trace, group_construction,
+                    source_size):
         print(f"## {section.__name__.replace('_', ' ')}", flush=True)
         try:
             section()
