@@ -23,8 +23,7 @@ _HOME = {name: module for module, names in {
                 "simplex_from_map", "sup_distance", "support", "uniform_on"),
     "config": ("ConfigError", "ExperimentConfig"),
     "dynamics": ("AccumulationSet", "DynamicsProfile", "empirical_limit_set",
-                 "limit_set", "match_accumulation_sets", "power_rank",
-                 "profile", "reduce_to_stable"),
+                 "limit_set", "power_rank", "profile", "reduce_to_stable"),
     "errors": ("InconclusiveError", "InternalConsistencyError",
                "PurePowerError"),
     "groups": ("ElementSet", "FiniteGroup", "direct_product",

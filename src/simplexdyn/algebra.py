@@ -5,17 +5,17 @@ feeds a support computation is threshold-free.  The exact product runs
 on integer numerators over a common denominator (poly._exact_product),
 which each element converts once and keeps, and rebuilds Fractions only
 for its result.  A float point is a read-only float64 vector of length
-|G|; an exact element gives its own through .floats.  Every float oracle
-reads one OrbitTrace of such vectors, built by _float_orbit, which
-states when an orbit stops being evaluated, how its later steps replay
-its cycle and how far from the simplex each state may drift.
+|G|; an exact element gives its own through .floats.  The series
+oracles read one OrbitTrace of such vectors, built by _float_orbit,
+which states when an orbit stops being evaluated, how its later steps
+replay its cycle and how far from the simplex each state may drift.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, cycle, islice
 from typing import Callable, Mapping
 
@@ -95,23 +95,25 @@ def delta(group: FiniteGroup, i: int) -> SimplexPoint:
         Fraction(1) if j == i else Fraction(0) for j in range(group.order)))
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact.
+def _product(g: FiniteGroup, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The convolution uv of two dense vectors on g: (uv)_k is the sum
+    over h in Supp(u) of u_h * v[h^-1 k], one vector-matrix product over
+    the rows table[h^-1] of g's table, gathered for those h only.  The
+    kernel of the exact product (on integer numerators) and of the float
+    power oracle (dynamics.empirical_limit_set)."""
+    hs = np.flatnonzero(u)
+    return u[hs] @ v[g.table[g.inverse_index[hs]]]
 
-    On integer numerators u, v: (xy)_g is proportional to the sum over h
-    in Supp(x) of u_h * v[h^-1 g], one matrix product over the rows
-    table[h^-1] of the group's table, gathered for those h only.
-    """
+
+def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact,
+    computed on integer numerators by _product."""
     _same_group(x.group, y.group, "multiply")
     g = x.group
-
-    def product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        hs = np.flatnonzero(u)
-        return u[hs] @ v[g.table[g.inverse_index[hs]]]
-
     cls = SimplexPoint if isinstance(x, SimplexPoint) and isinstance(y, SimplexPoint) \
         else AlgebraElement
-    return cls(g, tuple(_exact_product(x.numerators, y.numerators, g.order, product)))
+    return cls(g, tuple(_exact_product(x.numerators, y.numerators, g.order,
+                                       partial(_product, g))))
 
 
 def power(x: AlgebraElement, k: int) -> AlgebraElement:

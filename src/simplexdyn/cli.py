@@ -57,7 +57,9 @@ DEFAULT_SCALAR_HORIZON = 200
 
 
 def _decimal_map(labels: tuple[str, ...], vec) -> dict:
-    return {label: float(v) for label, v in zip(labels, vec) if v}
+    """The nonzero entries of a float64 vector, by label."""
+    (nz,) = vec.nonzero()
+    return dict(zip(map(labels.__getitem__, nz.tolist()), vec[nz].tolist()))
 
 
 def _point_record(labels: tuple[str, ...], x) -> dict:

@@ -17,18 +17,17 @@ profile(x) returns; it lists those cosets (cosets) and builds the chain
 from them with no product (cycle), once each, on first use.  The
 absorption step x -> x * idempotent lands on the uniform point of the
 coset s H, so reduce_to_stable reads it off the cosets too.
-limit_set returns that set as an AccumulationSet of exact points, and
-empirical_limit_set recovers it from the float powers as a tuple of
-float64 vectors, which match_accumulation_sets compares with it within
-the fixed DEFAULT_MATCH_TOL; `verify` clusters the orbit of x -> x^r the
-same way.
-Both orbits come from algebra._float_orbit, which states when an orbit
-stops and how it replays its cycle.
+limit_set returns that set as an AccumulationSet of exact points.
+empirical_limit_set recovers it from the floats of x and the group table
+alone, never reading the profile: the period divides |G|, so the squares
+of x^|G| settle on the idempotent, and the walk from there by x returns
+to it after one period.  `limit-set` and `verify` compare its rows, in
+class order, with the closed form within the fixed DEFAULT_MATCH_TOL.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,10 +35,18 @@ from . import algebra
 from .algebra import SimplexPoint, multiply, support, uniform_on
 from .errors import InconclusiveError, InternalConsistencyError
 from .groups import ElementSet, generated_subgroup
+from .poly import _power_sum
 from .record import Record
 
+# No power oracle reads a horizon; bench/traced_cli.py imports this one.
 DEFAULT_HORIZON = 600
-MERGE_TOL = 1e-9
+# The sup distance within which empirical_limit_set's squares settle and its walk closes.
+POWER_ORACLE_TOL = 1e-9
+# Squarings of x^|G| before empirical_limit_set gives up.  (x^|G| - c)^(2^k)
+# falls like lambda^(|G| 2^k), lambda the walk's largest eigenvalue modulus
+# below 1.  A gap 1 - lambda below float64 resolution (2^-52) cannot show
+# in the floats of x, and 64 squarings outrun any gap above it.
+SQUARING_CAP = 64
 DEFAULT_MATCH_TOL = 1e-8
 
 
@@ -89,8 +96,8 @@ class DynamicsProfile(Record):
 class AccumulationSet(Record):
     """The closed-form limit points of an iteration: pairwise distinct
     exact elements, checked by hashing their numerators (support, u, D),
-    which determine the exact coefficients.  The float oracles' clusters
-    are a plain tuple of vectors (empirical_limit_set).
+    which determine the exact coefficients.  The power oracle's rows are
+    a plain tuple of vectors (empirical_limit_set).
     """
 
     _fields = ("points",)
@@ -158,81 +165,43 @@ def limit_set(prof: DynamicsProfile) -> AccumulationSet:
     return AccumulationSet(prof.cycle)
 
 
-def _within(rows: np.ndarray, among: np.ndarray, vec: np.ndarray,
-            tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The indices i in among, in order, with max_g |rows[i, g] - vec_g| <= tol,
-    and those sup distances.
+def empirical_limit_set(x: SimplexPoint) -> tuple[np.ndarray, ...]:
+    """The float power cycle of x: read-only rows c * x^r, r = 0, 1, ..
+    up to the period, in class order, c the idempotent.
 
-    A row within tol of vec is within tol of it at every coordinate, so
-    only the rows within tol at one coordinate get compared in full.  The
-    largest coordinate of vec is the one that sets apart sparse states,
-    such as the point masses of a long cycle.
-    """
-    g = int(np.argmax(vec))
-    among = among[np.abs(rows[among, g] - vec[g]) <= tol]
-    dists = np.abs(rows[among] - vec).max(axis=1)
-    return among[dists <= tol], dists[dists <= tol]
-
-
-def _clustered_cycle(trace: algebra.OrbitTrace) -> tuple[np.ndarray, ...]:
-    """The cycle trace.states[j:] that a float orbit closes
-    (algebra._float_orbit), merged greedily in order: a state within
-    MERGE_TOL (sup distance) of an earlier cluster joins it, any other
-    starts a new one, and each cluster is its first state's row, the
-    trace's own read-only array.
-    Raises InconclusiveError when none of the len(trace) steps repeated
-    rather than returning a guess.
-    """
-    k = len(trace.states)
-    if trace.j == k:
-        raise InconclusiveError(
-            f"no power repeated an earlier one bit for bit by step {len(trace)} "
-            f"({k} distinct powers)", iterations=len(trace))
-    cycle = trace.states[trace.j:]
-    rows = np.array(cycle)
-    reps: list[int] = []
-    for i, vec in enumerate(rows):
-        if not len(_within(rows, np.array(reps, dtype=int), vec, MERGE_TOL)[0]):
-            reps.append(i)
-    return tuple(cycle[i] for i in reps)
-
-
-def empirical_limit_set(x: SimplexPoint,
-                        horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, ...]:
-    """Brute-force oracle: cluster the cycle that the float powers
-    x, x^2, .., x^horizon close (algebra._float_orbit, _clustered_cycle).
-
-    That cycle is the whole float orbit past its transient.  Raises
-    ValueError for a horizon below 1 and InconclusiveError if no power up
-    to x^horizon repeats.
+    The period divides |G|, so x^|G| = c + E with cE = Ec = 0 and each
+    squaring squares E (Knuth, TAOCP vol. 2, 4.6.3).  x^|G| comes by
+    square-and-multiply, then squares, each divided by its mass, until
+    two successive ones agree within POWER_ORACLE_TOL; the last is c.
+    The walk c * x^r = x * (c * x^(r-1)) stops at its first return to c
+    within that tolerance.  Every product is algebra._product.  Raises
+    InconclusiveError when SQUARING_CAP squarings do not settle or the
+    walk does not return within |G| steps.
     """
     g = x.group
-    right = x.floats[g.conv_index]
+    mul = partial(algebra._product, g)
     one = np.zeros(g.order)
     one[g.identity] = 1.0
-    return _clustered_cycle(algebra._float_orbit(lambda vec: vec @ right, one, horizon))
-
-
-def match_accumulation_sets(expected: AccumulationSet,
-                            observed: tuple[np.ndarray, ...],
-                            tol: float = DEFAULT_MATCH_TOL) -> bool:
-    """Greedy nearest-neighbor matching of a closed-form set and the
-    float clusters of an oracle.
-
-    True when they have equal cardinality and each observed vector, in
-    order, is within tol (sup distance) of the nearest (first on a tie)
-    expected point not matched yet.
-    """
-    if len(expected) != len(observed):
-        return False
-    rows = np.array([q.floats for q in expected.points])
-    remaining = np.arange(len(rows))
-    for vec in observed:
-        near, dists = _within(rows, remaining, vec, tol)
-        if not len(near):
-            return False
-        remaining = remaining[remaining != near[np.argmin(dists)]]
-    return True
+    c = _power_sum(((g.order, 1.0),), one, x.floats, mul)
+    for _ in range(SQUARING_CAP):
+        prev, c = c, mul(c, c)
+        c /= c.sum()
+        if np.abs(c - prev).max() <= POWER_ORACLE_TOL:
+            break
+    else:
+        raise InconclusiveError(
+            f"the squares of x^{g.order} still move by more than {POWER_ORACLE_TOL:g} "
+            f"after the cap of {SQUARING_CAP} squarings", iterations=SQUARING_CAP)
+    c.setflags(write=False)
+    rows = [c]
+    for _ in range(g.order):
+        row = mul(x.floats, rows[-1])
+        if np.abs(row - c).max() <= POWER_ORACLE_TOL:
+            return tuple(rows)
+        row.setflags(write=False)
+        rows.append(row)
+    raise InconclusiveError(f"c * x^r did not return to c within {POWER_ORACLE_TOL:g} "
+                            f"by r = {g.order}", iterations=g.order)
 
 
 def exact_rank(rows: list[list]) -> int:

@@ -6,6 +6,8 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .cli import (EXIT_INCONCLUSIVE, EXIT_OK, EXIT_VERIFY_FAILED, _decimal_map, _emit,
                   _emit_csv, _emit_json, _json_rows, _point_record, _report_record)
 from .config import ConfigError, ExperimentConfig
@@ -40,18 +42,43 @@ def _check(name: str, status: str, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def _power_oracle(cfg: ExperimentConfig, closed: AccumulationSet, clusters) -> tuple:
-    """clusters(horizon=...), the clustered float orbit of the powers of x
-    or of x -> x^r (dynamics._clustered_cycle), against the closed set:
-    (verdict, detail, the clusters, or None when inconclusive)."""
-    from .dynamics import DEFAULT_HORIZON, DEFAULT_MATCH_TOL, match_accumulation_sets
+def _power_rows(x):
+    """The float power cycle of x (dynamics.empirical_limit_set), or the
+    InconclusiveError it raised."""
+    from .dynamics import empirical_limit_set
 
     try:
-        observed = clusters(horizon=cfg.horizon or DEFAULT_HORIZON)
+        return empirical_limit_set(x)
     except InconclusiveError as exc:
-        return "inconclusive", str(exc), None
-    matched = match_accumulation_sets(closed, observed, DEFAULT_MATCH_TOL)
-    return _verdict(matched), f"{len(observed)} empirical clusters", observed
+        return exc
+
+
+def _power_oracle(closed: AccumulationSet, rows, r: int | None = None) -> tuple:
+    """The float power cycle rows of x (_power_rows) against a closed set
+    within DEFAULT_MATCH_TOL: (verdict, detail).
+
+    For the powers of x (r None), row k must match closed.points[k].  For
+    x -> x^r, the rows at the oracle's own residues r^n mod m, m <= n < 2m
+    with m = len(rows), must match the closed set, each point a distinct
+    row.  Rows lie on disjoint cosets, at least 1/|G| apart, so the row
+    nearest a point at its largest coordinate is the only candidate.
+    """
+    from .algebra import sup_distance
+    from .dynamics import DEFAULT_MATCH_TOL
+
+    if isinstance(rows, InconclusiveError):
+        return "inconclusive", str(rows)
+    points = closed.points
+    if r is None:
+        picked, near = rows, range(len(points))
+    else:
+        m = len(rows)
+        picked = np.array([rows[k] for k in sorted({pow(r, n, m) for n in range(m, 2 * m)})])
+        peaks = [int(np.argmax(q.floats)) for q in points]
+        near = [int(np.argmin(np.abs(picked[:, g] - q.floats[g]))) for g, q in zip(peaks, points)]
+    ok = len(set(near)) == len(points) == len(picked) and all(
+        sup_distance(picked[j], q) <= DEFAULT_MATCH_TOL for j, q in zip(near, points))
+    return _verdict(ok), f"{len(picked)} empirical clusters"
 
 
 def _cesaro_oracle(cfg: ExperimentConfig, p, x, rep: LimitReport) -> tuple:
@@ -108,17 +135,18 @@ def _regular_oracle(cfg: ExperimentConfig, trace, reg: LimitReport) -> tuple:
 
 
 def cmd_limit_set(cfg: ExperimentConfig, args) -> int:
-    from .dynamics import empirical_limit_set, limit_set, profile
+    from .dynamics import limit_set, profile
 
     x = cfg.require_element()
     closed = limit_set(profile(x))
-    status, detail, observed = _power_oracle(cfg, closed, partial(empirical_limit_set, x))
+    rows = _power_rows(x)
+    status, detail = _power_oracle(closed, rows)
     record = partial(_point_record, x.group.labels)
     payload = {"closed_form": [record(pt) for pt in closed.points]}
-    if observed is None:
+    if status == "inconclusive":
         payload.update(status=status, detail=detail)
     else:
-        payload.update(empirical=[record(vec) for vec in observed],
+        payload.update(empirical=[record(vec) for vec in rows],
                        matched=status == "pass",
                        status="ok" if status == "pass" else "mismatch")
     _emit_json(args, payload)
@@ -173,9 +201,8 @@ def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
 
 def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     from .algebra import multiply, support
-    from .dynamics import (AccumulationSet, _clustered_cycle, empirical_limit_set,
-                           power_rank, profile)
-    from .predict import analyze, iterate_map, pure_power_report
+    from .dynamics import AccumulationSet, power_rank, profile
+    from .predict import analyze, pure_power_report
     from .series import compose, initial_state, recursion_coeffs
 
     x = cfg.require_element()
@@ -203,8 +230,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
          f"absorbed return_time={prof_y.return_time}"),
         ("singleton-criterion", (len(closed) == 1) == inside,
          f"support inside group: {inside}"))]
-    status, detail, _ = _power_oracle(cfg, closed, partial(empirical_limit_set, x))
-    checks.append(_check("limit-set-oracle", status, detail))
+    rows = _power_rows(x)
+    checks.append(_check("limit-set-oracle", *_power_oracle(closed, rows)))
 
     p = cfg.series
     if p is None:
@@ -214,9 +241,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
             raise ConfigError(
                 f"series: pure-power verification needs exponent >= 2, got {p.shift}")
         rep = pure_power_report(p.shift, prof)
-        status, detail, _ = _power_oracle(
-            cfg, rep.accumulation, lambda horizon: _clustered_cycle(iterate_map(p, x, horizon)))
-        checks.append(_check("power-accumulation-oracle", status, detail))
+        checks.append(_check("power-accumulation-oracle",
+                             *_power_oracle(rep.accumulation, rows, p.shift)))
         return checks
     reg, ces = analyze(p, prof)
     if p.shift == 0 and p.mean_exponent == 1:

@@ -4,17 +4,16 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 
-import numpy as np
 import pytest
 
-from simplexdyn import (InconclusiveError, InternalConsistencyError, ProbPoly,
-                        delta, direct_product, empirical_limit_set, iterate_map,
+from simplexdyn import (DynamicsProfile, InconclusiveError, InternalConsistencyError,
+                        ProbPoly, delta, dynamics, empirical_limit_set, iterate_map,
                         limit_set, make_cyclic, make_dihedral, make_symmetric,
-                        match_accumulation_sets, multiply, power, power_rank,
-                        profile, reduce_to_stable, simplex_from_map,
-                        sup_distance, support, uniform_on)
-from simplexdyn.algebra import SimplexPoint, evaluate_series_floats
-from simplexdyn.dynamics import MERGE_TOL, AccumulationSet, _clustered_cycle, exact_rank
+                        multiply, power, power_rank, profile, reduce_to_stable,
+                        simplex_from_map, sup_distance, support, uniform_on)
+from simplexdyn.algebra import SimplexPoint
+from simplexdyn.dynamics import DEFAULT_MATCH_TOL, AccumulationSet, exact_rank
+from simplexdyn.oracles import _power_oracle
 
 from simplexdyn.modm import regularity_mod_m
 from simplexdyn.predict import _synthesize, pure_power_report
@@ -65,76 +64,101 @@ def test_full_support_point_mixes_to_uniform():
     assert pts.points[0].coeffs == tuple([Fraction(1, 8)] * 8)
 
 
+def assert_rows_are_the_cycle(x, points):
+    """The power oracle's rows are read-only and match points, the exact
+    closed cycle, one by one in class order."""
+    rows = empirical_limit_set(x)
+    assert len(rows) == len(points)
+    assert all(not row.flags.writeable for row in rows)
+    assert max(sup_distance(row, q) for row, q in zip(rows, points)) <= DEFAULT_MATCH_TOL
+
+
 def test_limit_set_matches_oracle_on_zoo():
     rng = random.Random(17)
     zoo = build_zoo()
     for name in sorted(zoo):
         g = zoo[name]
-        x = random_simplex_point(g, rng)
-        closed = limit_set(profile(x))
-        observed = empirical_limit_set(x, horizon=3100)
-        assert match_accumulation_sets(closed, observed, tol=1e-8), name
+        for support_size in (1, 2, 3, g.order):
+            x = random_simplex_point(g, rng, support_size=min(support_size, g.order))
+            assert_rows_are_the_cycle(x, limit_set(profile(x)).points)
+
+
+def _c12_coset():
+    return simplex_from_map(make_cyclic(12), {"t^1": "1/3", "t^5": "2/3"})
+
+
+def _d60_pair():
+    return simplex_from_map(make_dihedral(30), {"r1": "1/2", "s0": "1/2"})
+
+
+# Points whose float powers repeat bit for bit late or never: the
+# spectral gap of a two-point walk on a large group is small.
+SLOW_POWER_CYCLES = {
+    # Within 1e-8 of its cycle at x^713, a bitwise repeat only at x^1545.
+    "D60 pair": _d60_pair,
+    # Period 3, support group of order 171.
+    "C513 pair": lambda: simplex_from_map(make_cyclic(513), {"t^1": "1/2", "t^4": "1/2"}),
+    # Period 4; the second eigenvalue is cos(4 pi / 2000), about 1 - 2e-5.
+    "C2000 pair": lambda: simplex_from_map(make_cyclic(2000), {"t^1": "1/2", "t^5": "1/2"}),
+    "C12 coset": _c12_coset,
+    "D24 pair": lambda: simplex_from_map(make_dihedral(12), {"r1": "1/3", "s0": "2/3"}),
+    "Z12 lopsided pair": lambda: simplex_from_map(
+        make_cyclic(12), {"t^1": "1/16", "t^9": "15/16"}),
+    "C44 point mass": lambda: delta(make_cyclic(44), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLOW_POWER_CYCLES))
+def test_power_rows_are_the_closed_cycle_in_class_order(case):
+    x = SLOW_POWER_CYCLES[case]()
+    assert_rows_are_the_cycle(x, limit_set(profile(x)).points)
+
+
+def test_the_power_oracle_reads_neither_profile_nor_cosets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the power oracle read the profile")
+
+    points = {}
+    for case in ("D60 pair", "C12 coset"):
+        x = SLOW_POWER_CYCLES[case]()
+        points[case] = (x, limit_set(profile(x)).points)
+    monkeypatch.setattr(dynamics, "profile", refuse)
+    monkeypatch.setattr(DynamicsProfile, "cosets", property(refuse))
+    for x, closed in points.values():
+        assert_rows_are_the_cycle(x, closed)
+
+
+def test_pure_power_rows_are_the_closed_set():
+    # 2^n mod 46 cycles through 11 residues, so x -> x^2 settles on the
+    # 11 point masses of the cycle of t^25 at those residues.
+    x = delta(make_cyclic(46), 25)
+    closed = pure_power_report(2, profile(x)).accumulation
+    rows = empirical_limit_set(x)
+    residues = sorted({pow(2, n, 46) for n in range(46, 92)})
+    assert len(rows) == 46 and len(residues) == len(closed) == 11
+    matches = [[k for k in residues if sup_distance(rows[k], q) <= DEFAULT_MATCH_TOL]
+               for q in closed.points]
+    assert sorted(k for near in matches for k in near) == residues
+    assert _power_oracle(closed, rows, 2) == ("pass", "11 empirical clusters")
 
 
 def test_match_rejects_perturbed_sets():
+    # The powers of x match the closed cycle in class order; x -> x^3
+    # matches its closed set, the points at t^1 and t^3, in any order.
     g = make_cyclic(4)
     x = delta(g, 1)
-    closed = limit_set(profile(x))
+    prof = profile(x)
+    rows = empirical_limit_set(x)
     blur = simplex_from_map(g, {"t^0": "9/10", "t^1": "1/10"})
-    shifted = tuple(multiply(pt, blur).floats for pt in closed.points)
-    assert not match_accumulation_sets(closed, shifted, tol=1e-8)
-    dropped = tuple(pt.floats for pt in closed.points[:-1])
-    assert not match_accumulation_sets(closed, dropped, tol=1e-8)
-    assert match_accumulation_sets(closed, tuple(pt.floats for pt in closed.points))
-
-
-def plain_match(expected, observed, tol):
-    """Greedy matching as a plain loop: each observed point takes the
-    nearest expected point left (the first on a tie) or fails."""
-    if len(expected) != len(observed):
-        return False
-    remaining = list(expected.points)
-    for pt in observed:
-        dists = [sup_distance(pt, q) for q in remaining]
-        best = min(range(len(dists)), key=dists.__getitem__)
-        if dists[best] > tol:
-            return False
-        remaining.pop(best)
-    return True
-
-
-def test_match_accumulation_sets_matches_a_plain_loop():
-    # Points 3 and 4 lie within tol of each other, so which of them an
-    # observed point takes decides the later matches (taking the first
-    # within tol instead of the nearest changes 10 of these verdicts);
-    # observed points are moved by up to 1.5 tol, at coordinate 0, at
-    # their largest coordinate or elsewhere.
-    g = make_cyclic(6)
-    rng = random.Random(2)
-    tol = 1e-8
-    outcomes = set()
-    for _ in range(300):
-        points = [random_simplex_point(g, rng, support_size=6) for _ in range(4)]
-        # Point 4 moves 0.7 tol of point 3's mass from its largest
-        # coordinate to coordinate 0 (or 1, when 0 is the largest).
-        coeffs = list(points[3].coeffs)
-        top = int(np.argmax(points[3].floats))
-        coeffs[top] -= Fraction(7, 10 ** 9)
-        coeffs[1 if top == 0 else 0] += Fraction(7, 10 ** 9)
-        points.append(SimplexPoint(g, tuple(coeffs)))
-        expected = AccumulationSet(tuple(points))
-        base = [pt.floats for pt in points]
-        moved = []
-        for i in rng.sample(range(5), 5):
-            v = base[i].copy()
-            v[rng.choice([0, int(np.argmax(v)), rng.randrange(6)])] += \
-                rng.choice([-1, 1]) * rng.choice([0.2, 0.5, 0.9, 1.5]) * tol
-            moved.append(v)
-        observed = tuple(moved)
-        want = plain_match(expected, observed, tol)
-        assert match_accumulation_sets(expected, observed, tol) == want
-        outcomes.add(want)
-    assert outcomes == {True, False}
+    for r, closed in ((None, limit_set(prof)), (3, pure_power_report(3, prof).accumulation)):
+        assert _power_oracle(closed, rows, r) == ("pass", f"{len(closed)} empirical clusters")
+        shifted = AccumulationSet(tuple(multiply(pt, blur) for pt in closed.points))
+        assert _power_oracle(shifted, rows, r)[0] == "fail"
+        assert _power_oracle(AccumulationSet(closed.points[:-1]), rows, r)[0] == "fail"
+        rotated = AccumulationSet(closed.points[1:] + closed.points[:1])
+        assert _power_oracle(rotated, rows, r)[0] == ("fail" if r is None else "pass")
+    inconclusive = InconclusiveError("no return", iterations=4)
+    assert _power_oracle(closed, inconclusive) == ("inconclusive", "no return")
 
 
 def test_closed_form_points_must_be_distinct():
@@ -151,149 +175,10 @@ def test_closed_form_points_must_be_distinct():
     assert pair != AccumulationSet((b, a))
 
 
-def test_empirical_limit_set_inconclusive_window():
-    # x^13 repeats x^1, one step past the budget.
-    g = make_cyclic(12)
-    with pytest.raises(InconclusiveError, match="by step 12 "):
-        empirical_limit_set(delta(g, 1), horizon=12)
-
-
-def plain_clustered_cycle(step, vec, horizon):
-    """A clustered float cycle as a plain loop: one step per iteration and
-    a bytes dict to find the first state that repeats, then greedy
-    clusters of the cycle's states.  Returns the coefficient bytes of
-    each cluster, or the message and iteration count of the
-    InconclusiveError it would raise."""
-    first, states = {}, []
-    for k in range(1, horizon + 1):
-        vec = step(vec)
-        if vec.tobytes() in first:
-            cycle = range(first[vec.tobytes()], len(states))
-            break
-        first[vec.tobytes()] = len(states)
-        states.append(vec)
-    else:
-        return (f"no power repeated an earlier one bit for bit by step {horizon} "
-                f"({len(states)} distinct powers)", horizon)
-    reps = []
-    for i in cycle:
-        if all(np.abs(states[r] - states[i]).max() > MERGE_TOL for r in reps):
-            reps.append(i)
-    return [states[i].tobytes() for i in reps]
-
-
-def plain_limit_set(x, horizon):
-    """The power oracle's clusters as a plain loop: one multiply per power."""
-    g = x.group
-    right = x.floats[g.conv_index]
-    vec = np.zeros(g.order)
-    vec[g.identity] = 1.0
-    return plain_clustered_cycle(lambda vec: vec @ right, vec, horizon)
-
-
-def _interior(g, seed):
-    return random_simplex_point(g, random.Random(seed), support_size=g.order)
-
-
-def _c12_coset():
-    return simplex_from_map(make_cyclic(12), {"t^1": "1/3", "t^5": "2/3"})
-
-
-def _d60_pair():
-    return simplex_from_map(make_dihedral(30), {"r1": "1/2", "s0": "1/2"})
-
-
-# Each case: the point, the horizon, and the number of clusters (None when
-# the oracle is inconclusive).
-POWER_ORACLE_CASES = {
-    "D4 interior": (lambda: _interior(make_dihedral(4), 3), 600, 1),
-    "C2xC2 interior": (lambda: _interior(
-        direct_product(make_cyclic(2), make_cyclic(2)), 4), 600, 1),
-    # Period 4 on the cosets of <t^4>; x^73 repeats x^69.
-    "C12 coset": (_c12_coset, 600, 4),
-    "C12 coset, short": (_c12_coset, 60, None),
-    # x^45 repeats x^1, so a budget of 45 suffices although the period is
-    # most of it.
-    "C44 point mass": (lambda: delta(make_cyclic(44), 1), 600, 44),
-    "C44 point mass, repeat at the budget": (
-        lambda: delta(make_cyclic(44), 1), 45, 44),
-    "C44 point mass, one step short": (lambda: delta(make_cyclic(44), 1), 44, None),
-    # x^1545 repeats x^1543, so the default budget of 600 is too short.
-    "D60 pair": (_d60_pair, 600, None),
-    "D60 pair, long": (_d60_pair, 2000, 2),
-    # x^543 repeats x^541.
-    "D24 pair": (lambda: simplex_from_map(
-        make_dihedral(12), {"r1": "1/3", "s0": "2/3"}), 600, 2),
-    # A lopsided pair that mixes slowly; x^375 repeats x^371.
-    "Z12 lopsided pair": (lambda: simplex_from_map(
-        make_cyclic(12), {"t^1": "1/16", "t^9": "15/16"}), 600, 4),
-    "one-step budget": (lambda: _interior(make_dihedral(4), 3), 1, None),
-}
-
-
-@pytest.mark.parametrize("case", sorted(POWER_ORACLE_CASES))
-def test_empirical_limit_set_matches_a_plain_loop(case):
-    build, horizon, clusters = POWER_ORACLE_CASES[case]
-    x = build()
-    want = plain_limit_set(x, horizon)
-    assert isinstance(want, tuple) if clusters is None else len(want) == clusters
-    try:
-        got = empirical_limit_set(x, horizon=horizon)
-    except InconclusiveError as exc:
-        assert (str(exc), exc.iterations) == want
-    else:
-        assert [pt.tobytes() for pt in got] == want
-        assert match_accumulation_sets(limit_set(profile(x)), got)
-
-
-def _plain_pure_power(x, r, horizon):
-    """The clusters of x -> x^r as a plain loop, each step renormalized as
-    iterate_map's is."""
-    g = x.group
-
-    def step(vec):
-        vec = evaluate_series_floats(g, [(r, 1.0)], vec)
-        return vec / vec.sum()
-
-    return plain_clustered_cycle(step, x.floats, horizon)
-
-
-# Each case: the point, the exponent r, the horizon, and the number of
-# clusters (None when the oracle is inconclusive).
-PURE_POWER_CASES = {
-    # Squaring walks t^25 to t^4, t^8, .., t^2 and back to t^4 at step 12.
-    "C46 point mass": (lambda: delta(make_cyclic(46), 25), 2, 600, 11),
-    "C46 point mass, one step short": (lambda: delta(make_cyclic(46), 25), 2, 11, None),
-    # Cubing alternates between the cosets t^3<t^4> and t^1<t^4>.
-    "C12 coset": (_c12_coset, 3, 600, 2),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PURE_POWER_CASES))
-def test_pure_power_clusters_match_a_plain_loop(case):
-    build, r, horizon, clusters = PURE_POWER_CASES[case]
-    x = build()
-    want = _plain_pure_power(x, r, horizon)
-    assert isinstance(want, tuple) if clusters is None else len(want) == clusters
-    trace = iterate_map(ProbPoly.pure_power(r), x, horizon)
-    try:
-        got = _clustered_cycle(trace)
-    except InconclusiveError as exc:
-        assert (str(exc), exc.iterations) == want
-    else:
-        assert [pt.tobytes() for pt in got] == want
-        assert all(any(pt is y for y in trace.states) for pt in got)
-        closed = pure_power_report(r, profile(x)).accumulation
-        assert match_accumulation_sets(closed, got)
-
-
 @pytest.mark.parametrize("horizon", [0, -3])
-def test_a_horizon_below_one_is_an_input_error_for_both_maps(horizon):
-    x = _c12_coset()
+def test_a_horizon_below_one_is_an_input_error_for_the_series_map(horizon):
     with pytest.raises(ValueError, match=f"need n >= 1, got {horizon}$"):
-        empirical_limit_set(x, horizon=horizon)
-    with pytest.raises(ValueError, match=f"need n >= 1, got {horizon}$"):
-        iterate_map(ProbPoly.pure_power(2), x, horizon)
+        iterate_map(ProbPoly.pure_power(2), _c12_coset(), horizon)
 
 
 def test_reduction_shrinks_return_time():

@@ -11,8 +11,8 @@ The scalar shadow (CSV) is pinned on c6-irrational, c12-divergent (a
 shifted series whose powers vanish below the truncation degree),
 s4-supercritical and c20xc20-shifted, the float oracle trace
 (iterate, CSV) on c6-irrational, and the power oracle (limit-set) on
-c12-divergent (twelve point-mass clusters) and s4-supercritical (one
-interior cluster in float decimals).  The files hold the exact stdout;
+c12-divergent (twelve point-mass rows in class order) and
+s4-supercritical (one interior row in float decimals).  The files hold the exact stdout;
 refresh one by rerunning the command and reviewing the diff.
 
 In-process calls never finalize the interpreter, so two cases also run

@@ -14,9 +14,10 @@ Prints, for the src/ tree of this checkout:
 - one S4 verify call at 10,000 and 100,000 steps: its orbit repeats
   within a few hundred steps, so the longer horizon should cost time for
   the Cesaro window only, and no memory (median of 3 processes);
-- one D60 limit-set call on a pair whose powers do not repeat within
-  600 steps (exit 2) and do within 2,000 (exit 0), so the orbit keeps
-  every state it evaluates (median of 3 processes);
+- one limit-set call on a D60 pair and one on a C2000 pair, whose float
+  powers approach their cycle slowly (the C2000 walk's second eigenvalue
+  is about 1 - 2e-5): the power oracle squares x^|G| to the idempotent
+  and reads no horizon (median of 3 processes);
 - one C6 scalar call at 200 and 20,000 steps: the trace keeps no state,
   so the longer horizon should cost time and only its output rows in
   memory (median of 3 processes);
@@ -52,9 +53,12 @@ GOLDEN = ROOT / "tests" / "golden"
 # oracle commands would import simplexdyn.cli a second time.
 CLI = [sys.executable, "-c", "import sys\nfrom simplexdyn.cli import main\nsys.exit(main())\n"]
 COMPILE_RUNS = 30
-# Its powers repeat bit for bit only at x^1545, so the float orbit keeps
-# every state it evaluates: 600 steps are inconclusive, 2,000 close it.
-D60_PAIR = {"group": {"kind": "dihedral", "n": 30}, "element": {"r1": "1/2", "s0": "1/2"}}
+# Two slowly mixing pairs for the power oracle of limit-set.
+SLOW_PAIRS = {
+    "d60-pair": {"group": {"kind": "dihedral", "n": 30}, "element": {"r1": "1/2", "s0": "1/2"}},
+    "c2000-pair": {"group": {"kind": "cyclic", "n": 2000},
+                   "element": {"t^1": "1/2", "t^5": "1/2"}},
+}
 # Prints the standard-library modules loaded so far, on one line of stderr.
 STDLIB = ("print(*sorted(n for n in sys.modules\n"
           "              if n.partition('.')[0] in sys.stdlib_module_names), file=sys.stderr)\n")
@@ -171,12 +175,11 @@ def oracle_memory() -> None:
         print(f"simplexdyn verify s4-supercritical --horizon {horizon:>6}: "
               f"{wall:.3f} s, {peak:.1f} MB peak RSS (median of 3, exit {code})")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d60-pair.json"
-        path.write_text(json.dumps(D60_PAIR))
-        for horizon in ("600", "2000"):
-            wall, peak, code = fresh([*CLI, "limit-set", "--config", str(path),
-                                      "--horizon", horizon], 3)
-            print(f"simplexdyn limit-set d60-pair --horizon {horizon:>4}:         "
+        for name, config in SLOW_PAIRS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(config))
+            wall, peak, code = fresh([*CLI, "limit-set", "--config", str(path)], 3)
+            print(f"{'simplexdyn limit-set ' + name + ':':52} "
                   f"{wall:.3f} s, {peak:.1f} MB peak RSS (median of 3, exit {code})")
 
 
