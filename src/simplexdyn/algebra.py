@@ -1,14 +1,16 @@
 """Arithmetic in the group algebra R[G] and its probability simplex.
 
-Exact rationals are the canonical representation; every invariant that
-feeds a support computation is threshold-free.  The exact product runs
-on integer numerators over a common denominator (poly._exact_product),
-which each element converts once and keeps, and rebuilds Fractions only
-for its result.  A float point is a read-only float64 vector of length
-|G|; an exact element gives its own through .floats.  The series
-oracles read one OrbitTrace of such vectors, built by _float_orbit,
-which states when an orbit stops being evaluated, how its later steps
-replay its cycle and how far from the simplex each state may drift.
+An exact element is its support, the ascending indices of its nonzero
+coefficients, their integer numerators u and one denominator den with
+gcd(u.., den) = 1, so equal elements have equal fields.  Constructors
+and products (poly._exact_product) build that triple directly, and
+element_to_map, support, floats and repr read the support only; coeffs,
+the |G| Fractions, is a view built on use.  A float point is a read-only
+float64 vector of length |G|; an exact element gives its own through
+.floats.  The series oracles read one OrbitTrace of such vectors, built
+by _float_orbit, which states when an orbit stops being evaluated, how
+its later steps replay its cycle and how far from the simplex each state
+may drift.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .groups import ElementSet, FiniteGroup
 from .record import Record, parse_rational
-from .poly import _exact_product, _numerators, _power_sum
+from .poly import _exact_product, _numerators, _power_sum, _ratio_text
 
 # Slack granted per float iteration step on oracle traces.
 ITERATION_SLACK_RATE = 1e-12
@@ -37,31 +39,28 @@ def _same_group(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
 
 
 class AlgebraElement(Record):
-    """An element sum_g x_g * g of R[G], as a dense exact coefficient vector."""
+    """An element sum_g x_g * g of R[G]: x_g = u[k] / den at g = support[k]."""
 
-    _fields = ("group", "coeffs")
+    _fields = ("group", "support", "u", "den")
 
     def __init__(self, group: FiniteGroup, coeffs: Sequence[RationalLike]) -> None:
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if len(coeffs) != group.order:
-            raise ValueError(
-                f"expected {group.order} coefficients, got {len(coeffs)}")
-        self._set(group=group, coeffs=coeffs)
+            raise ValueError(f"expected {group.order} coefficients, got {len(coeffs)}")
+        self._set(group, *_numerators(enumerate(coeffs)))
 
     @cached_property
-    def numerators(self) -> tuple[np.ndarray, tuple[int, ...], int]:
-        """(support, u, D): the indices of the nonzero coefficients and
-        their integer numerators u over the lcm D of their denominators,
-        the form every exact product reads; computed once."""
-        return _numerators(self.coeffs)
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The dense tuple of |G| Fractions, built on first use."""
+        out = dict(_entries(self))
+        return tuple(out.get(i, Fraction(0)) for i in range(self.group.order))
 
     @cached_property
     def floats(self) -> np.ndarray:
         """The coefficients as one read-only float64 vector, converted once:
-        u_i / D is int true division, correctly rounded as float(Fraction) is."""
-        support, u, den = self.numerators
+        u[k] / den is int true division, correctly rounded as float(Fraction) is."""
         vec = np.zeros(self.group.order)
-        vec[support] = [n / den for n in u]
+        vec.put(self.support, [n / self.den for n in self.u])
         vec.setflags(write=False)
         return vec
 
@@ -69,30 +68,24 @@ class AlgebraElement(Record):
         return self.coeffs[i]
 
     def __repr__(self) -> str:
-        inside = ", ".join(
-            f"{self.group.labels[i]}: {c}" for i, c in enumerate(self.coeffs) if c)
+        inside = ", ".join(f"{k}: {v}" for k, v in element_to_map(self).items())
         return f"{type(self).__name__}({inside or '0'})"
 
 
 class SimplexPoint(AlgebraElement):
-    """A probability distribution on G: coefficients >= 0 summing to exactly 1."""
+    """A probability distribution on G: u >= 0 and sum(u) == den, checked by _set."""
 
-    def __init__(self, group: FiniteGroup, coeffs: Sequence[RationalLike]) -> None:
-        super().__init__(group, coeffs)
-        _, u, den = self.numerators
-        if any(n < 0 for n in u):
+    def _set(self, group, support, u, den) -> None:
+        if min(u, default=0) < 0:
             raise ValueError("simplex point has a negative coefficient")
         if sum(u) != den:
-            raise ValueError(f"simplex point coefficients sum to "
-                             f"{Fraction(sum(u), den)}, not 1")
+            raise ValueError(f"simplex point coefficients sum to {Fraction(sum(u), den)}, not 1")
+        super()._set(group, support, u, den)
 
 
 def delta(group: FiniteGroup, i: int) -> SimplexPoint:
     """Point mass at element index i."""
-    if not 0 <= i < group.order:
-        raise ValueError(f"element index {i} out of range")
-    return SimplexPoint(group, tuple(
-        Fraction(1) if j == i else Fraction(0) for j in range(group.order)))
+    return uniform_on(ElementSet(group, (i,)))
 
 
 def _product(g: FiniteGroup, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -106,23 +99,21 @@ def _product(g: FiniteGroup, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact,
-    computed on integer numerators by _product."""
+    """Convolution product: (xy)_g = sum over h*k = g of x_h * y_k, exact, by
+    _product on the integer fields (support, u, den), _values()[1:]."""
     _same_group(x.group, y.group, "multiply")
     g = x.group
     cls = SimplexPoint if isinstance(x, SimplexPoint) and isinstance(y, SimplexPoint) \
         else AlgebraElement
-    return cls(g, tuple(_exact_product(x.numerators, y.numerators, g.order,
-                                       partial(_product, g))))
+    return cls._of(g, *_exact_product(x._values()[1:], y._values()[1:], g.order,
+                                      partial(_product, g)))
 
 
 def power(x: AlgebraElement, k: int) -> AlgebraElement:
     """x^k by square-and-multiply; x^0 is the point mass at the identity."""
     if k < 0:
         raise ValueError(f"exponent must be >= 0, got {k}")
-    result = delta(x.group, x.group.identity)
-    if not isinstance(x, SimplexPoint):
-        result = AlgebraElement(x.group, result.coeffs)
+    result = type(x)._of(x.group, (x.group.identity,), (1,), 1)
     base = x
     while k:
         if k & 1:
@@ -135,28 +126,32 @@ def power(x: AlgebraElement, k: int) -> AlgebraElement:
 
 def support(x: AlgebraElement) -> ElementSet:
     """Indices with nonzero coefficient (exact test, no threshold)."""
-    return ElementSet(x.group, tuple(i for i, c in enumerate(x.coeffs) if c))
+    return ElementSet(x.group, x.support)
 
 
 def uniform_on(h: ElementSet) -> SimplexPoint:
     """Uniform distribution on a nonempty element set."""
     if not h.members:
         raise ValueError("uniform_on requires a nonempty set")
-    share = Fraction(1, len(h.members))
-    coeffs = [Fraction(0)] * h.group.order
-    for i in h.members:
-        coeffs[i] = share
-    return SimplexPoint(h.group, tuple(coeffs))
+    return SimplexPoint._of(h.group, h.members, (1,) * len(h), len(h))
+
+
+def _entries(x: AlgebraElement) -> zip:
+    """The (index, Fraction) pairs of the support of x, ascending."""
+    return zip(x.support, (Fraction(n, x.den) for n in x.u))
 
 
 def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     _same_group(x.group, y.group, "add")
-    return AlgebraElement(x.group, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+    total = dict(_entries(x))
+    for i, c in _entries(y):
+        total[i] = total.get(i, 0) + c
+    return AlgebraElement._of(x.group, *_numerators(sorted(total.items())))
 
 
 def scale(q: RationalLike, x: AlgebraElement) -> AlgebraElement:
     qq = Fraction(q)
-    return AlgebraElement(x.group, tuple(qq * c for c in x.coeffs))
+    return AlgebraElement._of(x.group, *_numerators((i, qq * c) for i, c in _entries(x)))
 
 
 def sup_distance(a: AlgebraElement | np.ndarray, b: AlgebraElement | np.ndarray) -> float:
@@ -165,15 +160,10 @@ def sup_distance(a: AlgebraElement | np.ndarray, b: AlgebraElement | np.ndarray)
     vectors of different shapes, which numpy would broadcast."""
     if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
         _same_group(a.group, b.group, "sup_distance")
-    u, v = _floats(a), _floats(b)
+    u, v = getattr(a, "floats", a), getattr(b, "floats", b)
     if u.shape != v.shape:
         raise ValueError(f"sup_distance of vectors of shapes {u.shape} and {v.shape}")
     return float(np.max(np.abs(u - v)))
-
-
-def _floats(x: AlgebraElement | np.ndarray) -> np.ndarray:
-    """The float64 vector of x: an exact element's .floats, or x itself."""
-    return x.floats if isinstance(x, AlgebraElement) else x
 
 
 def _float_point(vec: np.ndarray, slack: float) -> np.ndarray:
@@ -297,16 +287,15 @@ def simplex_from_map(group: FiniteGroup,
     Unlisted labels get coefficient 0; the simplex invariants are
     enforced exactly on the result.
     """
-    coeffs = [Fraction(0)] * group.order
+    coeffs = {}
     for label, text in mapping.items():
         i = group.index_of(str(label))
-        if coeffs[i]:
+        if coeffs.get(i):
             raise ValueError(f"label {label!r} listed twice")
         coeffs[i] = parse_rational(text)
-    return SimplexPoint(group, tuple(coeffs))
+    return SimplexPoint._of(group, *_numerators(sorted(coeffs.items())))
 
 
 def element_to_map(x: AlgebraElement) -> dict[str, str]:
     """Nonzero coefficients as a label -> "p/q" map (inverse of simplex_from_map)."""
-    return {x.group.labels[i]: str(c)
-            for i, c in enumerate(x.coeffs) if c}
+    return {x.group.labels[i]: _ratio_text(n, x.den) for i, n in zip(x.support, x.u)}

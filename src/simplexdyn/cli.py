@@ -63,11 +63,12 @@ def _decimal_map(labels: tuple[str, ...], vec) -> dict:
 
 
 def _point_record(labels: tuple[str, ...], x) -> dict:
-    """An exact element's map and decimals, or a float vector's decimals."""
+    """An exact element's map and decimals, or a float vector's; no decimal is 0.0."""
     from .algebra import AlgebraElement, element_to_map
 
     if isinstance(x, AlgebraElement):
-        return {"exact": element_to_map(x), "decimal": _decimal_map(labels, x.floats)}
+        decimal = {labels[i]: f for i, n in zip(x.support, x.u) if (f := n / x.den)}
+        return {"exact": element_to_map(x), "decimal": decimal}
     return {"decimal": _decimal_map(labels, x)}
 
 

@@ -10,8 +10,8 @@ domain objects, and every failure names the offending field.
 from __future__ import annotations
 
 import json
+import math
 import random
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from .groups import (FiniteGroup, direct_product, make_cyclic, make_dihedral,
@@ -76,9 +76,9 @@ def random_interior_point(group: FiniteGroup, seed: int) -> SimplexPoint:
 
     rng = random.Random(seed)
     weights = [rng.randint(1, RANDOM_WEIGHT_MAX) for _ in range(group.order)]
-    total = sum(weights)
-    return SimplexPoint(group=group,
-                        coeffs=tuple(Fraction(w, total) for w in weights))
+    g = math.gcd(*weights)  # = gcd(weights.., their sum), for lowest terms
+    return SimplexPoint._of(group, tuple(range(group.order)),
+                            tuple(w // g for w in weights), sum(weights) // g)
 
 
 def build_element(group: FiniteGroup, spec, where: str = "element") -> SimplexPoint:
@@ -153,8 +153,7 @@ class ExperimentConfig(Record):
     def __init__(self, group: FiniteGroup, element: SimplexPoint | None,
                  series: ProbPoly | None, horizon: int | None,
                  truncation: int | None) -> None:
-        self._set(group=group, element=element, series=series, horizon=horizon,
-                  truncation=truncation)
+        self._set(group, element, series, horizon, truncation)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":

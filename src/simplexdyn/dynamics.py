@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import algebra
-from .algebra import SimplexPoint, multiply, support, uniform_on
+from .algebra import SimplexPoint, multiply, uniform_on
 from .errors import InconclusiveError, InternalConsistencyError
 from .groups import ElementSet, generated_subgroup
 from .poly import _power_sum
@@ -60,8 +60,7 @@ class DynamicsProfile(Record):
         if return_time % period:
             raise InternalConsistencyError(
                 f"period {period} does not divide return time {return_time}")
-        self._set(return_time=return_time, period=period,
-                  support_group=support_group, idempotent=idempotent, point=point)
+        self._set(return_time, period, support_group, idempotent, point)
 
     def __repr__(self) -> str:
         return self._format(self._fields[:-1])  # the point itself stays out
@@ -78,7 +77,7 @@ class DynamicsProfile(Record):
         The rows are distinct, as the period is the least k with s^k in H.
         """
         g = self.point.group
-        s = int(self.point.numerators[0][0])
+        s = self.point.support[0]
         heads = [g.identity]
         for _ in range(1, self.period):
             heads.append(g.mul(heads[-1], s))
@@ -89,15 +88,16 @@ class DynamicsProfile(Record):
     @cached_property
     def cycle(self) -> tuple[SimplexPoint, ...]:
         """idempotent * x^r for r = 0 .. period-1, uniform on cosets[r]."""
-        return tuple(uniform_on(ElementSet(self.point.group, row))
+        ones = (1,) * len(self.support_group)
+        return tuple(SimplexPoint._of(self.point.group, tuple(sorted(row)), ones, len(ones))
                      for row in self.cosets.tolist())
 
 
 class AccumulationSet(Record):
     """The closed-form limit points of an iteration: pairwise distinct
-    exact elements, checked by hashing their numerators (support, u, D),
-    which determine the exact coefficients.  The power oracle's rows are
-    a plain tuple of vectors (empirical_limit_set).
+    exact elements, checked by hashing their (support, u, den), in lowest
+    terms, not the elements, whose hash reads the group's |G| labels too.
+    The power oracle's rows are a plain tuple of vectors.
     """
 
     _fields = ("points",)
@@ -105,8 +105,7 @@ class AccumulationSet(Record):
     def __init__(self, points: tuple[SimplexPoint, ...]) -> None:
         first: dict[tuple, int] = {}
         for j, pt in enumerate(points):
-            supp, u, den = pt.numerators
-            i = first.setdefault((supp.tobytes(), u, den), j)
+            i = first.setdefault((pt.support, pt.u, pt.den), j)
             if i != j:
                 raise InternalConsistencyError(
                     f"accumulation points {i} and {j} coincide")
@@ -124,7 +123,7 @@ def _support_powers(x: SimplexPoint) -> list[frozenset[int]]:
     product from the support.
     """
     g = x.group
-    base = np.array(support(x).members)
+    base = np.array(x.support)
     cur = frozenset(base.tolist())
     powers = [cur]
     for _ in range(g.order):

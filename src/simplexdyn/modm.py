@@ -134,17 +134,16 @@ class ModMReport(Record):
             raise ValueError("a convergent trace has its limit as its single "
                              "accumulation point")
         for pt in (*accumulation, cesaro):
-            _, u, den = _numerators(pt)  # m Fraction sums would outcost the solve
+            _, u, den = _numerators(enumerate(pt))  # m Fraction sums would outcost the solve
             if len(pt) != m or min(u, default=0) < 0 or sum(u) != den:
                 raise InternalConsistencyError(
                     f"a quotient point of length {len(pt)} is off the simplex of Z_{m}")
-        self._set(m=m, series_group=series_group, cycle=cycle, exists=exists,
-                  limit=limit, accumulation=accumulation, cesaro=cesaro, a=a)
+        self._set(m, series_group, cycle, exists, limit, accumulation, cesaro, a)
 
 
-def extinction_correction(coeffs: list[Fraction], identity: int,
-                          members: tuple[int, ...], a: Fraction) -> list[Fraction]:
-    """Add (delta_e - c_H) * a to coeffs in place, c_H uniform on members.
+def extinction_correction(coeffs: list[Fraction] | dict[int, Fraction], identity: int,
+                          members: tuple[int, ...], a: Fraction) -> list | dict:
+    """Add (delta_e - c_H) * a to coeffs (a list, or a dict holding each member) in place.
 
     Every closed form carries this term, on the quotient Z_m (H the
     series group) and on the group (H the support group of the

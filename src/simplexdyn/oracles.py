@@ -200,7 +200,7 @@ def cmd_cesaro(cfg: ExperimentConfig, args) -> int:
 
 
 def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
-    from .algebra import multiply, support
+    from .algebra import multiply
     from .dynamics import AccumulationSet, power_rank, profile
     from .predict import analyze, pure_power_report
     from .series import compose, initial_state, recursion_coeffs
@@ -215,7 +215,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
                  and prof_y.return_time <= prof.period <= prof.return_time)
     if prof_y.return_time == prof.return_time:
         reduction = reduction and prof.return_time == prof.period == prof_y.period
-    inside = all(i in prof.support_group for i in support(x).members)
+    inside = all(i in prof.support_group for i in x.support)
     checks = [_check(name, _verdict(ok), detail) for name, ok, detail in (
         # prof_y.point is x * c: c * x == x * c is limit_set's commutation check.
         ("profile-consistency",

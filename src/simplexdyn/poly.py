@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -135,28 +135,27 @@ def _power_sum(terms: Iterable[tuple[int, object]], one: np.ndarray,
     return out
 
 
-def _numerators(coeffs: Sequence[Fraction]
-                ) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """(support, u, D): the indices of the nonzero coeffs, in order, and
-    their integer numerators u over D, the lcm of their denominators, so
-    coeffs[support] = u / D and every other entry is 0."""
-    support = [i for i, c in enumerate(coeffs) if c]
-    den = math.lcm(*(coeffs[i].denominator for i in support))
-    u = tuple(coeffs[i].numerator * (den // coeffs[i].denominator) for i in support)
-    index = np.array(support, dtype=np.intp)
-    index.setflags(write=False)
-    return index, u, den
+_Triple = tuple[tuple[int, ...], tuple[int, ...], int]  # (support, u, D)
 
 
-def _exact_product(a: tuple[np.ndarray, tuple[int, ...], int],
-                   b: tuple[np.ndarray, tuple[int, ...], int], n: int,
-                   product: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                   ) -> list[Fraction]:
-    """A bilinear product of two length-n Fraction vectors, computed on
-    integers from their _numerators triples.
+def _numerators(pairs: Iterable[tuple[int, Fraction]]) -> _Triple:
+    """(support, u, D) of (index, Fraction) pairs in ascending index order:
+    the indices of the nonzero Fractions, their integer numerators u over
+    D, the lcm of their denominators, so the Fraction at support[k] is
+    u[k] / D.  D is the lowest common denominator: gcd(u.., D) = 1."""
+    nz = [(i, c) for i, c in pairs if c]
+    den = math.lcm(*(c.denominator for _, c in nz))
+    u = tuple(c.numerator * (den // c.denominator) for _, c in nz)
+    return tuple(i for i, _ in nz), u, den
 
-    With a = u / Du and b = v / Dv, returns product(u, v) / (Du * Dv) as
-    Fractions, u and v scattered into dense length-n operands.  product
+
+def _exact_product(a: _Triple, b: _Triple, n: int,
+                   product: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> _Triple:
+    """A bilinear product of two length-n rational vectors, computed on
+    integers from their _numerators triples, as such a triple.
+
+    With a = u / Du and b = v / Dv, returns product(u, v) / (Du * Dv) in
+    lowest terms, u and v scattered into dense length-n operands.  product
     must sum, per output entry, at most one term u_i * v_j for each
     nonzero u_i.  u and v are int64 arrays when no such sum can reach
     2^63, where int64 would wrap silently, and object arrays of Python
@@ -166,10 +165,17 @@ def _exact_product(a: tuple[np.ndarray, tuple[int, ...], int],
     mu, mv = max(map(abs, u), default=0), max(map(abs, v), default=0)
     dtype = np.int64 if max(mu, mv, mu * mv * len(u)) < 2 ** 63 else object
     ua = np.zeros(n, dtype=dtype)
-    ua[sa] = u
+    ua.put(sa, u)
     va = np.zeros(n, dtype=dtype)
-    va[sb] = v
+    va.put(sb, v)
     out = product(ua, va)
-    den = du * dv
-    zero = Fraction(0)
-    return [Fraction(k, den) if k else zero for k in out.tolist()]
+    (nz,) = out.nonzero()
+    w = out[nz].tolist()
+    g = math.gcd(du * dv, *w)
+    return tuple(nz.tolist()), tuple(k // g for k in w), du * dv // g
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, from one gcd and no Fraction."""
+    g = math.gcd(n, den)
+    return f"{n // g}/{den // g}" if den > g else str(n // g)

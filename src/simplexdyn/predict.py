@@ -43,7 +43,7 @@ from .dynamics import (AccumulationSet, DynamicsProfile, profile,
 from .errors import InternalConsistencyError, PurePowerError
 from .modm import ModMReport, extinction_correction, regularity_mod_m
 from .record import Record
-from .poly import ProbPoly
+from .poly import ProbPoly, _numerators
 
 REGULAR_HORIZON = 500
 CESARO_HORIZON = 2000
@@ -71,10 +71,8 @@ class LimitReport(Record):
             total = sum(scalar_limits)
             if abs(total - 1.0) > SCALAR_SUM_TOL:
                 raise ValueError(f"scalar limits sum to {total}, not 1")
-        self._set(digest=digest, profile=profile, reduction_steps=reduction_steps,
-                  exists=exists, limit=limit, accumulation=accumulation,
-                  cesaro=cesaro, a=a, scalar_limits=scalar_limits,
-                  diagnostics=diagnostics)
+        self._set(digest, profile, reduction_steps, exists, limit, accumulation, cesaro,
+                  a, scalar_limits, diagnostics)
 
 
 def _digest(series_label: str, x: SimplexPoint) -> dict:
@@ -91,21 +89,20 @@ def _synthesize(prof: DynamicsProfile,
     """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients,
     exactly, where y is the point prof describes.  c_y * y^r is uniform
     on the coset prof.cosets[r] of the support group H, and the cosets
-    are disjoint, so the sum puts L_r / |H| on each member of row r."""
+    are disjoint, so the sum puts L_r / |H| on each member of row r, and
+    each point is built from H and its rows of nonzero share alone."""
     group = prof.point.group
     members = prof.support_group.members
     rows = prof.cosets.tolist()
     points = []
     for L in quotients:
-        coeffs = [Fraction(0)] * group.order
+        coeffs = dict.fromkeys(members, Fraction(0))
         for row, share in zip(rows, L):
             if share:
-                share /= len(members)
-                for i in row:
-                    coeffs[i] = share
+                coeffs.update(dict.fromkeys(row, share / len(members)))
         extinction_correction(coeffs, group.identity, members, a)
         try:
-            points.append(SimplexPoint(group=group, coeffs=tuple(coeffs)))
+            points.append(SimplexPoint._of(group, *_numerators(sorted(coeffs.items()))))
         except ValueError as exc:
             raise InternalConsistencyError(
                 f"synthesized limit left the simplex: {exc}") from exc

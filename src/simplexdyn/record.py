@@ -1,8 +1,8 @@
 """Immutable value records, written out by hand.
 
 Record is the base of the package's value types.  A subclass lists its
-field names in _fields and fills them once, in its own __init__, with
-_set().  Record gives it:
+field names in _fields and fills them once with _set(), by name or in
+_fields order: in its own __init__, or through _of().  Record gives it:
 
   - frozen fields: __setattr__ and __delattr__ raise AttributeError;
   - equality only with an instance of the very same class, by the tuple
@@ -27,13 +27,21 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, **values) -> None:
+    def _set(self, *args, **values) -> None:
+        values.update(zip(self._fields, args))
         # One object.__setattr__ per field, as a dataclass does: touching
         # self.__dict__ would make CPython build a full dict per instance
         # instead of sharing the class's key table (248 against 104 bytes
         # for three fields on CPython 3.11).
         for name, value in values.items():
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance of the field values, in _fields order, by _set alone."""
+        obj = cls.__new__(cls)
+        obj._set(*values)
+        return obj
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

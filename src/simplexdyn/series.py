@@ -134,9 +134,11 @@ def initial_state(p: ProbPoly, truncation: int | None = None,
 
 def _trunc_mul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b truncated at their common degree, on integer numerators."""
-    return np.array(_exact_product(
-        _numerators(a.tolist()), _numerators(b.tolist()), a.size,
-        lambda u, v: np.convolve(u, v)[:a.size]), dtype=object)
+    support, u, den = _exact_product(_numerators(enumerate(a)), _numerators(enumerate(b)),
+                                     a.size, lambda u, v: np.convolve(u, v)[:a.size])
+    out = np.full(a.size, Fraction(0), dtype=object)
+    out.put(support, [Fraction(k, den) for k in u])
+    return out
 
 
 def _state_blocks(p: ProbPoly, state: CoeffState, n: int

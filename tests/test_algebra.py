@@ -1,5 +1,6 @@
 """Exact group-algebra arithmetic and its float mirror."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from simplexdyn import algebra
 from simplexdyn.algebra import (ITERATION_SLACK_RATE, AlgebraElement,
                                 SimplexPoint, evaluate_series_floats,
                                 series_trace)
-from simplexdyn.groups import generated_subgroup
+from simplexdyn.groups import ElementSet, generated_subgroup
+from simplexdyn.predict import analyze
 
 from conftest import (build_zoo, count_calls, prob_poly, prob_polys,
                       random_simplex_point, recorded_mass_checks, signed_coeff_lists)
@@ -163,7 +165,7 @@ def test_floats_round_quotients_above_two_to_the_53_like_fractions():
     g = make_cyclic(4)
     x = AlgebraElement(g, (Fraction(1, 2 ** 53 + 1), Fraction(-(2 ** 60 + 1), 3 ** 40),
                            0, Fraction(2 ** 80 + 3, 5 ** 30)))
-    assert x.numerators[2] > 2 ** 150
+    assert x.den > 2 ** 150
     for z in (x, add(x, scale(Fraction(-1, 7), x)), scale(Fraction(0), x)):
         assert _floats_match_each_fraction(z)
 
@@ -343,16 +345,19 @@ def test_multiply_of_simplex_points_matches_the_definition(g, seed):
     assert got.coeffs == definition_product(x, y)
 
 
-def test_numerators_of_an_exact_element_are_converted_once():
+def test_an_exact_element_stores_its_support_numerators_and_denominator():
     x = AlgebraElement(make_cyclic(6), ("0", "-1/4", "0", "2/3", "0", "5/6"))
-    support, u, den = x.numerators
-    assert x.numerators is x.numerators
-    assert support.tolist() == [1, 3, 5] and not support.flags.writeable
-    assert u == (-3, 8, 10) and den == 12
+    assert (x.support, x.u, x.den) == ((1, 3, 5), (-3, 8, 10), 12)
+    assert "coeffs" not in vars(x)  # the dense view is built on first use only
+    assert x.coeffs is x.coeffs and x[3] == Fraction(2, 3)
     zero = AlgebraElement(make_cyclic(6), (0,) * 6)
-    assert zero.numerators[0].size == 0 and zero.numerators[1:] == ((), 1)
+    assert (zero.support, zero.u, zero.den) == ((), (), 1)
     assert multiply(x, x).coeffs == definition_product(x, x)
-    assert multiply(x, zero).coeffs == (Fraction(0),) * 6
+    assert multiply(x, zero) == zero
+    # The product's u / (Du * Dv) is stored in lowest terms.
+    half = uniform_on(generated_subgroup(make_cyclic(2), [1]))
+    assert half.u == (1, 1) and half.den == 2
+    assert multiply(half, half) == half and multiply(half, half).den == 2
 
 
 def test_exact_products_build_no_gather_table():
@@ -375,3 +380,41 @@ def test_multiply_at_the_int64_boundary(b):
     y = AlgebraElement(g, (Fraction(-b),) * 4)
     assert multiply(x, y).coeffs == (Fraction(4 * a * b),) * 4
     assert multiply(y, x).coeffs == (Fraction(4 * a * b),) * 4
+
+
+def _assert_lowest_terms(z) -> None:
+    assert z.support == tuple(sorted(set(z.support)))
+    assert len(z.u) == len(z.support) and all(z.u)
+    assert z.den >= 1 and math.gcd(z.den, *z.u) == 1
+    assert z.coeffs == tuple(
+        Fraction(z.u[z.support.index(i)], z.den) if i in z.support else Fraction(0)
+        for i in range(z.group.order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_construction_gives_the_canonical_form(data):
+    # Dense Fractions, a product by the identity, uniform_on and delta, and
+    # the synthesized limit points all store (support, u, den) in lowest
+    # terms, so two elements of one class compare and hash equal exactly
+    # when their coefficients do.
+    g = data.draw(st.sampled_from(ZOO_GROUPS))
+    e = delta(g, g.identity)
+    subset = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=g.order, max_size=g.order)
+                        .filter(any))
+    x = SimplexPoint(g, tuple(Fraction(w, sum(weights)) for w in weights))
+    signed = AlgebraElement(g, tuple(data.draw(signed_coeff_lists(g.order))))
+    regular, cesaro = analyze(data.draw(prob_polys()), profile(x))
+    built = [x, signed, e, delta(g, data.draw(st.integers(0, g.order - 1))),
+             uniform_on(ElementSet(g, tuple(subset))), multiply(x, e),
+             multiply(signed, e), multiply(x, x), *regular.accumulation.points,
+             cesaro.cesaro]
+    built += [type(z)(g, z.coeffs) for z in built]
+    for z in built:
+        _assert_lowest_terms(z)
+    for a in built:
+        for b in built:
+            if type(a) is type(b):
+                assert (a == b) == (a.coeffs == b.coeffs)
+                assert a != b or hash(a) == hash(b)

@@ -1,6 +1,7 @@
 """Convolution-power dynamics: invariants, limit cycles, reduction."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -321,3 +322,18 @@ def test_cycle_is_uniform_on_the_cosets_of_the_support_group():
             for r, row in enumerate(rows):
                 supp = support(power(prof.point, r)).members
                 assert row == {g.mul(s, k) for s in supp for k in h}, (name, r)
+
+
+def test_the_c2000_point_mass_cycle_is_held_in_under_4_mib():
+    # 2,000 points, each uniform on one coset of the trivial group: one
+    # index, one numerator and one denominator apiece, no dense tuple.
+    g = make_cyclic(2000)
+    x = delta(g, 1)
+    tracemalloc.start()
+    try:
+        closed = limit_set(profile(x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(closed) == 2000 and closed.points[7] == delta(g, 7)
+    assert peak < 4 * 2 ** 20

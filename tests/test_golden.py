@@ -20,6 +20,7 @@ as a CLI call does: main in a fresh process that writes no bytecode,
 through interpreter exit.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import simplexdyn
+from simplexdyn.algebra import AlgebraElement
 from simplexdyn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,3 +64,31 @@ def test_fresh_process_output_matches_golden(case):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b""
     assert proc.stdout == (GOLDEN / f"{case}.out").read_bytes()
+
+
+def test_profile_predict_and_limit_set_never_build_the_dense_coefficients(
+        monkeypatch, tmp_path, capsys):
+    # AlgebraElement.coeffs is a view of |G| Fractions built on use; these
+    # commands read the support alone, on the golden configs and on a
+    # point mass of C2000 whose 2,000 cycle points would cost 4 million.
+    def refuse(self):
+        raise AssertionError("the dense coefficient tuple was built")
+
+    monkeypatch.setattr(AlgebraElement, "coeffs", property(refuse))
+    commands = ("profile", "predict", "limit-set")
+    for case in CASES:
+        name, command = case.rsplit(".", 1)
+        if command in commands:
+            assert main([command, "--config", str(GOLDEN / f"{name}.json")]) == 0
+            assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text(
+                encoding="utf-8")
+    config = tmp_path / "c2000-point-mass.json"
+    config.write_text('{"group": {"kind": "cyclic", "n": 2000}, '
+                      '"element": "point-mass:t^1", "series": {"3": "1/2", "7": "1/2"}}')
+    outputs = {}
+    for command in commands:
+        assert main([command, "--config", str(config)]) == 0
+        outputs[command] = json.loads(capsys.readouterr().out)
+    assert outputs["profile"]["period"] == 2000
+    assert len(outputs["limit-set"]["closed_form"]) == 2000
+    assert outputs["limit-set"]["status"] == "ok"

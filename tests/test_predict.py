@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simplexdyn import (ProbPoly, PurePowerError, SimplexPoint, analyze,
+from simplexdyn import (InternalConsistencyError, ProbPoly, PurePowerError,
+                        SimplexPoint, analyze,
                         cesaro_limit, delta, empirical_cesaro, iterate_map,
                         make_cyclic, make_dihedral, make_symmetric, multiply, power,
                         profile, pure_power_report, regular_limit,
@@ -15,6 +16,7 @@ from simplexdyn import (ProbPoly, PurePowerError, SimplexPoint, analyze,
 from simplexdyn.algebra import ITERATION_SLACK_RATE, OrbitTrace
 from simplexdyn.groups import generated_subgroup
 from simplexdyn.modm import extinction_correction
+from simplexdyn import predict
 from simplexdyn.predict import _synthesize
 
 from conftest import count_calls, random_simplex_point, recorded_mass_checks
@@ -332,3 +334,29 @@ def test_synthesis_matches_the_fraction_sums(top):
             got = _synthesize(prof, quotients, Fraction(0))
             assert [pt.coeffs for pt in got] == \
                 _synthesize_by_fractions(prof, quotients, Fraction(0))
+
+
+@pytest.mark.parametrize("mutant", ["unbalanced", "negative"])
+def test_a_synthesized_point_off_the_simplex_is_an_internal_error(monkeypatch, mutant):
+    # 1/4 + 3/4 t^2 has extinction value 1/3.  A correction that only adds
+    # a at the identity leaves mass 4/3; one that subtracts 4a from each
+    # member of H drives a coefficient below 0.  Both points are built
+    # through the same SimplexPoint checks as every synthesized point.
+    def broken(coeffs, identity, members, a):
+        if mutant == "unbalanced":
+            coeffs[identity] += a
+        else:
+            for i in members:
+                coeffs[i] -= 4 * a
+            coeffs[identity] += 4 * a * len(members)
+        return coeffs
+
+    monkeypatch.setattr(predict, "extinction_correction", broken)
+    g = make_cyclic(4)
+    x = simplex_from_map(g, {"t^0": "1/2", "t^2": "1/2"})
+    p = ProbPoly(((0, Fraction(1, 4)), (2, Fraction(3, 4))))
+    with pytest.raises(InternalConsistencyError,
+                       match="synthesized limit left the simplex: simplex point "
+                             + ("coefficients sum to 4/3" if mutant == "unbalanced"
+                                else "has a negative coefficient")):
+        analyze(p, profile(x))

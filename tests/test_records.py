@@ -38,8 +38,8 @@ def _series() -> ProbPoly:
 CASES = [
     (AlgebraElement,
      lambda: AlgebraElement(make_cyclic(3), (Fraction(1, 2), 0, Fraction(1, 2))),
-     ("group", "coeffs"), "AlgebraElement(t^0: 1/2, t^2: 1/2)", "value"),
-    (SimplexPoint, _point, ("group", "coeffs"),
+     ("group", "support", "u", "den"), "AlgebraElement(t^0: 1/2, t^2: 1/2)", "value"),
+    (SimplexPoint, _point, ("group", "support", "u", "den"),
      "SimplexPoint(t^0: 1/2, t^2: 1/2)", "value"),
     (FiniteGroup, lambda: make_cyclic(3),
      ("order", "labels", "table", "identity", "inverses"), C3, "table"),

@@ -17,12 +17,17 @@ Prints, for the src/ tree of this checkout:
 - one limit-set call on a D60 pair and one on a C2000 pair, whose float
   powers approach their cycle slowly (the C2000 walk's second eigenvalue
   is about 1 - 2e-5): the power oracle squares x^|G| to the idempotent
-  and reads no horizon (median of 3 processes);
+  and reads no horizon; and one on a C2000 point mass, whose 2,000
+  closed-form points each hold one index (median of 3 processes);
 - one C6 scalar call at 200 and 20,000 steps: the trace keeps no state,
   so the longer horizon should cost time and only its output rows in
   memory (median of 3 processes);
 - the line count of src/ (ROADMAP aim 2), the number of exported names,
-  and the knobs a user can turn: CLI options and config fields;
+  and the knobs a user can turn: CLI options and config fields; per
+  module, its lines, AST nodes and the tracemalloc peak of one compile()
+  of it (min of COMPILE_PEAK_RUNS): a process that runs without bytecode
+  caches compiles each module it imports, and the peak steps up where
+  the parser's token array doubles;
 - group construction: the peak RSS of a fresh process that builds S6 and
   of one that builds C2000, next to a bare `import simplexdyn.cli` (median
   of 5 processes; the benchmark gates RSS, which tracemalloc does not
@@ -35,6 +40,7 @@ exit code is always 0.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -53,11 +59,15 @@ GOLDEN = ROOT / "tests" / "golden"
 # oracle commands would import simplexdyn.cli a second time.
 CLI = [sys.executable, "-c", "import sys\nfrom simplexdyn.cli import main\nsys.exit(main())\n"]
 COMPILE_RUNS = 30
-# Two slowly mixing pairs for the power oracle of limit-set.
+COMPILE_PEAK_RUNS = 3
+# Two slowly mixing pairs for the power oracle of limit-set, and a point
+# mass whose closed form has 2,000 points (1.82 s and 135.7 MB while an
+# exact element held |G| Fractions).
 SLOW_PAIRS = {
     "d60-pair": {"group": {"kind": "dihedral", "n": 30}, "element": {"r1": "1/2", "s0": "1/2"}},
     "c2000-pair": {"group": {"kind": "cyclic", "n": 2000},
                    "element": {"t^1": "1/2", "t^5": "1/2"}},
+    "c2000-point-mass": {"group": {"kind": "cyclic", "n": 2000}, "element": "point-mass:t^1"},
 }
 # Prints the standard-library modules loaded so far, on one line of stderr.
 STDLIB = ("print(*sorted(n for n in sys.modules\n"
@@ -126,6 +136,17 @@ def source_size() -> None:
     lines = sum(len(p.read_text().splitlines()) for p in (SRC / "simplexdyn").glob("*.py"))
     print(f"{lines} lines in src/, {len(simplexdyn.__all__)} exported names, "
           f"{len(_OPTIONS)} CLI options, {len(ExperimentConfig._fields)} config fields")
+    for path in sorted((SRC / "simplexdyn").glob("*.py")):
+        text = path.read_text()
+        nodes = sum(1 for _ in ast.walk(ast.parse(text)))
+        peaks = []
+        for _ in range(COMPILE_PEAK_RUNS):
+            tracemalloc.start()
+            compile(text, str(path), "exec")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        print(f"{path.name:12} {len(text.splitlines()):4} lines, {nodes:5} AST nodes, "
+              f"compile() peak {min(peaks) / 1024:6.1f} KiB (min of {COMPILE_PEAK_RUNS})")
 
 
 def group_construction() -> None:

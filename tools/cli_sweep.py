@@ -37,19 +37,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("profile", "limit-set", "predict", "iterate", "cesaro", "scalar", "verify")
-# Short horizons, where the regular oracle's subsequence classes, the
-# Cesaro window's whole cycles and the power oracle's repeat run out,
-# which the default horizons never reach, and two long ones.  `limit-set`
-# prints each cluster and the inconclusive message that `verify` sums up
-# in one line.
+# Short horizons, where the regular oracle's subsequence classes and the
+# Cesaro window's whole cycles run out, which the default horizons never
+# reach, and two long ones.  No power oracle reads a horizon, so
+# `limit-set` prints the same closed form and float rows at each of them.
 HORIZONS = (1, 2, 3, 5, 7, 97, 1999)
 # The generator of C513 has period 513, so these reach the quotient solve
 # at modulus 513, above every benchmark config's: a shifted series with
 # offset subgroup <3> (two cosets, d = 18) and t^3 (preperiod 2, d = 18).
 # `limit-set` prints the 513 exact points of the generator's power cycle.
 # {t^1, t^4} has return time 129, period 3 and a support group of order
-# 171, so it takes one reduction step; its `verify` exits 2 on the power
-# oracle's default budget of 600 steps.
+# 171, so it takes one reduction step; its `verify` passes every line.
 LARGE_QUOTIENT = {
     f"c513-{name}": {"group": {"kind": "cyclic", "n": 513},
                      "element": element, "series": series}
