@@ -28,15 +28,20 @@ the collections during the command nor the full ones at interpreter exit
 traverse it again.  The collector stays enabled; what the command itself
 allocates, and the modules it imports, are collected as usual.  Those
 modules add about 0.3 ms to a full collection, and a second freeze after
-them gained nothing measurable, so main() freezes once.
+them gained nothing measurable, so main() freezes once.  Called without
+argv, as a CLI process calls it, main() then runs the atexit callbacks,
+flushes stdout and stderr and ends by os._exit, skipping the
+interpreter's teardown; if a flush fails it returns the code instead.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import importlib
 import itertools
 import json
+import os
 import sys
 from functools import partial
 from types import SimpleNamespace
@@ -255,9 +260,18 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        code = main(sys.argv[1:])
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            return code
+        os._exit(code)
     gc.freeze()
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
         if args is None:
             sys.stdout.write(_USAGE)
             return EXIT_OK

@@ -2,13 +2,14 @@
 
 Groups are immutable value objects: an element is an index into a fixed
 basis, and multiplication is a lookup in one read-only numpy table.
-FiniteGroup(labels, table) is the one constructor.  It runs the full
-invariant suite (Latin square, identity, inverses, associativity) and
-reads the identity and the inverses off the table, so no builder states
-them.  Associativity is decided exactly at every order by Light's test
-(Clifford & Preston I, 1961, section 1.2): (x*a)*y = x*(a*y) for all
-x, y and every a of a greedy generating set, whose size a group keeps
-within floor(log2 n); the cost is O(n^2 log n) time and O(n^2) memory.
+FiniteGroup(labels, table) is the one constructor.  It checks the
+identity, the inverses and associativity, and runs the Latin-square scan
+only to name a failure (_validate_group); it reads the identity and the
+inverses off the table, so no builder states them.  Associativity is
+decided exactly at every order by Light's test (Clifford & Preston I,
+1961, section 1.2): (x*a)*y = x*(a*y) for all x, y and every a of a
+greedy generating set, whose size a group keeps within floor(log2 n);
+the cost is O(n^2 log n) time and O(n^2) memory.
 
 A group holds one table, uint16 for 257 to 65,536 elements and int32
 otherwise (_table_dtype): the builders write that dtype, FiniteGroup
@@ -167,7 +168,11 @@ def _validate_group(labels: tuple[str, ...], table: np.ndarray
 
     In a Latin square exactly one x has x * g_0 = g_0, the only candidate
     for the identity e, and the inverse of g_i can only be the position
-    of e in row i; both are then checked two-sided.
+    of e in row i; both are then checked two-sided, and Light's test
+    (sound given an identity) decides associativity.  A table passing all
+    three is a finite monoid with left inverses, so a group and a Latin
+    square: the Latin scan runs only after a failure, to name it, and
+    every verdict and message is as when it ran first.
     """
     n = len(table)
     if n < 1:
@@ -175,19 +180,20 @@ def _validate_group(labels: tuple[str, ...], table: np.ndarray
     positions = {label: i for i, label in enumerate(labels)}
     if len(labels) != n or len(positions) != n:
         raise ValueError("labels must be exactly one distinct string per element")
-    if not _is_latin_square(table):
-        raise ValueError("cayley table is not a Latin square")
-
-    idx = np.arange(n)
-    e = int((table[:, 0] == 0).argmax())
-    if not ((table[e] == idx).all() and (table[:, e] == idx).all()):
-        raise ValueError("table has no two-sided identity element")
-    inv = (table == e).argmax(axis=1)
-    two_sided = table[inv, idx] == e
-    if not two_sided.all():
-        raise ValueError(f"element {int(two_sided.argmin())} has no two-sided inverse")
-
-    _check_associative(table, e)
+    try:
+        idx = np.arange(n)
+        e = int((table[:, 0] == 0).argmax())
+        if not ((table[e] == idx).all() and (table[:, e] == idx).all()):
+            raise ValueError("table has no two-sided identity element")
+        inv = (table == e).argmax(axis=1)
+        two_sided = table[inv, idx] == e
+        if not two_sided.all():
+            raise ValueError(f"element {int(two_sided.argmin())} has no two-sided inverse")
+        _check_associative(table, e)
+    except ValueError:
+        if _is_latin_square(table):
+            raise
+        raise ValueError("cayley table is not a Latin square") from None
     return e, tuple(inv.tolist()), positions
 
 

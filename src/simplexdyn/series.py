@@ -125,11 +125,10 @@ def initial_state(p: ProbPoly, truncation: int | None = None,
     if K < p.degree:
         raise ValueError(
             f"truncation {K} cannot hold the series of degree {p.degree}")
-    dense = np.full(K + 1, Fraction(0), dtype=object)
+    dense = np.full(K + 1, Fraction(0), dtype=object) if mode == "exact" else np.zeros(K + 1)
     for e, c in p.terms:
-        dense[e] = c
-    return CoeffState(n=1, tail_mass=Fraction(0),
-                      coeffs=dense if mode == "exact" else dense.astype(np.float64))
+        dense[e] = c  # float(c) in float mode, as astype(np.float64) rounds it
+    return CoeffState(n=1, tail_mass=Fraction(0), coeffs=dense)
 
 
 def _trunc_mul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Command-line entry points: outputs, exit codes, determinism."""
 
+import atexit
 import csv
 import gc
 import io
 import json
+import os
 import random
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -702,3 +705,35 @@ def test_main_freezes_the_imported_heap_and_keeps_collecting(capsys):
     del a, b
     gc.collect()
     assert alive() is None
+
+
+def _refuse(*args):
+    raise AssertionError("the process was ended")
+
+
+def test_main_argv_returns_its_code_and_leaves_the_process_alone(capsys, monkeypatch):
+    monkeypatch.setattr(atexit, "_run_exitfuncs", _refuse)
+    monkeypatch.setattr(os, "_exit", _refuse)
+    config = str(GOLDEN / "c12-divergent.json")
+    assert run(capsys, "profile", "--config", config)[0] == 0
+    assert run(capsys, "verify", "--config", config, "--horizon", "1")[0] == 2
+    assert run(capsys, "profile", "--config", str(GOLDEN / "absent.json"))[0] == 1
+
+
+def test_main_returns_when_its_output_cannot_be_flushed(monkeypatch):
+    # Without argv, main runs the atexit callbacks and flushes before it
+    # would end the process; a reader that is gone leaves the exit to the
+    # interpreter, which reports the failed flush as it always has.
+    class Gone(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    callbacks = []
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: callbacks.append("run"))
+    monkeypatch.setattr(os, "_exit", _refuse)
+    monkeypatch.setattr(sys, "argv", ["simplexdyn", "profile", "--config",
+                                      str(GOLDEN / "c10-regular.json")])
+    monkeypatch.setattr(sys, "stdout", Gone())
+    assert main() == 0
+    assert callbacks == ["run"]
+    assert json.loads(sys.stdout.getvalue())["period"] > 0

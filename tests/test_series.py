@@ -88,6 +88,21 @@ def test_initial_state_requires_room():
         initial_state(two_type_poly(), truncation=1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(exponents=st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True),
+       weights=st.lists(st.integers(1, 10**30), min_size=5, max_size=5),
+       extra=st.none() | st.integers(0, 30))
+def test_float_initial_state_is_the_exact_state_rounded(exponents, weights, extra):
+    # Weights up to 10**30 give coefficients that no float holds exactly.
+    total = sum(weights[:len(exponents)])
+    p = ProbPoly(tuple((e, Fraction(w, total)) for e, w in zip(exponents, weights)))
+    truncation = None if extra is None else max(p.degree, 1) + extra
+    exact = initial_state(p, truncation, mode="exact").coeffs
+    floats = initial_state(p, truncation).coeffs
+    assert floats.dtype == np.float64 and not floats.flags.writeable
+    assert floats.tobytes() == exact.astype(np.float64).tobytes()
+
+
 def test_compose_geometric_closed_form():
     # For p = (1 + t)/2 the n-th composition is 1 - 2^{-n} + 2^{-n} t.
     p = geometric_poly()

@@ -11,6 +11,9 @@ Prints, for the src/ tree of this checkout:
   standard-library modules the command loads beyond a bare `import numpy`;
 - one S6 profile call's wall time next to a bare `import numpy`, and its
   peak RSS next to a bare `import simplexdyn.cli` (median of 5 processes);
+  and its wall time through `sys.exit(main(sys.argv[1:]))`, which leaves
+  the exit to the interpreter, against `sys.exit(main())`, which ends the
+  process after the atexit callbacks and a flush (median of 5 each);
 - one S4 verify call at 10,000 and 100,000 steps: its orbit repeats
   within a few hundred steps, so the longer horizon should cost time for
   the Cesaro window only, and no memory (median of 3 processes);
@@ -58,6 +61,10 @@ GOLDEN = ROOT / "tests" / "golden"
 # The console script's entry point.  Under `python -m simplexdyn.cli` the
 # oracle commands would import simplexdyn.cli a second time.
 CLI = [sys.executable, "-c", "import sys\nfrom simplexdyn.cli import main\nsys.exit(main())\n"]
+# The same call through main(argv), which returns its code and leaves the
+# process to the interpreter's exit and its teardown of numpy and the package.
+CLI_TEARDOWN = [sys.executable, "-c",
+                "import sys\nfrom simplexdyn.cli import main\nsys.exit(main(sys.argv[1:]))\n"]
 COMPILE_RUNS = 30
 COMPILE_PEAK_RUNS = 3
 # Two slowly mixing pairs for the power oracle of limit-set, and a point
@@ -181,10 +188,14 @@ def group_construction() -> None:
 
 
 def cli_call() -> None:
-    wall, peak, _ = fresh([*CLI, "profile", "--config", str(GOLDEN / "s6-odd-support.json")], 5)
+    argv = ["profile", "--config", str(GOLDEN / "s6-odd-support.json")]
+    wall, peak, _ = fresh([*CLI, *argv], 5)
+    teardown, _, _ = fresh([*CLI_TEARDOWN, *argv], 5)
     numpy, _, _ = fresh([sys.executable, "-c", "import numpy"], 5)
     _, floor, _ = fresh([sys.executable, "-c", "import simplexdyn.cli"], 5)
     print(f"simplexdyn profile s6-odd-support: {wall:.3f} s, {peak:.1f} MB peak RSS (median of 5)")
+    print(f"the same through main(argv):       {teardown:.3f} s (median of 5), "
+          f"{1e3 * (teardown - wall):+.1f} ms for the interpreter's exit")
     print(f"python -c 'import numpy':          {numpy:.3f} s (median of 5)")
     print(f"python -c 'import simplexdyn.cli': {floor:.1f} MB peak RSS (median of 5)")
 
