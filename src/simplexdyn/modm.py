@@ -7,8 +7,9 @@ offsets of p, g = gcd(m, offsets), and the eventual cycle of r^n mod m
 where r is the minimal exponent of p.  The limit (when the coset
 criterion grants one) and the Cesaro average mix uniform measures on
 cosets res + <g>, named by res mod g, plus a term in the extinction
-value a of p.  Points of the simplex of Z_m are tuples of m Fractions.
-A pure power t^r has subgroup (0,) and a = 0.
+value a of p.  A point is named by its weight map {j: w_j} on those
+cosets alone, never as m Fractions: it is sum_j w_j c_(j + <g>) +
+a (delta_0 - c_<g>).  A pure power t^r has subgroup (0,) and a = 0.
 
 a is found in exact arithmetic only: bisection on dyadics by the sign of
 an integer polynomial, then one rational-root candidate checked by
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError
 from .record import Record
-from .poly import ProbPoly, _numerators
+from .poly import ProbPoly
 
 # Bisection width 2^-EXTINCTION_BITS: an irrational a is returned within
 # 2^-65, below half the float64 spacing of every a >= 2^-11, so float(a)
@@ -115,47 +116,43 @@ def _closure(steps: list[int], m: int) -> tuple[int, ...]:
 
 
 class ModMReport(Record):
-    """Limit data of p^[n] on R[Z_m]: existence, limit, accumulation, Cesaro,
-    and the exact extinction value a that every closed form carries.
-    Points are tuples of m Fractions, series_group a tuple of residues."""
+    """Limit data of p^[n] on R[Z_m]: the coset j + <g> of series_group
+    each accumulation point lies on (classes, in order of first
+    appearance), the Cesaro weight of each class and the exact extinction value a."""
 
-    _fields = ("m", "series_group", "cycle", "exists", "limit", "accumulation",
-               "cesaro", "a")
+    _fields = ("m", "series_group", "cycle", "classes", "cesaro", "a")
 
     def __init__(self, m: int, series_group: tuple[int, ...], cycle: ResidueCycle,
-                 exists: bool, limit: tuple[Fraction, ...] | None,
-                 accumulation: tuple[tuple[Fraction, ...], ...],
-                 cesaro: tuple[Fraction, ...], a: Fraction) -> None:
-        if exists != (limit is not None):
-            raise ValueError("limit must be present exactly when the limit exists")
+                 classes: tuple[int, ...], cesaro: tuple[Fraction, ...],
+                 a: Fraction) -> None:
         if cycle.modulus != m:
             raise ValueError("cycle modulus disagrees with report modulus")
-        if exists and accumulation != (limit,):
-            raise ValueError("a convergent trace has its limit as its single "
-                             "accumulation point")
-        for pt in (*accumulation, cesaro):
-            _, u, den = _numerators(enumerate(pt))  # m Fraction sums would outcost the solve
-            if len(pt) != m or min(u, default=0) < 0 or sum(u) != den:
-                raise InternalConsistencyError(
-                    f"a quotient point of length {len(pt)} is off the simplex of Z_{m}")
-        self._set(m, series_group, cycle, exists, limit, accumulation, cesaro, a)
+        # a > 0 only happens when the minimal exponent is 0, so on the
+        # single class 0, where (1 - a) c_G + a delta_0 >= 0 needs a <= 1.
+        if (len(cesaro) != len(classes) or min(cesaro, default=0) < 0
+                or sum(cesaro) != 1 or not 0 <= a <= 1 or (a and classes != (0,))):
+            raise InternalConsistencyError(
+                f"class weights {dict(zip(classes, cesaro))} with a = {a} "
+                f"are off the simplex of Z_{m}")
+        self._set(m, series_group, cycle, classes, cesaro, a)
 
+    @property
+    def exists(self) -> bool:
+        return len(self.classes) == 1
 
-def extinction_correction(coeffs: list[Fraction] | dict[int, Fraction], identity: int,
-                          members: tuple[int, ...], a: Fraction) -> list | dict:
-    """Add (delta_e - c_H) * a to coeffs (a list, or a dict holding each member) in place.
+    @property
+    def weights(self) -> list[dict[int, Fraction]]:
+        """The weight map of each accumulation point, then the Cesaro point's."""
+        return [*({j: Fraction(1)} for j in self.classes), dict(zip(self.classes, self.cesaro))]
 
-    Every closed form carries this term, on the quotient Z_m (H the
-    series group) and on the group (H the support group of the
-    stabilized point).  a > 0 only happens when the minimal exponent is
-    0, and then the mass already sitting on H is at least a, so the
-    subtracted a/|H| per member never drives a coefficient negative.
-    """
-    if a:
-        coeffs[identity] += a
-        for g in members:
-            coeffs[g] -= a / len(members)
-    return coeffs
+    def masses(self, weights: dict[int, Fraction]) -> tuple[Fraction, ...]:
+        """The m residue masses of the point of a weight map."""
+        size = len(self.series_group)
+        per = [Fraction(weights.get(j, 0), size) for j in range(self.m // size)]
+        per[0] -= self.a / size
+        out = per * size  # residue r lies on the coset r mod g
+        out[0] += self.a
+        return tuple(out)
 
 
 def extinction_fraction(p: ProbPoly) -> Fraction:
@@ -202,31 +199,16 @@ def extinction_fraction(p: ProbPoly) -> Fraction:
 
 
 def regularity_mod_m(p: ProbPoly, m: int) -> ModMReport:
-    """Decide lim p^[n](t mod t^m - 1) and build the closed forms.
+    """Decide lim p^[n](t mod t^m - 1) and name its points by coset weights.
 
-    Subsequence class i lands on the coset residues[i] + G, G the series
-    group, named by residues[i] mod g (G = <g>).  The limit exists iff
-    all d classes land on one coset res + G; it is then
-    c_(res + G) + (delta_0 - c_G) * a, c uniform.  Otherwise the distinct
-    coset points, in order of first appearance, form the accumulation
-    set.  The Cesaro point weights each coset by its share of the d
-    classes.
+    Subsequence class i lands on the coset residues[i] + <g> of the series
+    group, named by residues[i] mod g.  The limit exists iff all d classes
+    land on one coset; the distinct cosets, in order of first appearance,
+    are the accumulation points, and the Cesaro point weights each by its
+    share of the d classes.
     """
     sub = series_group(p, m)
-    g, size = m // len(sub), len(sub)
     cycle = residue_cycle(p.shift, m)
-    a = extinction_fraction(p)
-    classes = Counter(res % g for res in cycle.residues)
-
-    def point(weights: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        coeffs = [Fraction(0)] * m
-        for coset, w in weights.items():
-            coeffs[coset::g] = [w] * size
-        return tuple(extinction_correction(coeffs, 0, sub, a))
-
-    accumulation = tuple(point({coset: Fraction(1, size)}) for coset in classes)
-    cesaro = point({coset: Fraction(n, cycle.d * size) for coset, n in classes.items()})
-    exists = len(classes) == 1
-    return ModMReport(m=m, series_group=sub, cycle=cycle, exists=exists,
-                      limit=accumulation[0] if exists else None,
-                      accumulation=accumulation, cesaro=cesaro, a=a)
+    classes = Counter(res % (m // len(sub)) for res in cycle.residues)
+    return ModMReport(m, sub, cycle, tuple(classes),
+                      tuple(Fraction(n, cycle.d) for n in classes.values()), extinction_fraction(p))

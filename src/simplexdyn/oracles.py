@@ -53,6 +53,14 @@ def _power_rows(x):
         return exc
 
 
+def _sup_to(row: np.ndarray, q) -> float:
+    """sup_distance(row, q) for an exact q, read off q.support with n / den
+    as q.floats does, so no |G|-long q.floats is built and kept per point."""
+    dev = np.abs(row)
+    dev[list(q.support)] = np.abs(row[list(q.support)] - [n / q.den for n in q.u])
+    return float(dev.max())
+
+
 def _power_oracle(closed: AccumulationSet, rows, r: int | None = None) -> tuple:
     """The float power cycle rows of x (_power_rows) against a closed set
     within DEFAULT_MATCH_TOL: (verdict, detail).
@@ -63,7 +71,6 @@ def _power_oracle(closed: AccumulationSet, rows, r: int | None = None) -> tuple:
     row.  Rows lie on disjoint cosets, at least 1/|G| apart, so the row
     nearest a point at its largest coordinate is the only candidate.
     """
-    from .algebra import sup_distance
     from .dynamics import DEFAULT_MATCH_TOL
 
     if isinstance(rows, InconclusiveError):
@@ -74,10 +81,11 @@ def _power_oracle(closed: AccumulationSet, rows, r: int | None = None) -> tuple:
     else:
         m = len(rows)
         picked = np.array([rows[k] for k in sorted({pow(r, n, m) for n in range(m, 2 * m)})])
-        peaks = [int(np.argmax(q.floats)) for q in points]
-        near = [int(np.argmin(np.abs(picked[:, g] - q.floats[g]))) for g, q in zip(peaks, points)]
+        peaks = [q.u.index(max(q.u)) for q in points]
+        near = [int(np.argmin(np.abs(picked[:, q.support[k]] - q.u[k] / q.den)))
+                for k, q in zip(peaks, points)]
     ok = len(set(near)) == len(points) == len(picked) and all(
-        sup_distance(picked[j], q) <= DEFAULT_MATCH_TOL for j, q in zip(near, points))
+        _sup_to(picked[j], q) <= DEFAULT_MATCH_TOL for j, q in zip(near, points))
     return _verdict(ok), f"{len(picked)} empirical clusters"
 
 

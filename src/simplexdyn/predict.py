@@ -8,29 +8,23 @@ point x:
    (reduce_to_stable).  y has the period m, the support group H, the
    idempotent c_y = c_x and the cosets of x, so x is profiled once and
    no product is made.
-2. solve the same series once on the cyclic quotient Z_m, where the
-   limit coefficient at residue r is exactly the scalar limit
-   L_r = lim_n sum_k a^[n]_{k m + r}; the same solve yields the exact
-   extinction value a, every accumulation point and the Cesaro point
-   (the mean of the d subsequence-class points).
-3. pull every quotient answer back to the group along the chain
-   c_y * y^r, r < m, to c_y * sum_r y^r L_r + (e - c_y) * a.  Each
-   c_y * y^r is uniform on the coset prof.cosets[r] of the support
-   group, so this writes one share L_r / |H| per coset, with no product.
+2. solve the same series once on the cyclic quotient Z_m: the series
+   group <g> and the residue cycle name every accumulation point and the
+   Cesaro point by weights w_j on the cosets j + <g>, and the solve
+   yields the exact extinction value a.
+3. write each point on the group once, as sum_j w_j U_j + a (e - U_0)
+   with U_j uniform on the rows prof.cosets[j::g] (_synthesize): row r
+   is the coset of H that c_y * y^r is uniform on, so no product is made.
 
-The last term vanishes identically when c_y is the point mass at the
-identity, so one formula covers both branches.  The limit, when it
-exists, is the single accumulation point.  Divergence is decided by the
-exact coset criterion on the quotient, never by failed numerics; a
-float-iteration oracle is provided separately for cross-checking.  The
-pure-power report of t^r makes steps 2 and 3 and reports the unreduced
-profile: on Z_m its cosets are single residues and a = 0, so its points
-are entries of the profile's cycle, each uniform on one coset.
+The limit, when it exists, is the single accumulation point.  Divergence
+is decided by the exact coset criterion on the quotient, never by failed
+numerics; a float-iteration oracle is provided separately for
+cross-checking.  The pure-power report of t^r makes steps 2 and 3 on the
+unreduced profile, where g = m and a = 0, so each point is one row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -41,7 +35,7 @@ from .algebra import (ITERATION_SLACK_RATE, OrbitTrace, SimplexPoint,
 from .dynamics import (AccumulationSet, DynamicsProfile, profile,
                        reduce_to_stable)
 from .errors import InternalConsistencyError, PurePowerError
-from .modm import ModMReport, extinction_correction, regularity_mod_m
+from .modm import ModMReport, regularity_mod_m
 from .record import Record
 from .poly import ProbPoly, _numerators
 
@@ -83,24 +77,20 @@ def _digest(series_label: str, x: SimplexPoint) -> dict:
     }
 
 
-def _synthesize(prof: DynamicsProfile,
-                quotients: list[tuple[Fraction, ...]],
-                a: Fraction) -> list[SimplexPoint]:
-    """c_y * sum_r y^r * L_r + (e - c_y) * a for every L in quotients,
-    exactly, where y is the point prof describes.  c_y * y^r is uniform
-    on the coset prof.cosets[r] of the support group H, and the cosets
-    are disjoint, so the sum puts L_r / |H| on each member of row r, and
-    each point is built from H and its rows of nonzero share alone."""
-    group = prof.point.group
-    members = prof.support_group.members
-    rows = prof.cosets.tolist()
+def _synthesize(prof: DynamicsProfile, rep: ModMReport, weights: list[dict]) -> list[SimplexPoint]:
+    """Each weight map {j: w_j} of weights as the point
+    sum_j w_j U_j + a (e - U_0) of the group, exactly (module doc, step
+    3): one share per class, on the rows of its own classes; a > 0 only
+    on the single class 0, whose row 0 is H and holds e."""
+    group, rows, g = prof.point.group, prof.cosets, rep.m // len(rep.series_group)
+    size = rows.size // g
     points = []
-    for L in quotients:
-        coeffs = dict.fromkeys(members, Fraction(0))
-        for row, share in zip(rows, L):
-            if share:
-                coeffs.update(dict.fromkeys(row, share / len(members)))
-        extinction_correction(coeffs, group.identity, members, a)
+    for w in weights:
+        coeffs = {}
+        for j, c in w.items():
+            share = (c - rep.a if j == 0 else c) / size
+            coeffs.update(dict.fromkeys(rows[j::g].ravel().tolist(), share))
+        coeffs[group.identity] = coeffs.get(group.identity, 0) + rep.a
         try:
             points.append(SimplexPoint._of(group, *_numerators(sorted(coeffs.items()))))
         except ValueError as exc:
@@ -137,7 +127,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
     # printed profile and the step count come from it.
     stable, steps = reduce_to_stable(prof)
     rep = regularity_mod_m(p, prof.period)
-    *points, cesaro = _synthesize(prof, [*rep.accumulation, rep.cesaro], rep.a)
+    *points, cesaro = _synthesize(prof, rep, rep.weights)
     shared = {"digest": _digest(str(p), prof.point), "profile": stable,
               "reduction_steps": steps, "cesaro": cesaro, "a": float(rep.a)}
     regular = LimitReport(
@@ -145,7 +135,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
         exists=rep.exists,
         limit=points[0] if rep.exists else None,
         accumulation=AccumulationSet(tuple(points)),
-        scalar_limits=(tuple(map(float, rep.limit)) if rep.exists else None),
+        scalar_limits=(tuple(map(float, rep.masses(rep.weights[0]))) if rep.exists else None),
         diagnostics=_diagnostics(rep, REGULAR_HORIZON),
     )
     ces = LimitReport(
@@ -153,7 +143,7 @@ def analyze(p: ProbPoly, prof: DynamicsProfile) -> tuple[LimitReport, LimitRepor
         exists=True,
         limit=cesaro,
         accumulation=AccumulationSet((cesaro,)),
-        scalar_limits=tuple(map(float, rep.cesaro)),
+        scalar_limits=tuple(map(float, rep.masses(rep.weights[-1]))),
         diagnostics=_diagnostics(rep, CESARO_HORIZON),
     )
     return regular, ces
@@ -189,7 +179,7 @@ def pure_power_report(r: int, prof: DynamicsProfile) -> LimitReport:
         raise InternalConsistencyError(
             f"divisibility test ({divisible}) disagrees with cycle length "
             f"d={cycle.d} for r={r}, m={m}")
-    *points, cesaro = _synthesize(prof, [*rep.accumulation, rep.cesaro], rep.a)
+    *points, cesaro = _synthesize(prof, rep, rep.weights)
     return LimitReport(
         digest=_digest(f"pure-power:{r}", prof.point), profile=prof,
         reduction_steps=0, exists=rep.exists,

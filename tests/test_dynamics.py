@@ -244,9 +244,8 @@ def test_closed_form_reduction_matches_the_absorption_loop():
             seen.add((steps, prof.period > 1))
             # analyze synthesizes on x's own profile and prints stable.
             rep = regularity_mod_m(random_prob_poly(rng), prof.period)
-            quotients = [*rep.accumulation, rep.cesaro]
-            assert (_synthesize(prof, quotients, rep.a)
-                    == _synthesize(stable, quotients, rep.a)), (name, supp)
+            assert (_synthesize(prof, rep, rep.weights)
+                    == _synthesize(stable, rep, rep.weights)), (name, supp)
     assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 

@@ -11,7 +11,6 @@ from simplexdyn import (InternalConsistencyError, ModMReport, ProbPoly,
                         regularity_mod_m, residue_cycle, scale, series_group,
                         sup_distance)
 from simplexdyn import modm
-from simplexdyn.modm import extinction_correction
 
 HALF = Fraction(1, 2)
 EXAMPLE_SERIES = ProbPoly(((3, HALF), (7, HALF)))
@@ -68,7 +67,7 @@ def test_series_group_is_the_closure_in_the_cayley_table(offsets):
 
 def _parent_points(p, m):
     """The quotient points as the Cayley-table construction built them: for
-    each cycle residue, uniform on res + G plus the extinction term; the
+    each cycle residue, uniform on res + G plus (delta_0 - c_G) * a; the
     distinct ones in order, and the column means over all d of them."""
     members = generated_subgroup(make_cyclic(m),
                                  [q % m for q in p.offsets]).members
@@ -78,10 +77,22 @@ def _parent_points(p, m):
         coeffs = [Fraction(0)] * m
         for g in members:
             coeffs[(res + g) % m] += Fraction(1, len(members))
-        points.append(tuple(extinction_correction(coeffs, 0, members, a)))
+        coeffs[0] += a
+        for g in members:
+            coeffs[g] -= a / len(members)
+        points.append(tuple(coeffs))
     distinct = tuple(dict.fromkeys(points))
     cesaro = tuple(sum(col) / len(points) for col in zip(*points))
     return distinct, cesaro
+
+
+def _points(rep):
+    """The m residue masses of each accumulation point."""
+    return tuple(map(rep.masses, rep.weights[:-1]))
+
+
+def _cesaro(rep):
+    return rep.masses(rep.weights[-1])
 
 
 @pytest.mark.parametrize("offsets", OFFSET_SETS, ids=str)
@@ -98,10 +109,9 @@ def test_quotient_points_match_the_coset_construction(offsets):
     for p, m in itertools.product(series, (1, 5, 9, 12, 24, 35)):
         rep = regularity_mod_m(p, m)
         accumulation, cesaro = _parent_points(p, m)
-        assert rep.accumulation == accumulation, (str(p), m)
-        assert rep.cesaro == cesaro, (str(p), m)
+        assert _points(rep) == accumulation, (str(p), m)
+        assert _cesaro(rep) == cesaro, (str(p), m)
         assert rep.exists == (len(accumulation) == 1)
-        assert rep.limit == (accumulation[0] if rep.exists else None)
 
 
 def test_a_closure_that_disagrees_is_a_consistency_failure(monkeypatch):
@@ -111,52 +121,54 @@ def test_a_closure_that_disagrees_is_a_consistency_failure(monkeypatch):
 
 
 def test_an_off_simplex_quotient_point_is_a_consistency_failure(monkeypatch):
-    # a above 1/|G| pushes the coefficients off the identity's coset negative
+    # a above 1 pushes the coefficients off the identity's coset negative
     monkeypatch.setattr(modm, "extinction_fraction", lambda p: Fraction(2))
     with pytest.raises(InternalConsistencyError, match="off the simplex"):
         regularity_mod_m(ProbPoly(((0, HALF), (2, HALF))), 4)
+    monkeypatch.undo()
     rep = regularity_mod_m(EXAMPLE_SERIES, 2)
-    assert rep.exists
+    assert rep.exists and rep.classes == (1,)
     fields = dict(zip(rep._fields, rep._values()))
-    half = (HALF, HALF)
-    for bad in ((Fraction(1),), (Fraction(3, 2), -HALF), (HALF, Fraction(1))):
+    # a weight per class, nonnegative, summing to 1, and a > 0 only on the
+    # single class 0
+    for classes, cesaro, a in (((1, 0), (Fraction(1),), 0),
+                               ((0, 1), (Fraction(3, 2), -HALF), 0),
+                               ((0, 1), (HALF, Fraction(1)), 0),
+                               ((1,), (Fraction(1),), HALF)):
         with pytest.raises(InternalConsistencyError, match="off the simplex"):
-            ModMReport(**{**fields, "cesaro": bad})
-        with pytest.raises(InternalConsistencyError, match="off the simplex"):
-            ModMReport(**{**fields, "limit": bad, "accumulation": (bad,)})
-    assert ModMReport(**{**fields, "cesaro": half}).cesaro == half
+            ModMReport(**{**fields, "classes": classes, "cesaro": cesaro, "a": a})
+    half = ModMReport(**{**fields, "classes": (0, 1), "cesaro": (HALF, HALF)})
+    assert _cesaro(half) == (HALF, HALF)
+    assert ModMReport(**{**fields, "classes": (0,), "a": HALF}).masses({0: 1}) == (1, 0)
 
 
 def test_divergent_example_mod_12():
     rep = regularity_mod_m(EXAMPLE_SERIES, 12)
     assert not rep.exists
-    assert rep.limit is None
     assert rep.cycle.residues == (3, 9)
-    assert len(rep.accumulation) == 2
-    first, second = rep.accumulation
+    assert len(rep.classes) == 2
+    first, second = _points(rep)
     for residue, pt in ((3, first), (9, second)):
         expected = {residue % 12, (residue + 4) % 12, (residue + 8) % 12}
         assert {i for i, c in enumerate(pt) if c} == expected
         assert all(c in (Fraction(0), Fraction(1, 3)) for c in pt)
     assert rep.a == 0
-    ces = regularity_mod_m(EXAMPLE_SERIES, 12).cesaro
-    assert ces == tuple(Fraction(1, 6) if i % 2 else Fraction(0)
-                        for i in range(12))
+    assert _cesaro(rep) == tuple(Fraction(1, 6) if i % 2 else Fraction(0)
+                                 for i in range(12))
 
 
 def test_regular_example_mod_10():
     rep = regularity_mod_m(EXAMPLE_SERIES, 10)
     assert rep.exists
     assert rep.cycle.residues == (3, 9, 7, 1)
-    assert rep.limit == tuple(Fraction(1, 5) if i % 2 else Fraction(0)
-                              for i in range(10))
-    assert len(rep.accumulation) == 1
+    assert _points(rep) == (tuple(Fraction(1, 5) if i % 2 else Fraction(0)
+                                  for i in range(10)),)
 
 
 def test_trivial_modulus():
     rep = regularity_mod_m(EXAMPLE_SERIES, 1)
     assert rep.exists
-    assert rep.limit == (Fraction(1),)
+    assert _points(rep) == ((Fraction(1),),)
 
 
 def test_subcritical_series_dies_out():
@@ -164,7 +176,7 @@ def test_subcritical_series_dies_out():
     rep = regularity_mod_m(p, 6)
     assert rep.a == 1
     assert rep.exists
-    assert rep.limit == delta(make_cyclic(6), 0).coeffs
+    assert _points(rep) == (delta(make_cyclic(6), 0).coeffs,)
 
 
 def test_supercritical_extinction_mass_sits_at_identity():
@@ -174,9 +186,10 @@ def test_supercritical_extinction_mass_sits_at_identity():
     rep = regularity_mod_m(p, 4)
     assert rep.a == pytest.approx(1 / 3, abs=1e-15)
     assert rep.exists
-    assert rep.limit[0] == Fraction(1, 3) + Fraction(1, 3)
-    assert rep.limit[2] == Fraction(1, 3)
-    assert rep.limit[1] == rep.limit[3] == 0
+    (limit,) = _points(rep)
+    assert limit[0] == Fraction(1, 3) + Fraction(1, 3)
+    assert limit[2] == Fraction(1, 3)
+    assert limit[1] == limit[3] == 0
 
 
 def test_duplicate_cosets_are_deduplicated():
@@ -186,10 +199,9 @@ def test_duplicate_cosets_are_deduplicated():
     rep = regularity_mod_m(p, 9)
     assert rep.cycle.d == 6
     assert not rep.exists
-    assert len(rep.accumulation) == 2
-    ces = regularity_mod_m(p, 9).cesaro
-    assert ces == tuple(Fraction(0) if i % 3 == 0 else Fraction(1, 6)
-                        for i in range(9))
+    assert len(rep.classes) == 2
+    assert _cesaro(rep) == tuple(Fraction(0) if i % 3 == 0 else Fraction(1, 6)
+                                 for i in range(9))
 
 
 def test_extinction_fraction_branches():
@@ -214,5 +226,6 @@ def test_oracle_confirms_mod_10_limit():
     rep = regularity_mod_m(EXAMPLE_SERIES, 10)
     g = make_cyclic(10)
     trace = iterate_map(EXAMPLE_SERIES, delta(g, 1), 500)
-    assert sup_distance(trace[-1], SimplexPoint(g, rep.limit)) < 1e-8
+    (limit,) = _points(rep)
+    assert sup_distance(trace[-1], SimplexPoint(g, limit)) < 1e-8
 

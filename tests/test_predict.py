@@ -15,11 +15,13 @@ from simplexdyn import (InternalConsistencyError, ProbPoly, PurePowerError,
                         uniform_on)
 from simplexdyn.algebra import ITERATION_SLACK_RATE, OrbitTrace
 from simplexdyn.groups import generated_subgroup
-from simplexdyn.modm import extinction_correction
+from simplexdyn.modm import ModMReport, regularity_mod_m
 from simplexdyn import predict
 from simplexdyn.predict import _synthesize
 
-from conftest import count_calls, random_simplex_point, recorded_mass_checks
+from conftest import (count_calls, random_prob_poly, random_simplex_point,
+                      recorded_mass_checks)
+from test_modm import _parent_points
 
 HALF = Fraction(1, 2)
 EXAMPLE_SERIES = ProbPoly(((3, HALF), (7, HALF)))
@@ -303,7 +305,7 @@ def test_cesaro_equals_average_of_accumulation_points():
     assert tuple(avg) == ces.cesaro.coeffs
 
 
-def _synthesize_by_fractions(prof, quotients, a):
+def _synthesize_by_fractions(prof, quotients):
     """The pair-by-pair Fraction sum over the chain c * x^r, walked by
     exact products."""
     group = prof.point.group
@@ -314,44 +316,52 @@ def _synthesize_by_fractions(prof, quotients, a):
             for g, c in enumerate(cur.coeffs):
                 acc[g] += L[r] * c
         cur = multiply(cur, prof.point)
-    return [tuple(extinction_correction(acc, group.identity,
-                                        prof.support_group.members, a))
-            for acc in sums]
+    return [tuple(acc) for acc in sums]
 
 
 @pytest.mark.parametrize("top", [20, 2 ** 62], ids=["int64", "python-int"])
 def test_synthesis_matches_the_fraction_sums(top):
-    # small weights, and weights up to 2^62 over a common denominator
+    # Random weights on random classes of a random series group <step> of
+    # Z_m: small ones, and ones up to 2^62 over a common denominator.  The
+    # quotient point of {j: w_j} puts w_j / |<step>| on each residue of
+    # j + <step>.
     rng = random.Random(top)
     for g in (make_cyclic(12), make_dihedral(6), make_symmetric(4)):
         for size in (1, 2, g.order):
             prof = profile(random_simplex_point(g, rng, support_size=size))
-            quotients = []
+            m = prof.period
+            step = rng.choice([k for k in range(1, m + 1) if m % k == 0])
+            weights = []
             for _ in range(3):
-                w = [rng.randint(0, top) for _ in range(prof.period)]
-                w[rng.randrange(prof.period)] += 1
-                quotients.append(tuple(Fraction(k, sum(w)) for k in w))
-            got = _synthesize(prof, quotients, Fraction(0))
-            assert [pt.coeffs for pt in got] == \
-                _synthesize_by_fractions(prof, quotients, Fraction(0))
+                classes = rng.sample(range(step), rng.randint(1, step))
+                w = [rng.randint(0, top) for _ in classes]
+                w[0] += 1
+                weights.append({j: Fraction(k, sum(w)) for j, k in zip(classes, w)})
+            rep = ModMReport(m, tuple(range(0, m, step)), residue_cycle(1, m),
+                             tuple(weights[0]), tuple(weights[0].values()), Fraction(0))
+            quotients = [[w.get(r % step, Fraction(0)) * step / m for r in range(m)]
+                         for w in weights]
+            got = _synthesize(prof, rep, weights)
+            assert [pt.coeffs for pt in got] == _synthesize_by_fractions(prof, quotients)
 
 
 @pytest.mark.parametrize("mutant", ["unbalanced", "negative"])
 def test_a_synthesized_point_off_the_simplex_is_an_internal_error(monkeypatch, mutant):
-    # 1/4 + 3/4 t^2 has extinction value 1/3.  A correction that only adds
-    # a at the identity leaves mass 4/3; one that subtracts 4a from each
-    # member of H drives a coefficient below 0.  Both points are built
-    # through the same SimplexPoint checks as every synthesized point.
-    def broken(coeffs, identity, members, a):
+    # 1/4 + 3/4 t^2 has extinction value 1/3.  Two quotient reports forged
+    # past ModMReport's own check: Cesaro weights summing to 4/3 leave mass
+    # 4/3, and a = 4/3 leaves (1 - a) / |H| < 0 on each member of H but e.
+    # Both points are built through the same SimplexPoint checks as every
+    # synthesized point.
+    def forged(p, m):
+        rep = regularity_mod_m(p, m)
+        fields = dict(zip(rep._fields, rep._values()))
         if mutant == "unbalanced":
-            coeffs[identity] += a
+            fields["cesaro"] = (Fraction(4, 3),)
         else:
-            for i in members:
-                coeffs[i] -= 4 * a
-            coeffs[identity] += 4 * a * len(members)
-        return coeffs
+            fields["a"] = 4 * rep.a
+        return ModMReport._of(*fields.values())
 
-    monkeypatch.setattr(predict, "extinction_correction", broken)
+    monkeypatch.setattr(predict, "regularity_mod_m", forged)
     g = make_cyclic(4)
     x = simplex_from_map(g, {"t^0": "1/2", "t^2": "1/2"})
     p = ProbPoly(((0, Fraction(1, 4)), (2, Fraction(3, 4))))
@@ -360,3 +370,28 @@ def test_a_synthesized_point_off_the_simplex_is_an_internal_error(monkeypatch, m
                              + ("coefficients sum to 4/3" if mutant == "unbalanced"
                                 else "has a negative coefficient")):
         analyze(p, profile(x))
+
+
+def test_every_synthesized_point_pushes_forward_to_its_quotient_point(zoo):
+    # Row r of prof.cosets is the fibre of residue r under the map
+    # c_x * x^r -> t^r, so each closed-form point of the group, summed over
+    # row r, is coefficient r of its point on Z_m as the Cayley-table
+    # construction builds it, and it puts no mass outside <Supp x>.
+    rng = random.Random(59)
+    fixed = (ProbPoly(((0, Fraction(1, 4)), (2, Fraction(3, 4)))),  # a = 1/3
+             ProbPoly(((0, Fraction(1, 3)), (3, Fraction(2, 3)))))  # a irrational
+    for name, g in sorted(zoo.items()):
+        for size in sorted({1, 2, min(3, g.order), g.order}):
+            prof = profile(random_simplex_point(g, rng, support_size=size))
+            inside = set(generated_subgroup(g, prof.point.support).members)
+            for p in (*fixed, random_prob_poly(rng), ProbPoly.pure_power(rng.randint(2, 5))):
+                rep = (pure_power_report(p.shift, prof) if p.is_pure_power
+                       else analyze(p, prof)[0])
+                points, cesaro = _parent_points(p, prof.period)
+                got = (*rep.accumulation.points, rep.cesaro)
+                assert len(got) == len(points) + 1, (name, str(p))
+                for pt, want in zip(got, (*points, cesaro)):
+                    mass = dict(zip(pt.support, (Fraction(n, pt.den) for n in pt.u)))
+                    assert [sum(mass.get(i, Fraction(0)) for i in row)
+                            for row in prof.cosets.tolist()] == list(want), (name, str(p))
+                    assert set(mass) <= inside, (name, str(p))

@@ -10,7 +10,7 @@ seed, on all seven commands for every tests/golden config, on
 HORIZONS, and on `predict`, `verify` and `limit-set` for each
 LARGE_QUOTIENT config, and on each USAGE command line, and writes
 {case: [exit code, stdout, stderr]} to OUT.json.  At the default seeds
-that is 481 cases.
+that is 484 cases.
 simplexdyn is imported from sys.path, so PYTHONPATH picks the source
 tree under test; the workloads and golden configs always come from
 this checkout.  Configs are written to a temporary directory and passed
@@ -48,13 +48,17 @@ HORIZONS = (1, 2, 3, 5, 7, 97, 1999)
 # `limit-set` prints the 513 exact points of the generator's power cycle.
 # {t^1, t^4} has return time 129, period 3 and a support group of order
 # 171, so it takes one reduction step; its `verify` passes every line.
+# 1/3 + 2/3 t^3 has the irrational extinction value (sqrt(3) - 1) / 2,
+# a dyadic with denominator 2^65, so its limit carries the a-term at
+# modulus 513 in large integers.
 LARGE_QUOTIENT = {
     f"c513-{name}": {"group": {"kind": "cyclic", "n": 513},
                      "element": element, "series": series}
     for name, element, series in (
         ("shifted", "point-mass:t^1", {"2": "1/2", "5": "1/2"}),
         ("pure-power", "point-mass:t^1", "pure-power:3"),
-        ("reduced", {"t^1": "1/2", "t^4": "1/2"}, {"2": "1/2", "5": "1/2"}))}
+        ("reduced", {"t^1": "1/2", "t^4": "1/2"}, {"2": "1/2", "5": "1/2"}),
+        ("extinct", "point-mass:t^1", {"0": "1/3", "3": "2/3"}))}
 # Command lines on one golden config that the parser refuses (exit 1),
 # or answers with its usage text (exit 0).
 USAGE = {
